@@ -4,12 +4,12 @@ The paper's evaluation repeats every sweep point over several seeds; the
 :class:`~repro.engine.batched.BatchedEngine` fuses those replications into
 one whole-array launch. On small scaled grids a simulation step is
 dominated by fixed NumPy dispatch overhead, so fusing 8 replications
-amortises that overhead ~8 ways — this benchmark pins down that the
-batched path beats the solo loop in wall-clock terms while producing
-bit-identical throughputs.
+amortises that overhead ~8 ways. This benchmark pins down that the
+batched path produces bit-identical throughputs and records its
+wall-clock speedup over the solo loop in ``extra_info["speedup"]``
+(~2x observed, LEM ~2.5x); the ratio is recorded, not asserted.
 """
 
-import os
 import time
 
 import pytest
@@ -56,8 +56,4 @@ def test_bench_batched_beats_solo_loop(benchmark, quick_scenario, model):
     batched_wall = wall(_batched)
 
     benchmark.pedantic(_batched, args=(cfg,), rounds=1, iterations=1)
-    # The batched launch must beat the sequential loop of solo runs. The
-    # observed margin is ~2x (LEM ~2.5x); the assert demands 1.25x locally
-    # but only parity on CI, where shared-runner noise is out of our hands.
-    margin = 1.0 if os.environ.get("CI") else 1.25
-    assert batched_wall * margin < solo_wall
+    benchmark.extra_info["speedup"] = solo_wall / batched_wall

@@ -27,21 +27,25 @@ def test_bench_fig5c_measured_speedup(benchmark, quick_scenario):
 
     Scenario 20 carries enough agents for the scalar engine's per-agent
     loop to dominate; smaller scenarios are batched-RNG-bound and the
-    ratio dips below 2x (see EXPERIMENTS.md Fig 5c notes).
+    ratio dips below 2x (see EXPERIMENTS.md Fig 5c notes). The ratio is
+    recorded in ``extra_info["speedup"]``, not asserted; what is asserted
+    is that both engines reach the same state.
     """
     cfg = quick_scenario(20, model="aco")
     steps = 20
+    engines = {}
 
     def measure():
         out = {}
         for engine in ("sequential", "vectorized"):
-            eng = build_engine(cfg, engine)
+            eng = engines[engine] = build_engine(cfg, engine)
             start = time.perf_counter()
             for _ in range(steps):
                 eng.step()
             out[engine] = time.perf_counter() - start
         return out["sequential"] / out["vectorized"]
 
-    speedup = benchmark.pedantic(measure, rounds=3, iterations=1)
-    # The data-parallel engine must beat the scalar reference clearly.
-    assert speedup > 2.0
+    benchmark.extra_info["speedup"] = benchmark.pedantic(
+        measure, rounds=3, iterations=1
+    )
+    assert engines["sequential"].state_equals(engines["vectorized"])

@@ -7,11 +7,12 @@ degrades to solo runs. Padded packing relaxes the key: lanes that share
 model/engine/scale/steps fuse into one whole-array launch with per-agent
 arrays padded to the largest lane (bounded by the waste cap), which
 amortises the fixed NumPy dispatch overhead across scenarios of
-*different* sizes. This benchmark pins down that the padded plan beats
-the solo loop on such a grid while producing bit-identical records.
+*different* sizes. This benchmark pins down that the padded plan fuses
+such a grid while producing bit-identical records, and records its
+wall-clock speedup over the solo loop in ``extra_info["speedup"]``
+(~2x observed); the ratio is recorded, not asserted.
 """
 
-import os
 import time
 
 import pytest
@@ -61,8 +62,4 @@ def test_bench_padded_sweep_beats_solo_loop(benchmark, model):
     padded_wall = wall(padded_runner)
 
     benchmark.pedantic(padded_runner.run, args=(points,), rounds=1, iterations=1)
-    # The padded plan must beat the solo loop by a clear margin. The
-    # observed gain is ~2x; the assert demands 1.5x locally but only
-    # parity on CI, where shared-runner noise is out of our hands.
-    margin = 1.0 if os.environ.get("CI") else 1.5
-    assert padded_wall * margin < solo_wall
+    benchmark.extra_info["speedup"] = solo_wall / padded_wall

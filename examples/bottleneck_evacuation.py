@@ -12,7 +12,7 @@ Run:  python examples/bottleneck_evacuation.py
 
 from repro import ObstacleSpec, SimulationConfig, build_engine
 from repro.analysis import SpaceTimeRecorder, crossing_times, render_spacetime
-from repro.extensions import PanicAlarm
+from repro.components.hooks import PanicHook
 from repro.io import render_grid
 
 
@@ -25,19 +25,18 @@ def run(panic_at=None, render_at=None):
         seed=11,
         obstacles=ObstacleSpec("bottleneck", gap=8),
     )
+    if panic_at is not None:
+        cfg = cfg.replace(hooks=(PanicHook(trigger_step=panic_at),))
     eng = build_engine(cfg, "vectorized")
     spacetime = SpaceTimeRecorder(every=5)
-    alarm = PanicAlarm(trigger_step=panic_at) if panic_at is not None else None
     snapshot = {}
 
-    def hooks(engine, report):
+    def observe(engine, report):
         spacetime(engine, report)
-        if alarm is not None:
-            alarm(engine, report)
         if render_at is not None and report.step == render_at:
             snapshot["grid"] = render_grid(engine.env.mat)
 
-    eng.run(callback=hooks, record_timeline=False)
+    eng.run(callback=observe, record_timeline=False)
     return eng, spacetime, snapshot
 
 

@@ -253,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--record-timeline",
         action="store_true",
         help="record per-step timelines into every job result "
-        "(moved/crossings per step); large results travel from pool "
-        "workers via the zero-copy shared-memory transport",
+        "(moved/crossings per step)",
     )
 
     sbm_p = sub.add_parser("submit", help="submit a job to a running service")
@@ -800,17 +799,6 @@ def _cmd_status(args) -> int:
         f"({payload.get('cache_bytes', 0)} bytes, "
         f"{payload.get('cache_evictions', 0)} evicted) on disk"
     )
-    transport = payload.get("transport")
-    if transport:
-        print(
-            f"transport: {transport['shm_results']} shm / "
-            f"{transport['inline_results']} inline results "
-            f"({transport['shm_payload_bytes']} bytes zero-copy, "
-            f"{transport['segments_in_flight']} segment(s) in flight of "
-            f"{transport['segments_created']} created, "
-            f"{transport['segment_reclaims']} reclaimed, "
-            f"{transport['oversize_spills']} spilled)"
-        )
     e2e = (payload.get("latency") or {}).get("end_to_end")
     if e2e:
         print(

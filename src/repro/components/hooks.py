@@ -154,9 +154,7 @@ class PanicHook(StepHook):
             self.panic_params.validate()
 
     def fire_step(self) -> int:
-        # A swap cannot precede the first step; trigger 0 degenerates to 1,
-        # matching the legacy PanicAlarm callback's "report.step + 1 >=
-        # trigger_step" firing rule.
+        # A swap cannot precede the first step; trigger 0 degenerates to 1.
         return max(int(self.trigger_step), 1)
 
     def _params_for(self, configured: ModelParams) -> ModelParams:

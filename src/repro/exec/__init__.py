@@ -21,7 +21,6 @@ but configs, so where it runs cannot change what it computes.
 """
 
 from .pool import MP_START_METHOD, ExecutorPool
-from .shm import SEGMENT_PREFIX, SHM_MAX_BYTES, SHM_THRESHOLD_BYTES
 from .work import (
     LaunchOutcome,
     LaunchWork,
@@ -32,9 +31,6 @@ from .work import (
 
 __all__ = [
     "MP_START_METHOD",
-    "SEGMENT_PREFIX",
-    "SHM_THRESHOLD_BYTES",
-    "SHM_MAX_BYTES",
     "ExecutorPool",
     "LaunchWork",
     "LaunchOutcome",

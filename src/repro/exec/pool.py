@@ -21,13 +21,7 @@ This module replaces both with a single long-lived executor that
   and subsequent submission proceeds normally;
 * **returns futures** — :meth:`ExecutorPool.submit` hands back a
   :class:`concurrent.futures.Future`, so callers can gather results in
-  submission order (the sweep) or as they complete (the service tick);
-* **ships results zero-copy** — large results ride pooled
-  shared-memory segments (:mod:`repro.exec.shm`): the queue carries a
-  constant-size pickle head, the parent rebuilds the arrays as segment
-  views, and segments recycle once the views are garbage-collected.
-  Small results, oversize results and exceptions use the legacy in-band
-  pickle exactly as before.
+  submission order (the sweep) or as they complete (the service tick).
 
 Workers are started lazily on the first submission, so constructing a
 pool (or a ``workers=N`` service that never sees a burst) costs nothing.
@@ -41,21 +35,11 @@ import multiprocessing
 import pickle
 import queue
 import threading
-import weakref
-from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ExperimentError, WorkerCrashError
-from .shm import (
-    SHM_MAX_BYTES,
-    SHM_THRESHOLD_BYTES,
-    SegmentWriter,
-    attach_segment,
-    decode_payload,
-    iter_payload_arrays,
-)
 
 __all__ = ["MP_START_METHOD", "ExecutorPool"]
 
@@ -71,9 +55,7 @@ MP_START_METHOD = (
 )
 
 
-def _worker_main(
-    task_q, result_q, initializer, initargs, shm_threshold, shm_max
-) -> None:
+def _worker_main(task_q, result_q, initializer, initargs) -> None:
     """Worker loop: execute task messages until the ``None`` poison pill.
 
     The worker is deliberately stateless between tasks *except* for
@@ -82,66 +64,34 @@ def _worker_main(
     in :mod:`repro.engine.warmstate`): that residue is the "warm worker"
     payoff of a persistent pool.
 
-    Results are encoded *here*, in the worker's main thread, so an
+    Results are pickled *here*, in the worker's main thread, so an
     unpicklable result or exception surfaces as a clean per-task failure
-    instead of dying silently in a queue feeder thread. Large results
-    land in pooled shared-memory segments (``shm_threshold < 0``
-    disables the transport); ``("release", name)`` messages from the
-    parent hand segments back for reuse.
+    instead of dying silently in a queue feeder thread.
     """
     if initializer is not None:
         initializer(*initargs)
-    writer = SegmentWriter(shm_threshold, shm_max) if shm_threshold >= 0 else None
-    try:
-        while True:
-            msg = task_q.get()
-            if msg is None:
-                return
-            if msg[0] == "release":
-                if writer is not None:
-                    writer.release(msg[1])
-                continue
-            _, task_id, fn, args = msg
-            try:
-                ok, payload = True, fn(*args)
-            except BaseException as exc:  # noqa: BLE001 - isolate ANY task failure
-                ok, payload = False, exc
-            if writer is not None:
-                out = writer.encode(task_id, ok, payload)
-            else:
-                out = ("inline", task_id, ok, payload)
-            try:
-                blob = pickle.dumps(out)
-            except Exception as exc:  # unpicklable result/exception
-                blob = pickle.dumps(
-                    (
-                        "inline",
-                        task_id,
-                        False,
-                        ExperimentError(
-                            f"work item returned an unpicklable payload: {exc}"
-                        ),
-                    )
+    while True:
+        msg = task_q.get()
+        if msg is None:
+            return
+        task_id, fn, args = msg
+        try:
+            ok, payload = True, fn(*args)
+        except BaseException as exc:  # noqa: BLE001 - isolate ANY task failure
+            ok, payload = False, exc
+        try:
+            blob = pickle.dumps((task_id, ok, payload))
+        except Exception as exc:  # unpicklable result/exception
+            blob = pickle.dumps(
+                (
+                    task_id,
+                    False,
+                    ExperimentError(
+                        f"work item returned an unpicklable payload: {exc}"
+                    ),
                 )
-            result_q.put(blob)
-    finally:
-        if writer is not None:
-            writer.close()
-
-
-def _enqueue_release(release_q: deque, name: str, shm_keepalive) -> None:
-    """Finalizer body for one reconstructed array.
-
-    ``shm_keepalive`` (the parent's SharedMemory wrapper) is parked *in
-    the queue entry*, not dropped here: the finalizer fires while its
-    array is still mid-deallocation (buffer still exported), and the
-    wrapper's ``__del__`` closing an mmap with exported buffers raises
-    BufferError. Riding the deque, the wrapper outlives the dealloc and
-    is released by the collector's drain (or with the deque itself once
-    the pool is garbage). The append is the only action — lock-free, so
-    GC timing can never deadlock against the pool lock.
-    """
-    release_q.append((name, shm_keepalive))
+            )
+        result_q.put(blob)
 
 
 @dataclass
@@ -166,21 +116,6 @@ class _Worker:
     task_q: Any  # ctx.SimpleQueue — single producer (pool), single consumer
 
 
-@dataclass
-class _Segment:
-    """A shared-memory segment the parent currently has mapped."""
-
-    name: str
-    shm: Any  # shared_memory.SharedMemory
-    worker_id: int
-    nbytes: int
-    #: Reconstructed arrays still alive; the segment retires at zero.
-    refs: int
-    #: Set when the owning worker died — retirement unlinks instead of
-    #: sending a recycle message.
-    worker_dead: bool = False
-
-
 class ExecutorPool:
     """Persistent multi-process executor with priority/LPT scheduling.
 
@@ -196,14 +131,6 @@ class ExecutorPool:
         Optional picklable callable run once in each worker at start
         (e.g. :func:`repro.exec.work.warm_backend` to pre-resolve an
         array backend before the first launch lands).
-    use_shm:
-        Enable the zero-copy shared-memory result transport (default
-        on). Off, every result takes the legacy in-band pickle path.
-    shm_threshold, shm_max_bytes:
-        Transport band: results whose array buffers total fewer bytes
-        than ``shm_threshold`` ship in-band (header-dominated), larger
-        than ``shm_max_bytes`` spill to the legacy path (bounded
-        mappings); see :mod:`repro.exec.shm`.
     """
 
     def __init__(
@@ -212,9 +139,6 @@ class ExecutorPool:
         start_method: Optional[str] = None,
         initializer: Optional[Callable] = None,
         initargs: Tuple = (),
-        use_shm: bool = True,
-        shm_threshold: int = SHM_THRESHOLD_BYTES,
-        shm_max_bytes: int = SHM_MAX_BYTES,
     ) -> None:
         if workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {workers}")
@@ -222,9 +146,6 @@ class ExecutorPool:
         self._ctx = multiprocessing.get_context(start_method or MP_START_METHOD)
         self._initializer = initializer
         self._initargs = tuple(initargs)
-        self.use_shm = bool(use_shm)
-        self._shm_threshold = int(shm_threshold)
-        self._shm_max_bytes = int(shm_max_bytes)
 
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
@@ -258,27 +179,10 @@ class ExecutorPool:
         self._crash_streak = 0
         self._crash_limit = max(4, 2 * self.workers)
         self._broken = False
-
-        # Shared-memory transport state. ``_segments`` holds segments the
-        # parent has mapped (payload views alive); ``_worker_segments``
-        # remembers every segment name a worker has ever shipped, so the
-        # reaper can unlink a crashed worker's pool. ``_release_q`` is
-        # fed by per-array GC finalizers (lock-free append; the collector
-        # drains it), so a finalizer firing mid-allocation can never
-        # deadlock against the pool lock.
-        self._segments: Dict[str, _Segment] = {}
-        self._worker_segments: Dict[int, Set[str]] = {}
-        self._release_q: deque = deque()
-        #: Transport counters (see :meth:`transport_stats`).
-        self.shm_results = 0
+        #: Successful results received, and their pickled bytes (see
+        #: :meth:`transport_stats`).
         self.inline_results = 0
-        self.shm_payload_bytes = 0
-        self.shm_head_bytes = 0
         self.inline_bytes = 0
-        self.segments_created = 0
-        self.segment_reclaims = 0
-        self.oversize_spills = 0
-        self._owner_transport: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -299,14 +203,7 @@ class ExecutorPool:
         task_q = self._ctx.SimpleQueue()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                task_q,
-                self._result_q,
-                self._initializer,
-                self._initargs,
-                self._shm_threshold if self.use_shm else -1,
-                self._shm_max_bytes,
-            ),
+            args=(task_q, self._result_q, self._initializer, self._initargs),
             name=f"executor-pool-worker-{worker_id}",
             daemon=True,
         )
@@ -381,16 +278,13 @@ class ExecutorPool:
                 self._owner_peak[task.owner] = max(
                     self._owner_peak.get(task.owner, 0), busy
                 )
-            self._workers[worker_id].task_q.put(
-                ("task", task_id, task.fn, task.args)
-            )
+            self._workers[worker_id].task_q.put((task_id, task.fn, task.args))
 
     # ------------------------------------------------------------------
     # Completion / crash handling (collector thread)
     # ------------------------------------------------------------------
     def _collect_loop(self) -> None:
         while not (self._stop.is_set() and not self._tasks):
-            self._drain_releases()
             try:
                 blob = self._result_q.get(timeout=0.1)
             except (queue.Empty, EOFError, OSError):
@@ -412,39 +306,11 @@ class ExecutorPool:
                 # Torn blob from a worker killed mid-put; the reaper
                 # will fail that worker's task on the next sweep.
                 continue
-            # One result per method call, so payload/array references die
-            # on return — a lingering loop local must not pin the last
-            # result's segment across an idle wait.
             self._handle_result(msg, len(blob))
-            del msg, blob
 
     def _handle_result(self, msg: Tuple, blob_len: int) -> None:
-        """Decode one worker message, settle bookkeeping, resolve the future."""
-        kind, task_id, ok = msg[0], msg[1], msg[2]
-        payload: Any
-        decode_error: Optional[str] = None
-        seg = None
-        arrays: List[Any] = []
-        if kind == "shm":
-            _, _, _, head, seg_name, spans, total = msg
-            try:
-                shm = attach_segment(seg_name)
-                payload = decode_payload(head, shm, spans)
-                arrays = list(iter_payload_arrays(payload))
-                seg = _Segment(
-                    name=seg_name,
-                    shm=shm,
-                    worker_id=-1,  # resolved under the lock below
-                    nbytes=int(total),
-                    refs=max(1, len(arrays)),
-                )
-            except Exception as exc:
-                payload = None
-                decode_error = (
-                    f"lost shared-memory result segment {seg_name!r}: {exc}"
-                )
-        else:
-            payload = msg[3]
+        """Settle bookkeeping for one worker result and resolve its future."""
+        task_id, ok, payload = msg
         with self._lock:
             self._crash_streak = 0
             task = self._tasks.pop(task_id, None)
@@ -453,95 +319,20 @@ class ExecutorPool:
                     del self._inflight[worker_id]
                     self._idle.append(worker_id)
                     self._release_owner_locked(task)
-                    if seg is not None:
-                        seg.worker_id = worker_id
                     break
-            owner = task.owner if task is not None else None
-            if kind == "shm" and seg is not None:
-                self._segments[seg.name] = seg
-                names = self._worker_segments.setdefault(seg.worker_id, set())
-                if seg.name not in names:
-                    names.add(seg.name)
-                    self.segments_created += 1
-                self.shm_results += 1
-                self.shm_payload_bytes += seg.nbytes
-                self.shm_head_bytes += len(msg[3])
-                self._owner_tally_locked(owner, "shm_results", 1)
-                self._owner_tally_locked(owner, "shm_bytes", seg.nbytes)
-            elif kind == "inline" and ok:
+            if ok:
                 self.inline_results += 1
                 self.inline_bytes += blob_len
-                if self.use_shm and blob_len >= self._shm_threshold:
-                    # A large result bypassed the segment path: the
-                    # oversize (or non-contiguous) legacy spill.
-                    self.oversize_spills += 1
-                self._owner_tally_locked(owner, "inline_results", 1)
             self._pump_locked()
             self._drained.notify_all()
-        if seg is not None:
-            # Per-array GC finalizers drive segment recycling; they only
-            # append to the lock-free release deque, drained by the
-            # collector thread, so GC timing can never deadlock the pool.
-            for arr in arrays:
-                weakref.finalize(arr, _enqueue_release, self._release_q,
-                                 seg.name, seg.shm)
-            if not arrays:  # pragma: no cover - defensive
-                self._release_q.append((seg.name, seg.shm))
         if task is None:
             return  # stale result from a worker declared dead
-        if decode_error is not None:
-            task.future.set_exception(WorkerCrashError(decode_error))
-        elif ok:
+        if ok:
             task.future.set_result(payload)
         elif isinstance(payload, BaseException):
             task.future.set_exception(payload)
         else:  # pragma: no cover - workers always send exceptions
             task.future.set_exception(ExperimentError(str(payload)))
-
-    def _owner_tally_locked(self, owner: Optional[str], key: str, n: int) -> None:
-        if owner is None:
-            return
-        stats = self._owner_transport.setdefault(owner, {})
-        stats[key] = stats.get(key, 0) + n
-
-    def _drain_releases(self) -> None:
-        """Retire segments whose reconstructed arrays have all been GC'd."""
-        if not self._release_q:
-            return
-        with self._lock:
-            while self._release_q:
-                name, _keepalive = self._release_q.popleft()
-                seg = self._segments.get(name)
-                if seg is None:
-                    continue
-                seg.refs -= 1
-                if seg.refs > 0:
-                    continue
-                try:
-                    seg.shm.close()
-                except BufferError:  # pragma: no cover - exported view lives
-                    # Someone still exports a raw buffer; retry on the
-                    # next drain pass.
-                    seg.refs = 1
-                    self._release_q.append((name, _keepalive))
-                    continue
-                del self._segments[name]
-                if seg.worker_dead:
-                    continue  # the reaper already unlinked the name
-                worker = self._workers.get(seg.worker_id)
-                if worker is not None and worker.process.is_alive():
-                    try:
-                        worker.task_q.put(("release", name))
-                        continue
-                    except (OSError, ValueError):  # pragma: no cover
-                        pass
-                # No live owner to recycle into: unlink from the parent.
-                self._worker_segments.get(seg.worker_id, set()).discard(name)
-                try:
-                    seg.shm.unlink()
-                    self.segment_reclaims += 1
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
 
     def _release_owner_locked(self, task: Optional[_Task]) -> None:
         """Drop one unit of an owner's in-flight count (task left a worker)."""
@@ -563,35 +354,20 @@ class ExecutorPool:
         with self._lock:
             return self._owner_peak.get(owner, 0)
 
-    def transport_stats(self, owner: Optional[str] = None) -> Dict[str, int]:
-        """Result-transport counters (pool-wide, or one owner's slice).
+    def transport_stats(self) -> Dict[str, int]:
+        """Result counters: ``inline_results`` and their ``inline_bytes``.
 
-        Pool-wide keys: ``shm_results`` / ``inline_results`` (how each
-        result travelled), ``shm_payload_bytes`` (array bytes that moved
-        through segments instead of the pipe), ``shm_head_bytes`` (what
-        the pipe actually carried for those results), ``inline_bytes``,
-        ``segments_created`` / ``segments_in_flight`` /
-        ``segment_reclaims`` (crash-reclaimed or parent-unlinked
-        segments) and ``oversize_spills``. The ``owner`` slice reports
-        ``shm_results`` / ``shm_bytes`` / ``inline_results`` for that
-        dispatcher only.
+        Every successful result travels as one pickled blob on the result
+        queue; ``inline_bytes`` totals those blobs. ``shm_results`` and
+        ``shm_payload_bytes`` are always 0 and remain only because the
+        benchmark reader (``perfbench/sweep.py``) still reads them.
         """
         with self._lock:
-            if owner is not None:
-                stats = dict(self._owner_transport.get(owner, {}))
-                for key in ("shm_results", "shm_bytes", "inline_results"):
-                    stats.setdefault(key, 0)
-                return stats
             return {
-                "shm_results": self.shm_results,
                 "inline_results": self.inline_results,
-                "shm_payload_bytes": self.shm_payload_bytes,
-                "shm_head_bytes": self.shm_head_bytes,
                 "inline_bytes": self.inline_bytes,
-                "segments_created": self.segments_created,
-                "segments_in_flight": len(self._segments),
-                "segment_reclaims": self.segment_reclaims,
-                "oversize_spills": self.oversize_spills,
+                "shm_results": 0,
+                "shm_payload_bytes": 0,
             }
 
     def _reap_dead_locked(self) -> List[Tuple[_Task, str]]:
@@ -600,12 +376,8 @@ class ExecutorPool:
         Called from the collector whenever the result queue idles. Only
         the batch a dead worker was running fails — pending work and
         sibling workers are untouched, and the fresh process immediately
-        rejoins the idle set. The dead worker's shared-memory segments
-        are unlinked here (its free pool immediately, mapped ones by
-        name — live payload views stay valid until their own release),
-        so even SIGKILL leaks no /dev/shm entries. Returns the failed
-        ``(task, message)`` pairs for the caller to resolve outside the
-        lock.
+        rejoins the idle set. Returns the failed ``(task, message)``
+        pairs for the caller to resolve outside the lock.
         """
         failed: List[Tuple[_Task, str]] = []
         for worker_id, worker in list(self._workers.items()):
@@ -626,24 +398,6 @@ class ExecutorPool:
                         f"was not completed",
                     )
                 )
-            # Reclaim the dead worker's segments: nothing will ever send
-            # them back for recycling.
-            for name in self._worker_segments.pop(worker_id, set()):
-                seg = self._segments.get(name)
-                try:
-                    if seg is not None:
-                        # Parent still maps it (payload views alive):
-                        # unlink the name now, keep the mapping until the
-                        # views retire it.
-                        seg.worker_dead = True
-                        seg.shm.unlink()
-                    else:
-                        leaked = attach_segment(name)
-                        leaked.close()
-                        leaked.unlink()
-                    self.segment_reclaims += 1
-                except FileNotFoundError:
-                    pass  # the worker unlinked it before dying
             self.respawns += 1
             self._crash_streak += 1
             if self._crash_streak >= self._crash_limit:
@@ -686,7 +440,6 @@ class ExecutorPool:
         self._stop.set()
         if not started:
             return
-        self._drain_releases()
         for worker in list(self._workers.values()):
             try:
                 worker.task_q.put(None)

@@ -1,11 +1,13 @@
 """Extensions implementing the paper's Section VII future-work items.
 
-* :class:`PanicAlarm` — crisis-mode model swap at a trigger step;
+* the panic alarm is the :class:`~repro.components.hooks.PanicHook` step
+  hook — ``config.replace(hooks=(PanicHook(trigger_step=...),))`` — whose
+  default crisis parameters come from :func:`panic_variant`;
 * heterogeneous velocities live in the core config
   (``SimulationConfig.slow_fraction`` / ``slow_period``) because they gate
   the engines' tour-construction stage directly.
 """
 
-from .panic import PanicAlarm, panic_variant
+from ..components.hooks import panic_variant
 
-__all__ = ["PanicAlarm", "panic_variant"]
+__all__ = ["panic_variant"]

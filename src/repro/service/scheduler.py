@@ -168,17 +168,6 @@ class BatchScheduler:
         #: own overlap, not other owners sharing the executor.
         self._owner = f"sched-{mint_span_id()}"
 
-    @property
-    def owner(self) -> str:
-        """The accounting tag this scheduler stamps on pool submissions.
-
-        Pool-side per-owner counters (:meth:`repro.exec.ExecutorPool.
-        peak_busy_for`, :meth:`~repro.exec.ExecutorPool.transport_stats`)
-        are keyed by it — how a service reads *its own* slice of a
-        shared pool's accounting.
-        """
-        return self._owner
-
     # ------------------------------------------------------------------
     def plan(self, jobs: Sequence) -> List[PlannedBatch]:
         """Plan a job list into launches (indices into ``jobs``)."""

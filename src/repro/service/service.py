@@ -310,18 +310,6 @@ class SimulationService:
             out["cache_evictions"] = self.cache.evictions
             out["trace"] = self.trace
             out["latency"] = self.recorder.summary()
-            pool = self._pool
-            if pool is not None:
-                # Pool-wide transport counters plus this service's
-                # owner-scoped slice — on a shared executor the two
-                # differ, and the slice is what this service moved.
-                transport = pool.transport_stats()
-                transport["owner"] = pool.transport_stats(
-                    owner=self.scheduler.owner
-                )
-                out["transport"] = transport
-            else:
-                out["transport"] = None
             if self.analytics is not None:
                 out["analytics_db"] = self.analytics.path
                 out.update(self.analytics.counts())
@@ -735,30 +723,6 @@ class SimulationService:
                     "repro_pool_peak_busy",
                     "Pool-lifetime peak of busy workers (all owners).",
                 ).set(pool.peak_busy)
-                transport = pool.transport_stats()
-                for name, key, help_text in (
-                    ("repro_shm_results_total", "shm_results",
-                     "Results shipped zero-copy through shared memory."),
-                    ("repro_inline_results_total", "inline_results",
-                     "Results shipped through the legacy in-band pickle."),
-                    ("repro_shm_payload_bytes_total", "shm_payload_bytes",
-                     "Array bytes moved via segments instead of the pipe."),
-                    ("repro_shm_head_bytes_total", "shm_head_bytes",
-                     "Pipe bytes actually carried for shm results."),
-                    ("repro_shm_segment_reclaims_total", "segment_reclaims",
-                     "Segments reclaimed (crashed worker or parent unlink)."),
-                    ("repro_shm_spills_total", "oversize_spills",
-                     "Large results that spilled to the in-band path."),
-                ):
-                    reg.counter(name, help_text).set_total(transport[key])
-                reg.gauge(
-                    "repro_shm_segments_in_flight",
-                    "Shared-memory segments currently mapped by the pool.",
-                ).set(transport["segments_in_flight"])
-                reg.gauge(
-                    "repro_shm_segments_created",
-                    "Shared-memory segments ever created by pool workers.",
-                ).set(transport["segments_created"])
         if self.analytics is not None:
             reg.counter(
                 "repro_dispatch_ops_total",

@@ -5,13 +5,10 @@ any completion order without losing request alignment, an exception in
 one work item fails only that item, a *killed* worker fails only the
 batch it was running (the pool respawns it and keeps serving), priority
 overtakes submission order, the shared :class:`LaunchWork` payload
-produces bit-identical results in-process and across workers, and the
-zero-copy shared-memory result transport recycles and reclaims its
-segments (including after SIGKILL) without ever leaking ``/dev/shm``
-entries.
+produces bit-identical results in-process and across workers, and every
+result, however large, arrives intact over the one pickled result queue.
 """
 
-import gc
 import multiprocessing
 import os
 import signal
@@ -24,8 +21,6 @@ from repro import SimulationConfig, run_batched, run_simulation
 from repro.errors import ExperimentError, WorkerCrashError
 from repro.exec import (
     MP_START_METHOD,
-    SEGMENT_PREFIX,
-    SHM_THRESHOLD_BYTES,
     ExecutorPool,
     LaunchWork,
     execute_launch,
@@ -241,186 +236,48 @@ class TestLaunchWork:
 
 
 # ---------------------------------------------------------------------
-# Zero-copy shared-memory transport
+# Result transport: every result is one pickled blob on the result queue
 # ---------------------------------------------------------------------
 
 def _big_arrays(n):
-    """A payload whose buffers comfortably exceed the shm threshold."""
+    """A ~12-bytes-per-element payload (1.2 MB at n=100_000)."""
     return {
         "a": np.arange(n, dtype=np.float64),
         "b": np.full((n,), 7, dtype=np.int32),
     }
 
 
-def _tiny_payload():
-    return {"ok": True}
-
-
-def _own_segments():
-    """Names of repro shm segments currently on disk.
-
-    Leak assertions compare against a snapshot taken at test start —
-    residue from *other* repro processes on the machine (a killed
-    service, a concurrent test run) must not fail this suite.
-    """
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith(SEGMENT_PREFIX)}
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs platform
-        return set()
-
-
-def _wait_until(predicate, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.05)
-    return predicate()
-
-
-class TestShmTransport:
-    def test_large_results_ride_shared_memory(self):
-        pre = _own_segments()
+class TestResultTransport:
+    def test_large_result_arrives_intact(self):
         p = ExecutorPool(1)
         try:
             out = p.submit(_big_arrays, 100_000).result(timeout=60)
-            assert out["a"][-1] == 99_999.0 and out["b"][0] == 7
-            # The arrays are views over the segment mapping, not copies.
-            assert not out["a"].flags["OWNDATA"]
-            stats = p.transport_stats()
-            assert stats["shm_results"] == 1
-            assert stats["shm_payload_bytes"] >= 100_000 * 12
-            # The pipe carried a constant-size head, not the arrays.
-            assert stats["shm_head_bytes"] < SHM_THRESHOLD_BYTES
-            assert stats["segments_in_flight"] == 1
-            # Dropping the payload retires the segment (GC-driven).
-            del out
-            gc.collect()
-            assert _wait_until(
-                lambda: p.transport_stats()["segments_in_flight"] == 0
-            )
         finally:
             p.close()
-        assert _own_segments() <= pre
+        np.testing.assert_array_equal(out["a"], np.arange(100_000, dtype=np.float64))
+        np.testing.assert_array_equal(out["b"], np.full((100_000,), 7, dtype=np.int32))
 
-    def test_small_results_stay_inline(self, pool):
-        assert pool.submit(_tiny_payload).result(timeout=60) == {"ok": True}
-        stats = pool.transport_stats()
-        assert stats["inline_results"] == 1
-        assert stats["shm_results"] == 0
-
-    def test_oversize_results_spill_to_legacy_path(self):
-        # A result bigger than the segment cap must still arrive — via
-        # the legacy in-band pickle — and be counted as a spill.
-        pre = _own_segments()
-        p = ExecutorPool(1, shm_threshold=1024, shm_max_bytes=64 * 1024)
-        try:
-            out = p.submit(_big_arrays, 100_000).result(timeout=60)
-            assert out["a"][-1] == 99_999.0
-            stats = p.transport_stats()
-            assert stats["shm_results"] == 0
-            assert stats["inline_results"] == 1
-            assert stats["oversize_spills"] == 1
-            assert stats["segments_in_flight"] == 0
-        finally:
-            p.close()
-        assert _own_segments() <= pre
-
-    def test_shm_disabled_pool_is_all_inline(self):
-        pre = _own_segments()
-        p = ExecutorPool(1, use_shm=False)
-        try:
-            out = p.submit(_big_arrays, 100_000).result(timeout=60)
-            assert out["a"][-1] == 99_999.0
-            stats = p.transport_stats()
-            assert stats["shm_results"] == 0 and stats["inline_results"] == 1
-        finally:
-            p.close()
-        assert _own_segments() <= pre
-
-    def test_segments_recycle_across_results(self):
-        # Sequential big results on one worker, each released before the
-        # next, must reuse the parked segment instead of creating more.
-        pre = _own_segments()
+    def test_timeline_launch_bit_identical_to_inline(self):
+        work = LaunchWork(configs=(_cfg(seed=4),), record_timeline=True)
         p = ExecutorPool(1)
         try:
-            for _ in range(4):
-                out = p.submit(_big_arrays, 100_000).result(timeout=60)
-                del out
-                gc.collect()
-                assert _wait_until(
-                    lambda: p.transport_stats()["segments_in_flight"] == 0
-                )
-            stats = p.transport_stats()
-            assert stats["shm_results"] == 4
-            assert stats["segments_created"] == 1
-        finally:
-            p.close()
-        assert _own_segments() <= pre
-
-    def test_sigkill_reclaims_segments_and_leaks_nothing(self):
-        # A worker holding a recycled segment pool is SIGKILLed: the
-        # reaper must unlink its segments (nothing else ever will) and
-        # /dev/shm must end clean.
-        pre = _own_segments()
-        p = ExecutorPool(1)
-        try:
-            out = p.submit(_big_arrays, 100_000).result(timeout=60)
-            del out
-            gc.collect()
-            # Wait for the release to round-trip so the worker owns a
-            # parked segment when it dies.
-            assert _wait_until(
-                lambda: p.transport_stats()["segments_in_flight"] == 0
-            )
-            assert _wait_until(lambda: bool(_own_segments() - pre))
-            with pytest.raises(WorkerCrashError):
-                p.submit(_kill_self).result(timeout=60)
-            assert _wait_until(lambda: not (_own_segments() - pre))
-            assert p.transport_stats()["segment_reclaims"] >= 1
-            # The respawned worker still ships shm results.
-            out = p.submit(_big_arrays, 50_000).result(timeout=60)
-            assert out["a"][-1] == 49_999.0
-        finally:
-            p.close()
-        assert _own_segments() <= pre
-
-    def test_owner_scoped_transport_accounting(self, pool):
-        a = pool.submit(_big_arrays, 100_000, owner="svc-a").result(timeout=60)
-        b = pool.submit(_tiny_payload, owner="svc-b").result(timeout=60)
-        assert a["b"][0] == 7 and b == {"ok": True}
-        slice_a = pool.transport_stats(owner="svc-a")
-        slice_b = pool.transport_stats(owner="svc-b")
-        assert slice_a["shm_results"] == 1 and slice_a["shm_bytes"] > 0
-        assert slice_b == {
-            "shm_results": 0, "shm_bytes": 0, "inline_results": 1
-        }
-
-    def test_launch_results_round_trip_through_segments(self):
-        # A real LaunchOutcome with timelines recorded (lowered
-        # threshold — the timelines are small at 40 steps) must ride shm
-        # and stay bit-identical to the inline run.
-        pre = _own_segments()
-        p = ExecutorPool(1, shm_threshold=64)
-        try:
-            work = LaunchWork(
-                configs=(_cfg(seed=4),), record_timeline=True
-            )
             pooled = p.submit(execute_launch, work).result(timeout=120)
-            assert p.transport_stats()["shm_results"] == 1
-            inline = execute_launch(work)
-            np.testing.assert_array_equal(
-                pooled.results[0].crossings_per_step,
-                inline.results[0].crossings_per_step,
-            )
-            np.testing.assert_array_equal(
-                pooled.results[0].moved_per_step,
-                inline.results[0].moved_per_step,
-            )
-            assert (
-                pooled.results[0].throughput_total
-                == inline.results[0].throughput_total
-            )
         finally:
             p.close()
-        assert _own_segments() <= pre
+        inline = execute_launch(work)
+        assert len(pooled.results) == len(inline.results) == 1
+        got, want = pooled.results[0], inline.results[0]
+        np.testing.assert_array_equal(got.crossings_per_step, want.crossings_per_step)
+        np.testing.assert_array_equal(got.moved_per_step, want.moved_per_step)
+        assert got.throughput_total == want.throughput_total
+
+    def test_stats_count_one_inline_result_per_completed_task(self, pool):
+        futures = [pool.submit(_double, k) for k in range(3)]
+        futures.append(pool.submit(_big_arrays, 1_000))
+        for f in futures:
+            f.result(timeout=60)
+        stats = pool.transport_stats()
+        assert stats["inline_results"] == 4
+        assert stats["inline_bytes"] >= 1_000 * 12
+        assert stats["shm_results"] == 0
+        assert stats["shm_payload_bytes"] == 0

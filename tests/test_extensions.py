@@ -5,7 +5,8 @@ import pytest
 
 from repro import SimulationConfig, build_engine
 from repro.errors import ConfigurationError
-from repro.extensions import PanicAlarm, panic_variant
+from repro.components.hooks import PanicHook, hook_from_dict
+from repro.extensions import panic_variant
 from repro.models import ACOParams, LEMParams, RandomParams
 
 
@@ -28,54 +29,62 @@ class TestPanicVariant:
 
 
 class TestPanicAlarm:
-    def _cfg(self, model="lem"):
-        return SimulationConfig(
+    """The Section VII panic alarm, configured as a :class:`PanicHook`."""
+
+    def _cfg(self, model="lem", trigger=None):
+        cfg = SimulationConfig(
             height=32, width=32, n_per_side=140, steps=80, seed=12
         ).with_model(model)
+        if trigger is not None:
+            cfg = cfg.replace(hooks=(PanicHook(trigger_step=trigger),))
+        return cfg
 
     def test_fires_once_at_trigger(self):
-        eng = build_engine(self._cfg(), "vectorized")
-        alarm = PanicAlarm(trigger_step=20)
-        eng.run(callback=alarm, record_timeline=False)
-        assert alarm.fired
-        assert alarm.fired_at == 20
+        cfg = self._cfg(trigger=20)
+        eng = build_engine(cfg, "vectorized")
+        for _ in range(20):
+            eng.step()
+        assert eng.model.params == cfg.params
+        eng.step()  # the hook fires before step 20 executes
+        assert eng.model.params == panic_variant(cfg.params)
+        for _ in range(10):
+            eng.step()
+        assert eng.model.params == panic_variant(cfg.params)
 
     def test_changes_trajectory(self):
         base = build_engine(self._cfg(), "vectorized")
         base.run(record_timeline=False)
-        panicked = build_engine(self._cfg(), "vectorized")
-        panicked.run(callback=PanicAlarm(trigger_step=10), record_timeline=False)
+        panicked = build_engine(self._cfg(trigger=10), "vectorized")
+        panicked.run(record_timeline=False)
         assert not base.env.equals(panicked.env)
 
     def test_no_effect_before_trigger(self):
         a = build_engine(self._cfg(), "vectorized")
-        b = build_engine(self._cfg(), "vectorized")
-        alarm = PanicAlarm(trigger_step=30)
-        for i in range(30):
-            ra = a.step()
-            alarm(b, b.step())
-            assert ra is not None
+        b = build_engine(self._cfg(trigger=30), "vectorized")
+        for _ in range(30):
+            assert a.step() == b.step()
         assert a.state_equals(b)
-        assert alarm.fired  # fires exactly at the boundary
+        assert b.model.params == a.model.params
+        b.step()
+        assert b.model.params == panic_variant(a.model.params)
 
     def test_panicked_lem_unjams_medium_density(self):
         """At the jamming knee, panic (always-move) raises throughput."""
         cfg = self._cfg("lem").replace(n_per_side=90, steps=120)
         calm = build_engine(cfg, "vectorized")
         calm.run(record_timeline=False)
-        panicked = build_engine(cfg, "vectorized")
-        panicked.run(callback=PanicAlarm(trigger_step=5), record_timeline=False)
+        panicked = build_engine(
+            cfg.replace(hooks=(PanicHook(trigger_step=5),)), "vectorized"
+        )
+        panicked.run(record_timeline=False)
         assert panicked.throughput() > calm.throughput()
 
     def test_equivalence_preserved_under_panic(self):
-        cfg = self._cfg("aco").replace(n_per_side=60, steps=40)
+        cfg = self._cfg("aco", trigger=15).replace(n_per_side=60, steps=40)
         seq = build_engine(cfg, "sequential")
         vec = build_engine(cfg, "vectorized")
-        alarm_s = PanicAlarm(trigger_step=15)
-        alarm_v = PanicAlarm(trigger_step=15)
         for _ in range(40):
-            alarm_s(seq, seq.step())
-            alarm_v(vec, vec.step())
+            assert seq.step() == vec.step()
         assert seq.state_equals(vec)
 
     def test_swap_to_pheromone_model_creates_field(self):
@@ -93,7 +102,9 @@ class TestPanicAlarm:
 
     def test_trigger_validation(self):
         with pytest.raises(ConfigurationError):
-            PanicAlarm(trigger_step=-1)
+            self._cfg(trigger=-1)
+        with pytest.raises(ConfigurationError):
+            hook_from_dict({"kind": "panic", "trigger_step": "soon"})
 
 
 class TestHeterogeneousSpeeds:
