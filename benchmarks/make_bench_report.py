@@ -1,20 +1,17 @@
 """Emit a ``BENCH_<label>.json`` performance trajectory for this tree.
 
-The report bundles the quantities later PRs diff against:
+The report has three sections:
 
-* **dispatch** — steady-state namespace dispatches per step for every
-  engine under the counting backend (``repro.backend.ProfilingBackend``),
-  next to the pre-fusion (PR 7) constants, so the fused-kernel win stays
-  a number rather than a commit-message claim. Since PR 10 each entry
-  also carries **allocs** — allocating dispatches per step (no ``out=``,
-  not view/in-place) — next to the pre-arena (PR 9) constants;
-* **wall** — micro-benchmark wall-clock for the batched / padded /
+* **dispatch** — namespace dispatches per step for every engine in
+  steady state, counted with the counting backend
+  (``repro.backend.ProfilingBackend``). Each entry sits next to the
+  pre-fusion (PR 7) constant. Each entry also carries **allocs**:
+  allocating dispatches per step (no ``out=``, not a view or in-place
+  op), next to the pre-arena (PR 9) constant;
+* **wall** — micro-benchmark wall-clock for the batched, padded and
   batched-tiled paths against their solo-loop equivalents, next to the
   speedups recorded in earlier PR notes (PR 1: batched ~2x over a solo
   loop; PR 2: padded ~1.7x over solo loops of a mixed-scenario grid);
-* **warm_state** (PR 10) — an 8-launch same-geometry burst, warm
-  (process caches primed) vs cold (caches reset per launch), plus the
-  per-launch setup amortization the warm-state cache buys;
 * **latency_phases** (PR 9) — per-phase p50 latencies from an
   in-process service burst, computed from the tracing spans the jobs
   persist (see ``docs/OBSERVABILITY.md``).
@@ -42,7 +39,7 @@ from repro import SimulationConfig, run_batched, run_simulation
 from repro.backend import resolve_backend
 from repro.cuda import BatchedTiledEngine
 from repro.cuda.tiled_engine import TiledEngine
-from repro.engine import BatchedEngine, reset_warmstate
+from repro.engine import BatchedEngine
 
 LABEL = "pr10"
 
@@ -212,55 +209,6 @@ def measure_wall(repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Warm-state burst (setup amortization)
-# ---------------------------------------------------------------------------
-
-
-def measure_warm_state(repeats: int) -> dict:
-    """8 same-geometry launches, warm caches vs cold-per-launch setup.
-
-    The burst models a service serving repeated short requests of one
-    scenario — exactly where per-launch setup (placement, distance
-    stacks, batch assembly) dominates. ``cold`` resets the process-level
-    warm-state caches before every launch (the pre-PR-10 behaviour);
-    ``warm`` primes them once. Also reports the setup-only amortization:
-    best-of construction time for the 8-lane batched engine, cold vs
-    warm.
-    """
-    cfgs = [_config(seed=s, steps=2) for s in range(8)]
-    seeds = tuple(c.seed for c in cfgs)
-
-    def _burst(cold: bool) -> None:
-        for _ in range(8):
-            if cold:
-                reset_warmstate()
-            run_batched(cfgs, seeds, record_timeline=False)
-
-    run_batched(cfgs, seeds, record_timeline=False)  # prime everything
-    warm = _best_of(lambda: _burst(False), repeats)
-    cold = _best_of(lambda: _burst(True), repeats)
-
-    def _setup(do_reset: bool) -> None:
-        if do_reset:
-            reset_warmstate()
-        BatchedEngine(cfgs, seeds=seeds)
-
-    BatchedEngine(cfgs, seeds=seeds)
-    setup_warm = _best_of(lambda: _setup(False), repeats)
-    setup_cold = _best_of(lambda: _setup(True), repeats)
-    return {
-        "burst_launches": 8,
-        "steps_per_launch": 2,
-        "cold_burst_seconds": round(cold, 4),
-        "warm_burst_seconds": round(warm, 4),
-        "burst_speedup": round(cold / warm, 2),
-        "cold_setup_seconds": round(setup_cold, 5),
-        "warm_setup_seconds": round(setup_warm, 5),
-        "setup_amortization": round(setup_cold / setup_warm, 1),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Phase latency (tracing spans through the serving stack)
 # ---------------------------------------------------------------------------
 
@@ -313,7 +261,7 @@ def measure_latency_phases(burst: int = LATENCY_BURST) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(dispatch: dict, wall: dict, latency: dict, warm: dict) -> dict:
+def evaluate(dispatch: dict, wall: dict, latency: dict) -> dict:
     return {
         "batched_dispatch_cut_ge_40pct": (
             dispatch["batched4"]["reduction_pct"] >= 40.0
@@ -331,9 +279,6 @@ def evaluate(dispatch: dict, wall: dict, latency: dict, warm: dict) -> dict:
             d["allocs_per_step"] < d["pre_arena_allocs_per_step"]
             for d in dispatch.values()
         ),
-        # PR-10 acceptance: warm 8-launch same-geometry burst >= 1.5x
-        # over per-launch cold setup.
-        "warm_burst_speedup_ge_1_5x": warm["burst_speedup"] >= 1.5,
         "batched_no_slower_than_recorded": (
             wall["batched_8rep"]["speedup"]
             >= RECORDED_SPEEDUPS["pr1_batched"]
@@ -373,7 +318,6 @@ def evaluate(dispatch: dict, wall: dict, latency: dict, warm: dict) -> dict:
 def build_report(repeats: int) -> dict:
     dispatch = measure_dispatch()
     wall = measure_wall(repeats)
-    warm = measure_warm_state(repeats)
     latency = measure_latency_phases()
     return {
         "label": LABEL,
@@ -383,9 +327,8 @@ def build_report(repeats: int) -> dict:
         "scenario": "lem 32x32 (48-high lanes in padded/mixed), 24/side",
         "dispatch": dispatch,
         "wall": wall,
-        "warm_state": warm,
         "latency_phases": latency,
-        "criteria": evaluate(dispatch, wall, latency, warm),
+        "criteria": evaluate(dispatch, wall, latency),
     }
 
 

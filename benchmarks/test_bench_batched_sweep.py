@@ -30,7 +30,7 @@ def _batched(cfg):
 
 
 @pytest.mark.parametrize("model", ["lem", "aco"])
-def test_bench_batched_beats_solo_loop(benchmark, quick_scenario, model):
+def test_bench_batched_matches_solo_loop(benchmark, quick_scenario, model):
     """8-replication workload: one batched launch vs 8 solo runs."""
     cfg = quick_scenario(8, model=model)
 

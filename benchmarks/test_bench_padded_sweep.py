@@ -28,7 +28,7 @@ def _points(model):
 
 
 @pytest.mark.parametrize("model", ["lem", "aco"])
-def test_bench_padded_sweep_beats_solo_loop(benchmark, model):
+def test_bench_padded_sweep_matches_solo_loop(benchmark, model):
     """Mixed-scenario grid, 1 seed per point: padded plan vs solo loop."""
     points = _points(model)
     solo_runner = SweepRunner(max_lanes=1)

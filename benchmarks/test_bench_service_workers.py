@@ -59,7 +59,7 @@ def _service(tmp_path, name, workers):
     return svc
 
 
-def test_bench_two_worker_burst_beats_serial(benchmark, tmp_path):
+def test_bench_two_worker_burst_matches_serial(benchmark, tmp_path):
     serial = _service(tmp_path, "serial", workers=1)
     multi = _service(tmp_path, "multi", workers=2)
     try:

@@ -16,11 +16,8 @@ from .simulation import (
     run_simulation,
 )
 from .vectorized import VectorizedEngine
-from .warmstate import reset_warmstate, warmstate_stats
 
 __all__ = [
-    "reset_warmstate",
-    "warmstate_stats",
     "BaseEngine",
     "SequentialEngine",
     "VectorizedEngine",

@@ -29,11 +29,11 @@ from ..agents import Population
 from ..backend import resolve_backend
 from ..config import SimulationConfig
 from ..errors import EngineError
-from ..grid import offsets_array
+from ..grid import build_distance_tables, offsets_array, place_groups
+from ..grid.environment import Environment
 from ..models import PheromoneField, build_model
 from ..rng import PhiloxKeyedRNG, Stream
 from ..types import Group
-from .warmstate import cached_dist_tables, cached_placement
 
 __all__ = ["BaseEngine", "StepReport", "RunResult", "require_float64"]
 
@@ -50,6 +50,28 @@ def require_float64(backend) -> None:
             "eq. 1/eq. 2 decision arithmetic requires exact double "
             "precision for the bit-identity guarantee"
         )
+
+
+def place_config(config: SimulationConfig, seed: int) -> Environment:
+    """The host environment with both groups placed for ``(config, seed)``.
+
+    Obstacles are carved out before agents are placed; placement draws
+    only from ``Stream.PLACEMENT`` of a fresh keyed RNG, so the result is
+    a pure function of the geometry and seed on any backend.
+    """
+    obstacle_mask = (
+        config.obstacles.build(config.height, config.width)
+        if config.obstacles is not None
+        else None
+    )
+    return place_groups(
+        config.height,
+        config.width,
+        config.n_per_side,
+        config.band_rows,
+        PhiloxKeyedRNG(int(seed)),
+        obstacles=obstacle_mask,
+    )
 
 #: Euclidean cost of a move in each absolute gather direction
 #: (NW, N, NE, W, E, SW, S, SE) — the constant-memory tour-increment table.
@@ -125,16 +147,12 @@ class BaseEngine(abc.ABC):
         # any backend bit for bit); the finished grid is then moved onto
         # the backend device — the data-upload step of the paper's
         # pipeline, and the last host round-trip before recording.
-        # Warm-state reuse (launch bursts): the cached placement is a pure
-        # function of (geometry, seed) — ``copy=True`` hands back a private
-        # deep copy because the engine mutates its environment in place.
-        host_env, _ = cached_placement(config, self.seed, copy=True)
-        self.env = host_env.to_backend(self.backend)
+        self.env = place_config(config, self.seed).to_backend(self.backend)
         self.pop = Population.from_environment(self.env)
-        self.dist = cached_dist_tables(
+        self.dist = build_distance_tables(
             config.height,
             getattr(config.params, "scan_range", 1),
-            self.backend,
+            backend=self.backend,
         )
         self.pher: Optional[PheromoneField] = (
             PheromoneField(config.height, config.width, config.params, self.backend)
@@ -245,8 +263,8 @@ class BaseEngine(abc.ABC):
         self.model = model
         new_range = getattr(params, "scan_range", 1)
         if new_range != self.dist[Group.TOP].scan_range:
-            self.dist = cached_dist_tables(
-                self.config.height, new_range, self.backend
+            self.dist = build_distance_tables(
+                self.config.height, new_range, backend=self.backend
             )
             self._dist_stack = self._build_dist_stack()
         self._on_model_swapped()

@@ -42,16 +42,15 @@ from ..backend import resolve_backend
 from ..backend.profiling import ProfilingBackend
 from ..config import SimulationConfig
 from ..errors import EngineError
-from ..grid import offsets_array
+from ..grid import build_distance_tables, offsets_array
 from ..grid.environment import Environment
 from ..grid.neighborhood import ABSOLUTE_OFFSETS
 from ..models import build_model
 from ..models.pheromone import deposit_at, evaporate_field, group_slot
 from ..rng import BatchedPhiloxRNG, RaggedLaneRNG, Stream
 from ..types import CellState, Group
-from .base import ABS_STEP_COSTS, RunResult, require_float64
+from .base import ABS_STEP_COSTS, RunResult, place_config, require_float64
 from .conflict import shift, winner_rank
-from .warmstate import cached_dist_stack, cached_placement
 
 __all__ = [
     "BatchedEngine",
@@ -262,14 +261,10 @@ class BatchedEngine:
         index_host = np.zeros((self.n_lanes, self.h_max, self.w_max), dtype=np.int32)
         pops: List[Population] = []
         for b, (cfg, seed) in enumerate(zip(configs, seeds)):
-            # Warm-state reuse: placement is a pure function of
-            # (geometry, seed), and the cached pair is only *read* here
-            # (copied into the padded device buffers), so a repeat launch
-            # skips the host placement entirely — bit-identically.
-            env, pop = cached_placement(cfg, seed)
+            env = place_config(cfg, seed)
             mats_host[b, : cfg.height, : cfg.width] = env.mat
             index_host[b, : cfg.height, : cfg.width] = env.index
-            pops.append(pop)
+            pops.append(Population.from_environment(env))
         self.mats = self.backend.from_host(mats_host)
         self.index = self.backend.from_host(index_host)
 
@@ -361,9 +356,17 @@ class BatchedEngine:
         # (height, scan_range), so duplicate heights share one host build;
         # the stack uploads once.
         scan_range = getattr(rep_cfg.params, "scan_range", 1)
-        self._dist_stack = cached_dist_stack(
-            tuple(int(h) for h in heights_host), scan_range, self.backend
+        by_height = {
+            int(h): build_distance_tables(int(h), scan_range)
+            for h in np.unique(heights_host)
+        }
+        dist_host = np.full(
+            (2, self.n_lanes, self.h_max, 8), np.inf, dtype=np.float64
         )
+        for g in (Group.TOP, Group.BOTTOM):
+            for b, h in enumerate(heights_host):
+                dist_host[group_slot(g), b, : int(h)] = by_height[int(h)][g].table
+        self._dist_stack = self.backend.from_host(dist_host)
 
         self.pher: Optional[_BatchedPheromone] = (
             _BatchedPheromone(

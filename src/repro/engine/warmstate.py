@@ -1,214 +1,13 @@
-"""Warm-state reuse: process-level caches for pure setup products.
+"""Compatibility stub for ``perfbench/paper.py``.
 
-Launch-heavy workloads (the executor pool's benchmark bursts, parameter
-sweeps re-running the same scenario over many seeds) rebuild the same
-engine setup artefacts over and over: agent placement is a pure function
-of ``(geometry, seed)`` and the distance tables are a pure function of
-``(height, scan_range)``. Rebuilding them dominates warm launch latency
-once the step loop itself is allocation-free.
-
-This module keeps small bounded LRU caches of those products, keyed by
-value (geometry digest + seed / backend name), so a worker process that
-executes the same-geometry launch twice pays the setup cost once and only
-resets per-seed state. Two invariants make this bit-exact:
-
-* every cached value is the output of a **pure** function of its key —
-  :func:`~repro.grid.placement.place_groups` with a fresh keyed RNG and
-  :func:`~repro.grid.build_distance_tables` — so a hit returns exactly
-  the arrays a cold build would produce;
-* cached arrays are **read-only by contract**: the batched engine copies
-  placement into its padded device buffers, and distance stacks are only
-  ever gathered from. Callers that mutate (the solo engines own their
-  environment) must request ``copy=True``.
-
-The caches are per-process (each pool worker warms independently) and
-instrumented: :func:`warmstate_stats` feeds the service ``/stats``
-surface and the BENCH warm-launch section.
+Engines build their placement and distance tables directly; no setup
+state is cached between launches. This module exists only because the
+repository benchmark imports :func:`reset_warmstate`; the next change to
+the benchmark drops that import and deletes this module.
 """
 
-from __future__ import annotations
-
-import threading
-from collections import OrderedDict
-from typing import Dict, Tuple
-
-import numpy as np
-
-from ..agents.population import Population
-from ..grid import build_distance_tables, place_groups
-from ..rng import PhiloxKeyedRNG
-
-__all__ = [
-    "cached_placement",
-    "cached_dist_tables",
-    "cached_dist_stack",
-    "warmstate_stats",
-    "reset_warmstate",
-    "WARMSTATE_MAXSIZE",
-]
-
-#: Entries kept per cache before least-recently-used eviction. Placement
-#: entries are the largest (two (H, W) grids + a property matrix per
-#: (geometry, seed)); 64 covers a 40-scenario sweep's working set.
-WARMSTATE_MAXSIZE = 64
-
-
-class _LRU:
-    """A tiny thread-safe LRU with hit/miss/eviction counters."""
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = int(maxsize)
-        self._data: "OrderedDict" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key):
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = self.misses = self.evictions = 0
-
-
-_placements = _LRU(WARMSTATE_MAXSIZE)
-_dist_tables = _LRU(WARMSTATE_MAXSIZE)
-_dist_stacks = _LRU(WARMSTATE_MAXSIZE)
-
-
-def _placement_key(config, seed: int):
-    """Geometry digest + seed: everything placement depends on, by value.
-
-    ``config.obstacles`` is a frozen, hashable spec (or ``None``), so the
-    whole key hashes; two configs that differ only in step budget, model
-    parameters or backend share placement entries.
-    """
-    return (
-        int(config.height),
-        int(config.width),
-        int(config.n_per_side),
-        int(config.band_rows),
-        config.obstacles,
-        int(seed),
-    )
-
-
-def cached_placement(config, seed: int, copy: bool = False):
-    """The host ``(Environment, Population)`` placement for one lane.
-
-    Placement is a pure function of the geometry key and seed (it draws
-    only from ``Stream.PLACEMENT`` of a fresh keyed RNG), so a cache hit
-    is bit-identical to a cold build. The returned pair is **shared and
-    read-only** unless ``copy=True``, which hands back deep copies for
-    callers that mutate their environment in place (the solo engines).
-    """
-    key = _placement_key(config, int(seed))
-    pair = _placements.get(key)
-    if pair is None:
-        obstacle_mask = (
-            config.obstacles.build(config.height, config.width)
-            if config.obstacles is not None
-            else None
-        )
-        env = place_groups(
-            config.height,
-            config.width,
-            config.n_per_side,
-            config.band_rows,
-            PhiloxKeyedRNG(int(seed)),
-            obstacles=obstacle_mask,
-        )
-        pair = (env, Population.from_environment(env))
-        _placements.put(key, pair)
-    env, pop = pair
-    if copy:
-        return env.copy(), pop.copy()
-    return env, pop
-
-
-def cached_dist_tables(height: int, scan_range: int, backend) -> Dict:
-    """One height's group distance tables on ``backend`` (read-only).
-
-    The tables are constant lookup data — every consumer gathers from
-    them and mid-run model swaps *replace* the mapping rather than
-    mutating it — so sharing one instance per (height, scan_range,
-    backend) is safe.
-    """
-    key = (int(height), int(scan_range), backend.name)
-    tables = _dist_tables.get(key)
-    if tables is None:
-        tables = build_distance_tables(int(height), int(scan_range), backend=backend)
-        _dist_tables.put(key, tables)
-    return tables
-
-
-def cached_dist_stack(heights: Tuple[int, ...], scan_range: int, backend):
-    """The batched ``(2, B, Hmax, 8)`` distance stack (read-only device data).
-
-    Keyed by the per-lane height tuple, so heterogeneous batches with the
-    same lane layout share one upload; rows beyond a lane's height carry
-    ``inf`` exactly as the cold build writes them.
-    """
-    heights = tuple(int(h) for h in heights)
-    key = (heights, int(scan_range), backend.name)
-    stack = _dist_stacks.get(key)
-    if stack is None:
-        from ..models.pheromone import group_slot
-        from ..types import Group
-
-        h_max = max(heights)
-        by_height = {
-            h: build_distance_tables(h, int(scan_range)) for h in set(heights)
-        }
-        dist_host = np.full(
-            (2, len(heights), h_max, 8), np.inf, dtype=np.float64
-        )
-        for g in (Group.TOP, Group.BOTTOM):
-            for b, h in enumerate(heights):
-                dist_host[group_slot(g), b, :h] = by_height[h][g].table
-        stack = backend.from_host(dist_host)
-        _dist_stacks.put(key, stack)
-    return stack
-
-
-def warmstate_stats() -> Dict[str, int]:
-    """Flat counters for /stats, ``repro status`` and the BENCH report."""
-    out: Dict[str, int] = {}
-    for name, cache in (
-        ("placement", _placements),
-        ("dist_tables", _dist_tables),
-        ("dist_stacks", _dist_stacks),
-    ):
-        out[f"{name}_hits"] = cache.hits
-        out[f"{name}_misses"] = cache.misses
-        out[f"{name}_evictions"] = cache.evictions
-        out[f"{name}_entries"] = len(cache)
-    return out
+__all__ = ["reset_warmstate"]
 
 
 def reset_warmstate() -> None:
-    """Drop every cache and zero the counters (test isolation hook)."""
-    _placements.clear()
-    _dist_tables.clear()
-    _dist_stacks.clear()
+    """Do nothing: there is no cached setup state to reset."""

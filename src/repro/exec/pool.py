@@ -58,11 +58,10 @@ MP_START_METHOD = (
 def _worker_main(task_q, result_q, initializer, initargs) -> None:
     """Worker loop: execute task messages until the ``None`` poison pill.
 
-    The worker is deliberately stateless between tasks *except* for
-    module-level caches the work functions maintain (the resolved
-    array-backend instances and the warm-state placement/distance caches
-    in :mod:`repro.engine.warmstate`): that residue is the "warm worker"
-    payoff of a persistent pool.
+    The worker is deliberately stateless between tasks *except* for the
+    resolved array-backend instances, which outlive each task: that is
+    the "warm worker" payoff of a persistent pool. Engine setup
+    (placement, distance tables) is rebuilt for every launch.
 
     Results are pickled *here*, in the worker's main thread, so an
     unpicklable result or exception surfaces as a clean per-task failure

@@ -24,6 +24,7 @@ metric streams stay responsive while a batch executes.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import traceback
@@ -97,9 +98,17 @@ def _parse_specs(
             raise ServiceError(f'"priority" must be an integer, got {priority!r}')
         deadline = spec.get("deadline_s")
         if deadline is not None:
-            if not isinstance(deadline, (int, float)) or isinstance(deadline, bool):
+            # json.loads accepts NaN/Infinity; a NaN deadline would break
+            # the queue's deadline ordering, so only finite values >= 0 pass.
+            if (
+                not isinstance(deadline, (int, float))
+                or isinstance(deadline, bool)
+                or not math.isfinite(deadline)
+                or deadline < 0
+            ):
                 raise ServiceError(
-                    f'"deadline_s" must be a number, got {deadline!r}'
+                    '"deadline_s" must be a finite number >= 0, '
+                    f"got {deadline!r}"
                 )
             deadline = float(deadline)
         specs.append(
@@ -241,15 +250,16 @@ def _make_handler(service: SimulationService):
             return True
 
         def _analytics_runs(self, params: dict) -> None:
+            # SQLite reads a negative LIMIT as "no limit", so only plain
+            # digits pass; 0 (the default) means unlimited.
+            limit = params.get("limit", ["0"])[0]
+            if not limit.isdecimal():
+                self._error(400, '"limit" must be an integer >= 0')
+                return
             if not self._need_analytics():
                 return
             scenario = params.get("scenario", [None])[0]
-            try:
-                limit = int(params.get("limit", [0])[0]) or None
-            except ValueError:
-                self._error(400, '"limit" must be an integer')
-                return
-            runs = service.analytics.runs(scenario=scenario, limit=limit)
+            runs = service.analytics.runs(scenario=scenario, limit=int(limit) or None)
             self._reply(
                 200,
                 {

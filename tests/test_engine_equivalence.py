@@ -105,10 +105,13 @@ class TestSeedSensitivity:
         assert not a.env.equals(b.env)
 
     def test_same_seed_reproducible(self):
+        # The second engine is built only after the first has finished
+        # stepping, so setup state shared between engines and mutated by
+        # a run would show up as a difference.
         cfg = SimulationConfig(height=24, width=24, n_per_side=50, steps=20, seed=4)
-        a = build_engine(cfg, "vectorized")
-        b = build_engine(cfg, "vectorized")
-        for _ in range(20):
-            a.step()
-            b.step()
-        assert a.state_equals(b)
+        for engine in ("sequential", "vectorized"):
+            a = build_engine(cfg, engine)
+            reports = [a.step() for _ in range(20)]
+            b = build_engine(cfg, engine)
+            assert [b.step() for _ in range(20)] == reports
+            assert a.state_equals(b)

@@ -11,6 +11,7 @@ from repro.errors import ServiceError
 from repro.service import (
     ServiceServer,
     SimulationService,
+    get_analytics_runs,
     get_job,
     get_stats,
     list_jobs,
@@ -146,10 +147,14 @@ class TestEndpoints:
             submit_jobs(
                 [dict(_spec(seed=1), priority="high")], port=server.port
             )
-        with pytest.raises(ServiceError, match="400"):
-            submit_jobs(
-                [dict(_spec(seed=1), deadline_s="soon")], port=server.port
-            )
+        for deadline in ("soon", float("nan"), float("inf"), float("-inf"), -1.0):
+            with pytest.raises(ServiceError, match="400"):
+                submit_jobs(
+                    [dict(_spec(seed=1), deadline_s=deadline)], port=server.port
+                )
+        for limit in (-1, "ten"):
+            with pytest.raises(ServiceError, match="400"):
+                get_analytics_runs(port=server.port, limit=limit)
 
     def test_stats_report_workers_and_cache_budget_fields(self, server):
         stats = get_stats(port=server.port)
