@@ -17,7 +17,6 @@ from .core import (
     DEFAULT_BACKEND,
     ArrayBackend,
     BackendCapabilities,
-    ScratchArena,
     available_backends,
     register_backend,
     registered_backends,
@@ -42,7 +41,6 @@ register_backend("cupy", make_cupy_backend, replace=True)
 __all__ = [
     "ArrayBackend",
     "BackendCapabilities",
-    "ScratchArena",
     "NON_ALLOC_OPS",
     "NumpyBackend",
     "CupyBackend",

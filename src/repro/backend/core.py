@@ -44,77 +44,11 @@ from ..errors import BackendUnavailableError
 __all__ = [
     "ArrayBackend",
     "BackendCapabilities",
-    "ScratchArena",
     "available_backends",
     "register_backend",
     "registered_backends",
     "resolve_backend",
 ]
-
-
-class ScratchArena:
-    """Keyed reusable step-loop buffers — the allocation-free hot path.
-
-    The engines' per-step temporaries (the shift gather buffer, the
-    conflict count/rank maps, clipped index matrices) have a fixed shape
-    for the lifetime of an engine; allocating them fresh every step costs
-    an allocator round-trip per array on NumPy and allocator traffic on
-    the GPU critical path on CuPy. An arena hands the same buffer back on
-    every :meth:`take` for a given key, so a steady-state step performs
-    zero allocating dispatches for those temporaries (the cold first call
-    per key is one counted ``xp.empty``).
-
-    Contract: a taken buffer's contents are **undefined** — the caller
-    must fully overwrite it (``buf.fill(...)`` or complete slice writes)
-    before reading, and must not let it escape the stage that took it.
-    Keys are arbitrary strings; an engine owns its arena (built once via
-    :meth:`ArrayBackend.scratch_arena`), so keys never collide across
-    engines. Buffers grow capacity-style: a request larger than the
-    cached buffer reallocates, a smaller one returns a leading-slice
-    view, so occasionally-variable shapes (e.g. per-step contested-cell
-    counts) stop allocating once the high-water mark is reached.
-    """
-
-    __slots__ = ("_xp", "_slots")
-
-    def __init__(self, xp) -> None:
-        self._xp = xp
-        self._slots: Dict[str, "np.ndarray"] = {}
-
-    def take(self, key: str, shape, dtype) -> "np.ndarray":
-        """A reusable buffer of exactly ``shape``/``dtype`` for ``key``."""
-        shape = tuple(int(s) for s in shape)
-        buf = self._slots.get(key)
-        if (
-            buf is None
-            or buf.dtype != dtype
-            or buf.ndim != len(shape)
-            or any(c < s for c, s in zip(buf.shape, shape))
-        ):
-            cap = (
-                shape
-                if buf is None or buf.dtype != dtype or buf.ndim != len(shape)
-                else tuple(max(c, s) for c, s in zip(buf.shape, shape))
-            )
-            buf = self._xp.empty(cap, dtype=dtype)
-            self._slots[key] = buf
-        if buf.shape == shape:
-            return buf
-        return buf[tuple(slice(0, s) for s in shape)]
-
-    def take_filled(self, key: str, shape, dtype, fill) -> "np.ndarray":
-        """Like :meth:`take`, pre-filled with ``fill`` (zeros/full stand-in)."""
-        buf = self.take(key, shape, dtype)
-        buf.fill(fill)
-        return buf
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently parked in the arena."""
-        return sum(int(buf.nbytes) for buf in self._slots.values())
-
-    def __len__(self) -> int:
-        return len(self._slots)
 
 
 @dataclass(frozen=True)
@@ -189,23 +123,6 @@ class ArrayBackend:
         array (the batched-timeline transfer in ``BatchedEngine.run``).
         """
         return [self.to_host(arr) for arr in arrays]
-
-    # ------------------------------------------------------------------
-    # Scratch buffers (allocation-free step loops)
-    # ------------------------------------------------------------------
-    def scratch_arena(self) -> ScratchArena:
-        """A fresh :class:`ScratchArena` bound to this backend's namespace.
-
-        Each engine builds its own arena at construction, so scratch keys
-        never collide across engines; on a
-        :class:`~repro.backend.profiling.ProfilingBackend` the arena's
-        cold allocations route through the counting namespace while warm
-        hits cost nothing — which is exactly what the ``allocs`` budget
-        measures. The ``out=``-capable namespace ops the engines pair
-        with the arena (``clip``, ``minimum``, ``maximum``, ``stack``)
-        carry identical semantics on NumPy and CuPy.
-        """
-        return ScratchArena(self.xp)
 
     # ------------------------------------------------------------------
     # Namespace-divergent operations

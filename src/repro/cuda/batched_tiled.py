@@ -17,12 +17,11 @@ tests.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from ..config import SimulationConfig
-from ..engine.base import ABS_STEP_COSTS
 from ..engine.batched import BatchedEngine
 from ..errors import LaunchConfigError
 from ..grid.neighborhood import ABSOLUTE_OFFSETS
@@ -61,8 +60,8 @@ class BatchedTiledEngine(BatchedEngine):
         # Lane edges are all multiples of the tile, so the padded maxima
         # are too; tiles covering padding see only occupied sentinels.
         self.tiles = TileDecomposition(self.h_max, self.w_max, tile_size)
-        #: Constant-memory tour-increment table, resident on the device.
-        self._step_costs = self.backend.from_host(np.asarray(ABS_STEP_COSTS))
+        #: Lane index broadcast over a tile, for the per-cell future gathers.
+        self._bidx = self.xp.arange(self.n_lanes)[:, None, None]
 
     # ------------------------------------------------------------------
     # Stage 1: per-tile initial calculation (all lanes per tile)

@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from ..config import SimulationConfig
-from ..engine.base import ABS_STEP_COSTS
 from ..engine.vectorized import VectorizedEngine
 from ..grid.neighborhood import ABSOLUTE_OFFSETS
 from ..errors import LaunchConfigError
@@ -49,8 +48,6 @@ class TiledEngine(VectorizedEngine):
             )
         super().__init__(config, seed)
         self.tiles = TileDecomposition(config.height, config.width, tile_size)
-        #: Constant-memory tour-increment table, resident on the device.
-        self._step_costs = self.backend.from_host(np.asarray(ABS_STEP_COSTS))
 
     # ------------------------------------------------------------------
     # Stage 1: per-tile initial calculation

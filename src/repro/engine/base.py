@@ -113,11 +113,6 @@ class RunResult:
     moved_per_step: Optional[np.ndarray]
     crossings_per_step: Optional[np.ndarray]
 
-    @property
-    def total_agents(self) -> int:
-        """Total moved+unmoved population implied by the run (for ratios)."""
-        return self.throughput_total  # pragma: no cover - legacy alias
-
 
 class BaseEngine(abc.ABC):
     """Common state construction and the step/run template."""
@@ -133,9 +128,6 @@ class BaseEngine(abc.ABC):
         self.backend = resolve_backend(config.backend)
         require_float64(self.backend)
         self.xp = self.backend.xp
-        #: Per-engine scratch arena: reusable step-loop buffers keyed by
-        #: stage-local names (see ScratchArena's overwrite contract).
-        self.scratch = self.backend.scratch_arena()
         self.rng = PhiloxKeyedRNG(self.seed, backend=self.backend)
         self.model = build_model(config.params, backend=self.backend)
 

@@ -156,7 +156,7 @@ class SequentialEngine(BaseEngine):
         # Gather phase: group candidate agents per destination cell. Every
         # future cell was empty when scanned and nothing has moved since, so
         # each key below is an empty cell; candidates are kept in absolute
-        # gather-direction order, matching the vectorized sweep.
+        # gather-direction order, matching the whole-array engines' sort.
         fut_r = pop.future_rows.tolist()
         fut_c = pop.future_cols.tolist()
         rows_l = pop.rows.tolist()

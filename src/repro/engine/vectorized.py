@@ -3,15 +3,18 @@
 Each NumPy array lane plays the role of one CUDA thread: the scan and tour
 construction stages vectorize over agents (the paper launches 8x agents
 threads for tour construction; we fuse the 8 slot lanes into the trailing
-axis), and the movement stage vectorizes over grid cells exactly like the
-paper's per-cell movement kernel. All stages read only the synchronous
-state from the start of the step, so the semantics match a kernel launch
+axis). The movement stage is agent-keyed: one sort over the deciding
+agents groups them by target cell, and each contested cell then picks its
+winner exactly as the paper's per-cell movement kernel does (same
+candidate order, same keyed draw), at O(N log N) in the population
+instead of O(H·W) in the grid. All stages read only the synchronous state
+from the start of the step, so the semantics match a kernel launch
 boundary.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,8 +22,9 @@ from ..agents.population import NO_FUTURE
 from ..rng import Stream
 from ..types import Group
 from .base import ABS_STEP_COSTS, BaseEngine
-from ..grid.neighborhood import ABSOLUTE_OFFSETS
-from .conflict import shift, winner_rank
+from .conflict import DIRECTION_TABLE, group_by_cell
+# Traced benchmark runs patch both names on this module (perfbench/paper.py).
+from .conflict import shift, winner_rank  # noqa: F401
 
 __all__ = ["VectorizedEngine"]
 
@@ -32,10 +36,9 @@ class VectorizedEngine(BaseEngine):
 
     def __init__(self, config, seed: Optional[int] = None) -> None:
         super().__init__(config, seed)
-        h, w = self.env.shape
-        rows, cols = self.xp.indices((h, w))
-        self._rowgrid = rows.astype(np.int64)
-        self._colgrid = cols.astype(np.int64)
+        #: Gather-direction and tour-increment tables, resident on the device.
+        self._direction_table = self.backend.from_host(DIRECTION_TABLE)
+        self._step_costs = self.backend.from_host(np.asarray(ABS_STEP_COSTS))
 
     # ------------------------------------------------------------------
     # Stage 1: initial calculation (per-agent scan)
@@ -110,68 +113,35 @@ class VectorizedEngine(BaseEngine):
         return xp.count_nonzero(valid)
 
     # ------------------------------------------------------------------
-    # Stage 3: movement (per-cell scatter-to-gather)
+    # Stage 3: movement (agent-keyed conflict resolution)
     # ------------------------------------------------------------------
     def _stage_move(self, t: int) -> int:
         xp = self.xp
         env, pop = self.env, self.pop
-        h, w = env.shape
         mat, index = env.mat, env.index
 
         if self.pher is not None:
             self.pher.evaporate()
 
-        empty = mat == 0
-        # Fixed-shape per-step temporaries come from the engine's scratch
-        # arena: zero allocating dispatches once warm, identical contents
-        # (every buffer is fully overwritten before it is read).
-        counts = self.scratch.take_filled("mv.counts", (h, w), np.int16, 0)
-        nbuf = self.scratch.take("mv.shift", index.shape, index.dtype)
-        matches: List[np.ndarray] = []
-        for dr, dc in ABSOLUTE_OFFSETS:
-            nidx = shift(index, dr, dc, fill=0, xp=xp, out=nbuf)
-            fr = pop.future_rows[nidx]  # sentinel row 0 carries NO_FUTURE
-            fc = pop.future_cols[nidx]
-            match = empty & (nidx > 0) & (fr == self._rowgrid) & (fc == self._colgrid)
-            matches.append(match)
-            counts += match
-        contested_r, contested_c = xp.nonzero(counts > 0)
-        if contested_r.size == 0:
+        # Deciding agents whose target cell is empty: the candidates the
+        # per-cell gather would find (the sentinel row 0 carries NO_FUTURE).
+        agent = xp.nonzero(pop.future_rows != NO_FUTURE)[0]
+        agent = agent[mat[pop.future_rows[agent], pop.future_cols[agent]] == 0]
+        if agent.size == 0:
             return 0
-
-        lanes = env.cell_lane(contested_r, contested_c)
-        u = self.rng.uniform(Stream.MOVE_WINNER, t, lanes)
-        pick = winner_rank(u, counts[contested_r, contested_c], xp=xp)
-        pickmap = self.scratch.take_filled("mv.pickmap", (h, w), np.int64, -1)
-        pickmap[contested_r, contested_c] = pick
-
-        # Second pass over the gather directions: the candidate whose
-        # cumulative rank equals the cell's pick wins.
-        cum = self.scratch.take_filled("mv.cum", (h, w), np.int16, 0)
-        dst_rows = []
-        dst_cols = []
-        agents = []
-        cost_runs = []
-        for d, (dr, dc) in enumerate(ABSOLUTE_OFFSETS):
-            match = matches[d]
-            sel = match & (cum == pickmap)
-            cum += match
-            rr, cc = xp.nonzero(sel)
-            if rr.size:
-                dst_rows.append(rr)
-                dst_cols.append(cc)
-                agents.append(index[rr + dr, cc + dc].astype(np.int64))
-                cost_runs.append((ABS_STEP_COSTS[d], int(rr.size)))
-        dst_r = xp.concatenate(dst_rows)
-        dst_c = xp.concatenate(dst_cols)
-        winners = xp.concatenate(agents)
-        # Per-direction costs are constants, so the cost vector is built by
-        # slice fills into one scratch run instead of 8 fulls + concatenate.
-        move_cost = self.scratch.take("mv.cost", (int(winners.size),), np.float64)
-        o = 0
-        for cost, size in cost_runs:
-            move_cost[o : o + size] = cost
-            o += size
+        fut_r = pop.future_rows[agent]
+        fut_c = pop.future_cols[agent]
+        direction = self._direction_table[
+            (pop.rows[agent] - fut_r + 1) * 3 + (pop.cols[agent] - fut_c + 1)
+        ]
+        cell = env.cell_lane(fut_r, fut_c)  # also the cell's winner-draw lane
+        order, start, count = group_by_cell(cell, direction, xp=xp)
+        u = self.rng.uniform(Stream.MOVE_WINNER, t, cell[order[start]])
+        pick = order[start + winner_rank(u, count, xp=xp)]
+        winners = agent[pick]
+        dst_r = fut_r[pick]
+        dst_c = fut_c[pick]
+        move_cost = self._step_costs[direction[pick]]
         src_r = pop.rows[winners]
         src_c = pop.cols[winners]
 

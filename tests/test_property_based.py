@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationConfig, build_engine
-from repro.engine import shift, winner_rank
+from repro.engine import BatchedEngine, shift, winner_rank
 from repro.grid import DistanceTable
 from repro.models import fast_pow
 from repro.models.mathops import fast_pow_scalar
@@ -152,23 +152,37 @@ class TestPheromoneProperties:
 class TestSimulationProperties:
     @given(
         seed=st.integers(0, 1000),
-        n=st.integers(4, 40),
+        n=st.integers(4, 100),
         model=st.sampled_from(["lem", "aco", "random", "greedy"]),
     )
     @slow
     def test_engines_bit_identical(self, seed, n, model):
-        """The headline invariant under arbitrary seeds and populations."""
+        """The headline invariant under arbitrary seeds and populations.
+
+        Populations reach near-jam (100 per side fills 8 of 16 rows), where
+        contested cells are common; lane 0 of a 2-lane batch must track the
+        solo engines step for step.
+        """
         cfg = SimulationConfig(
             height=16, width=16, n_per_side=n, steps=12, seed=seed
         ).with_model(model)
         seq = build_engine(cfg, "sequential")
         vec = build_engine(cfg, "vectorized")
         til = build_engine(cfg, "tiled")
+        bat = BatchedEngine([cfg, cfg], seeds=(seed, seed + 1))
         for _ in range(12):
             rs, rv, rt = seq.step(), vec.step(), til.step()
+            rb = bat.step()
             assert rs == rv == rt
-        assert seq.state_equals(vec)
-        assert vec.state_equals(til)
+            assert (int(rb.decided[0]), int(rb.moved[0]), int(rb.new_crossings[0])) == (
+                rv.decided, rv.moved, rv.new_crossings
+            )
+            assert seq.state_equals(vec)
+            assert vec.state_equals(til)
+            assert bat.lane_environment(0).equals(vec.env)
+            assert bat.lane_population(0).equals(vec.pop)
+            vec.validate_state()
+            bat.validate_state()
 
     @given(seed=st.integers(0, 1000), model=st.sampled_from(["lem", "aco"]))
     @slow

@@ -1,4 +1,4 @@
-"""Per-step allocation budgets: the scratch arena must stay in use.
+"""Per-step allocation budgets: step-loop temporaries must not go back to the heap.
 
 Companion to ``tests/test_dispatch_budget.py``, measuring *allocating*
 dispatches per steady-state step (namespace calls that return a fresh
@@ -16,7 +16,7 @@ allocation.
 import pytest
 
 from repro import SimulationConfig
-from repro.backend import ScratchArena, resolve_backend
+from repro.backend import resolve_backend
 from repro.engine import BatchedEngine, build_engine
 
 #: Steady-state allocs/step on the PR-9 tree (no arena), same scenario.
@@ -98,24 +98,3 @@ def test_every_engine_allocates_less_than_pre_arena():
             f"{kind}: {allocs:.1f} allocs/step >= pre-arena {pre}"
         )
 
-
-def test_scratch_arena_reuses_and_grows():
-    import numpy as np
-
-    backend = resolve_backend("numpy")
-    arena = backend.scratch_arena()
-    assert isinstance(arena, ScratchArena)
-    a = arena.take("k", (8, 8), np.float64)
-    b = arena.take("k", (8, 8), np.float64)
-    assert a is b  # same key, same shape: the buffer is reused
-    # A smaller request is a leading-slice view of the same capacity.
-    c = arena.take("k", (4, 8), np.float64)
-    assert c.base is b or c.base is b.base
-    # Growing re-allocates once, then sticks at the new capacity.
-    d = arena.take("k", (16, 8), np.float64)
-    assert d.shape == (16, 8)
-    e = arena.take("k", (16, 8), np.float64)
-    assert d is e
-    filled = arena.take_filled("z", (3,), np.int64, fill=-1)
-    assert (filled == -1).all()
-    assert len(arena) == 2 and arena.nbytes > 0
