@@ -10,7 +10,7 @@ service overlaps the launches of such a >= 4-scenario burst while
 returning results bit-identical to ``workers=1``, and records the
 serial/2-worker wall ratio in ``extra_info["speedup"]`` (~1.7x on an
 idle 2-core machine). The ratio is not asserted: a loaded runner can
-push it anywhere, and the bench report archives wall-clock numbers.
+push it anywhere. Wall time is the repo benchmark's job (``perfbench/``).
 """
 
 import time

@@ -12,7 +12,7 @@ kernel launch. :class:`ProfilingBackend` wraps any
 :class:`~repro.backend.ArrayBackend` and counts those dispatches, plus
 the host↔device transfers and synchronisation fences the engines issue,
 so "fewer launches per step" becomes a number the test suite can assert
-(``tests/test_dispatch_budget.py``) and ``BENCH_*.json`` can track.
+(``tests/test_dispatch_budget.py``).
 
 The wrapper resolves through the ordinary backend registry under the
 names ``"profile"`` (counting NumPy) and ``"profile:<inner>"`` (counting
@@ -53,8 +53,7 @@ array per call, which on small grids is a large slice of per-step cost
 and on GPU backends is allocator traffic on the critical path. The
 ``allocs`` counter makes "the step loop does not allocate" a measured,
 budget-guarded quantity exactly like ``ops`` (see
-``tests/test_scratch_allocs.py`` and the per-engine ``allocs_per_step``
-entries in ``BENCH_pr10.json``).
+``tests/test_dispatch_budget.py``).
 
 Counting happens on the caller's thread with plain ``int`` increments;
 the wrapper adds no per-op allocation beyond one dict update, so a
@@ -130,7 +129,7 @@ class DispatchCounts:
         return self.h2d_transfers + self.d2h_transfers
 
     def to_dict(self) -> dict:
-        """JSON-ready shape (``BENCH_*.json`` / ``--profile-dispatch``)."""
+        """JSON-ready shape (``--profile-dispatch``)."""
         return {
             "ops": self.ops,
             "h2d_transfers": self.h2d_transfers,

@@ -32,11 +32,6 @@ from .tiling import DEFAULT_TILE, OUT_OF_GRID, TileDecomposition
 
 __all__ = ["BatchedTiledEngine"]
 
-#: Padding sentinel of the batched grid (mirrors ``engine.batched._PAD_CELL``):
-#: any non-zero value reads as "occupied", so padding cells behave exactly
-#: like the tiled engine's out-of-grid halo sentinel.
-_PAD_CELL = -1
-
 
 class BatchedTiledEngine(BatchedEngine):
     """Per-tile execution of the batched scan and movement kernels."""

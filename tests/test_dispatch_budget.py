@@ -1,19 +1,32 @@
-"""Per-step dispatch budgets: the fused kernels must stay fused.
+"""Per-step dispatch and allocation budgets: fused kernels stay fused,
+step-loop temporaries stay off the heap.
 
-Each engine gets a steady-state namespace-dispatch budget measured on
-the PR-8 tree (32x32 grid, 24 agents/side, LEM) with ~20% headroom for
-benign drift. Exceeding a budget means a whole-batch launch was split
-back into per-group or per-lane passes — the regression this PR exists
-to prevent. The ``PRE_FUSION`` constants are the same measurement taken
-on the PR-7 tree (per-group TOP/BOTTOM passes, unfused RNG), kept as
-fixed reference points so the batched engine's headline criterion — at
-least a 40% dispatch cut — is asserted against history, not against a
-number that drifts with the code under test.
+Each engine runs a few steady-state steps (32x32 grid, 24 agents/side,
+LEM) under the counting backend, and one ``backend.snapshot()`` gives
+both tallies: namespace dispatches (``ops``) and *allocating*
+dispatches (``allocs`` — calls that return a fresh array: no ``out=``
+and not in ``NON_ALLOC_OPS``).
+
+``BUDGETS`` are the dispatch counts measured when the kernels were
+fused, with ~20% headroom for benign drift; exceeding one means a
+whole-batch launch was split back into per-group or per-lane passes.
+``ALLOC_BUDGETS`` carry modest headroom over the allocation counts
+measured when the ``out=``-capable ops landed; exceeding one means a
+hot step-loop temporary went back to fresh heap allocation.
+
+``PRE_FUSION`` (per-group TOP/BOTTOM passes, unfused RNG) and
+``PRE_ARENA`` (before the ``out=``-capable ops) are the same
+measurements taken on older trees, kept as fixed reference points
+so the headline criteria — batched dispatches cut by at least 40%,
+batched allocations by at least half — are asserted against history,
+not against a number that drifts with the code under test.
 
 Only ``xp.*`` namespace calls count (array methods and operator
 indexing do not — see ``repro.backend.profiling``), so budgets are a
 stable lower bound on real kernel launches.
 """
+
+from functools import lru_cache
 
 import pytest
 
@@ -39,6 +52,25 @@ BUDGETS = {
     "padded4": 85,
 }
 
+#: Steady-state allocs/step before the ``out=`` ops (pre-arena), same scenario.
+PRE_ARENA = {
+    "sequential": 12.0,
+    "vectorized": 58.0,
+    "tiled": 157.0,
+    "batched4": 60.0,
+    "padded4": 60.0,
+}
+
+#: Post-arena budgets: measured allocs/step plus headroom for drift.
+#: batched4's 30 is the headline ceiling (half of pre-arena), not just headroom.
+ALLOC_BUDGETS = {
+    "sequential": 8,
+    "vectorized": 32,
+    "tiled": 155,
+    "batched4": 30,
+    "padded4": 30,
+}
+
 #: The one backend-name string every measurement here resolves: the
 #: counting instance is cached per exact name, so the engine and the
 #: assertion must agree on it.
@@ -55,43 +87,70 @@ def _config(seed: int = 0, height: int = 32) -> SimulationConfig:
     ).with_model("lem")
 
 
-def _steady_ops_per_step(engine) -> float:
-    """Ops/step over MEASURED_STEPS after WARMUP_STEPS of warm-up."""
+def _build(kind: str):
+    """An engine by name; ``batched<B>`` is B homogeneous lanes."""
+    if kind == "padded4":
+        configs = [_config(s, height=32 if s % 2 == 0 else 48) for s in range(4)]
+        return BatchedEngine(configs, seeds=tuple(range(4)))
+    if kind.startswith("batched"):
+        n_lanes = int(kind[len("batched"):])
+        return BatchedEngine(_config(), seeds=tuple(range(n_lanes)))
+    return build_engine(_config(), engine=kind)
+
+
+@lru_cache(maxsize=None)
+def _steady_per_step(kind: str) -> tuple:
+    """(ops, allocs) per step over MEASURED_STEPS after WARMUP_STEPS.
+
+    Counts are deterministic, so each engine is measured once per
+    session and shared by every assertion below.
+    """
+    resolve_backend(PROFILE_NAME).reset()
+    engine = _build(kind)
     backend = engine.backend
     for _ in range(WARMUP_STEPS):
         engine.step()
     backend.reset()
     for _ in range(MEASURED_STEPS):
         engine.step()
-    return backend.snapshot().ops / MEASURED_STEPS
-
-
-def _build(kind: str):
-    if kind == "batched4":
-        return BatchedEngine(_config(), seeds=(0, 1, 2, 3))
-    if kind == "padded4":
-        configs = [_config(s, height=32 if s % 2 == 0 else 48) for s in range(4)]
-        return BatchedEngine(configs, seeds=tuple(range(4)))
-    return build_engine(_config(), engine=kind)
+    counts = backend.snapshot()
+    return counts.ops / MEASURED_STEPS, counts.allocs / MEASURED_STEPS
 
 
 @pytest.mark.parametrize("kind", sorted(BUDGETS))
 def test_engine_stays_within_dispatch_budget(kind):
-    resolve_backend(PROFILE_NAME).reset()
-    ops = _steady_ops_per_step(_build(kind))
+    ops, _ = _steady_per_step(kind)
     assert ops <= BUDGETS[kind], (
         f"{kind}: {ops:.1f} ops/step exceeds the {BUDGETS[kind]} budget — "
         f"a fused whole-batch launch has likely been split"
     )
 
 
+@pytest.mark.parametrize("kind", sorted(ALLOC_BUDGETS))
+def test_engine_stays_within_alloc_budget(kind):
+    _, allocs = _steady_per_step(kind)
+    assert allocs <= ALLOC_BUDGETS[kind], (
+        f"{kind}: {allocs:.1f} allocs/step exceeds the "
+        f"{ALLOC_BUDGETS[kind]} budget — a step-loop temporary has gone "
+        f"back to fresh heap allocation"
+    )
+
+
 def test_batched_dispatch_cut_meets_headline_criterion():
     """PR-8 acceptance: batched per-step dispatches down >= 40% vs PR 7."""
-    resolve_backend(PROFILE_NAME).reset()
-    ops = _steady_ops_per_step(_build("batched4"))
+    ops, _ = _steady_per_step("batched4")
     assert ops <= 0.6 * PRE_FUSION["batched4"], (
         f"batched engine at {ops:.1f} ops/step is less than a 40% cut from "
         f"the pre-fusion {PRE_FUSION['batched4']} ops/step"
+    )
+
+
+def test_batched_alloc_cut_meets_headline_criterion():
+    """Headline criterion: batched allocs/step down >= 50% vs pre-arena."""
+    _, allocs = _steady_per_step("batched4")
+    assert allocs <= 0.5 * PRE_ARENA["batched4"], (
+        f"batched engine at {allocs:.1f} allocs/step is less than a 50% "
+        f"cut from the pre-arena {PRE_ARENA['batched4']} allocs/step"
     )
 
 
@@ -102,12 +161,8 @@ def test_batched_dispatch_independent_of_batch_width():
     dispatch sequence. A small fixed allowance covers per-lane host-side
     bookkeeping at the recording boundary.
     """
-    resolve_backend(PROFILE_NAME).reset()
-    ops2 = _steady_ops_per_step(BatchedEngine(_config(), seeds=(0, 1)))
-    resolve_backend(PROFILE_NAME).reset()
-    ops8 = _steady_ops_per_step(
-        BatchedEngine(_config(), seeds=tuple(range(8)))
-    )
+    ops2, _ = _steady_per_step("batched2")
+    ops8, _ = _steady_per_step("batched8")
     assert ops8 <= ops2 + 5, (
         f"ops/step grew from {ops2:.1f} (B=2) to {ops8:.1f} (B=8): "
         f"per-lane dispatch is leaking back in"
@@ -117,6 +172,14 @@ def test_batched_dispatch_independent_of_batch_width():
 def test_fused_engines_cheaper_than_pre_fusion_everywhere():
     """No engine regressed past its own pre-fusion dispatch count."""
     for kind, pre in PRE_FUSION.items():
-        resolve_backend(PROFILE_NAME).reset()
-        ops = _steady_ops_per_step(_build(kind))
+        ops, _ = _steady_per_step(kind)
         assert ops < pre, f"{kind}: {ops:.1f} ops/step >= pre-fusion {pre}"
+
+
+def test_every_engine_allocates_less_than_pre_arena():
+    """No engine regressed past its own pre-arena allocation count."""
+    for kind, pre in PRE_ARENA.items():
+        _, allocs = _steady_per_step(kind)
+        assert allocs < pre, (
+            f"{kind}: {allocs:.1f} allocs/step >= pre-arena {pre}"
+        )

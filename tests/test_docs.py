@@ -4,7 +4,8 @@
 this test diffs that set against `repro.service.http.ROUTES`, so adding
 or removing an endpoint without updating the reference fails CI. The
 link check walks every relative markdown link in `docs/` and the README
-and asserts the target exists.
+and asserts the target exists; the path check does the same for every
+backticked repo path those files name (a glob must match something).
 """
 
 import re
@@ -19,6 +20,12 @@ API_DOC = REPO_ROOT / "docs" / "API.md"
 
 _HEADING = re.compile(r"^### (GET|POST|PUT|DELETE|PATCH) (\S+)", re.MULTILINE)
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_REPO_DIRS = ("src/", "tests/", "benchmarks/", "perfbench/", "docs/",
+              "examples/", ".github/")
+_ROOT_FILE = re.compile(r"^[\w*.-]+\.(json|md)$")
+# ``path::test_name`` and ``path:line`` / ``path:line-line`` suffixes.
+_SUFFIX = re.compile(r"(::.*|:\d+(-\d+)?)$")
 
 
 def _documented_routes():
@@ -88,3 +95,19 @@ def test_relative_links_resolve(md_file):
         if not resolved.exists():
             broken.append(target)
     assert not broken, f"{md_file.name}: broken relative links {broken}"
+
+
+@pytest.mark.parametrize(
+    "md_file", _markdown_files(), ids=lambda p: str(p.relative_to(REPO_ROOT))
+)
+def test_backticked_repo_paths_exist(md_file):
+    text = md_file.read_text(encoding="utf-8")
+    missing = []
+    for span in _CODE_SPAN.findall(text):
+        for word in span.split():
+            if not (word.startswith(_REPO_DIRS) or _ROOT_FILE.match(word)):
+                continue
+            path = _SUFFIX.sub("", word)
+            if not any(REPO_ROOT.glob(path.rstrip("/"))):
+                missing.append(word)
+    assert not missing, f"{md_file.name}: names missing repo paths {missing}"
