@@ -32,6 +32,20 @@ class Population:
     metric.
     """
 
+    #: Names of the per-agent arrays, each of length ``n_agents + 1``.
+    FIELDS = (
+        "ids",
+        "rows",
+        "cols",
+        "future_rows",
+        "future_cols",
+        "front_empty",
+        "tour",
+        "crossed",
+        "crossed_step",
+        "crossed_tour",
+    )
+
     def __init__(self, n_agents: int, backend=None) -> None:
         if n_agents < 1:
             raise ValueError(f"n_agents must be >= 1, got {n_agents}")
@@ -77,6 +91,20 @@ class Population:
         pop.ids[indices] = env.mat[occ_rows, occ_cols]
         pop.rows[indices] = occ_rows
         pop.cols[indices] = occ_cols
+        return pop
+
+    @classmethod
+    def over(cls, fields, backend=None) -> "Population":
+        """A property matrix over existing arrays (shares their memory).
+
+        ``fields`` maps every name in :attr:`FIELDS` to an array of length
+        ``n_agents + 1``.
+        """
+        pop = cls.__new__(cls)
+        pop.n_agents = int(fields["ids"].shape[0]) - 1
+        pop.backend = resolve_backend(backend)
+        for name in cls.FIELDS:
+            setattr(pop, name, fields[name])
         return pop
 
     # ------------------------------------------------------------------
@@ -140,18 +168,7 @@ class Population:
     def copy(self) -> "Population":
         """Deep copy of all fields (same backend)."""
         pop = Population(self.n_agents, backend=self.backend)
-        for name in (
-            "ids",
-            "rows",
-            "cols",
-            "future_rows",
-            "future_cols",
-            "front_empty",
-            "tour",
-            "crossed",
-            "crossed_step",
-            "crossed_tour",
-        ):
+        for name in self.FIELDS:
             getattr(pop, name)[...] = getattr(self, name)
         return pop
 
@@ -166,17 +183,7 @@ class Population:
         xp = self.backend.xp
         exact = all(
             bool(xp.array_equal(getattr(self, name), getattr(other, name)))
-            for name in (
-                "ids",
-                "rows",
-                "cols",
-                "future_rows",
-                "future_cols",
-                "front_empty",
-                "tour",
-                "crossed",
-                "crossed_step",
-            )
+            for name in self.FIELDS[:-1]
         )
         # equal_nan semantics spelled out so the comparison works on array
         # namespaces whose array_equal lacks the keyword.

@@ -88,10 +88,11 @@ class StepHook:
     """Base class for scheduled engine mutations (frozen → hashable).
 
     Subclasses implement the firing step and the mutation, twice: once
-    against a solo :class:`~repro.engine.base.BaseEngine` and once
-    against one lane of a :class:`~repro.engine.batched.BatchedEngine`.
-    Both must express the *same* mutation so batched lanes stay
-    bit-identical to their solo runs.
+    against the sequential :class:`~repro.engine.base.BaseEngine` and
+    once against one lane of a :class:`~repro.engine.batched.BatchedEngine`
+    (the solo ``vectorized`` and ``tiled`` engines are one-lane batches).
+    Both must express the *same* mutation so every engine stays
+    bit-identical.
     """
 
     #: Registry kind; subclasses override (class attribute, not a field).
@@ -105,7 +106,7 @@ class StepHook:
         raise NotImplementedError
 
     def apply(self, engine) -> None:
-        """Mutate a solo engine (sequential/vectorized/tiled)."""
+        """Mutate the sequential engine."""
         raise NotImplementedError
 
     def apply_lane(self, engine, lane: int) -> None:
@@ -129,10 +130,10 @@ class PanicHook(StepHook):
     reproduces each solo trajectory exactly.
 
     The default panic variants keep ``scan_range`` and the pheromone
-    family unchanged, which is what the batched per-lane swap requires;
-    an explicit ``panic_params`` crossing those lines still works on the
-    solo engines but raises :class:`~repro.errors.EngineError` when a
-    batched lane tries to apply it.
+    family unchanged. An explicit ``panic_params`` that changes either
+    works whenever every lane of an engine ends on the same bundle —
+    always on the solo engines — and raises
+    :class:`~repro.errors.EngineError` when batched lanes would disagree.
     """
 
     kind = "panic"

@@ -1,36 +1,41 @@
-"""Batched tiled engine: shared-memory-faithful sweeps over many lanes.
+"""Tiled engines: the shared-memory-faithful GPU emulation, one or many lanes.
 
-:class:`BatchedTiledEngine` is to :class:`repro.cuda.tiled_engine.TiledEngine`
-what :class:`repro.engine.batched.BatchedEngine` is to the vectorized
-engine: ``B`` replications advance in lock-step, and the per-cell stages
-execute tile by tile — but each tile now loads *every lane's* image in one
-cut (``(B, 18, 18)`` for the grid matrices, ``(2, B, 18, 18)`` for the
-fused pheromone stack), so a replication sweep launches one tile pass for
-the whole batch instead of one per lane.
+:class:`BatchedTiledEngine` executes the per-cell stages (initial
+calculation and movement) tile by tile, each tile reading only its
+18x18 shared-memory image loaded through
+:meth:`repro.cuda.tiling.Tile.load_shared` — the exact data flow of the
+paper's kernels, including the halo ring and the out-of-grid sentinel.
+Each tile loads *every lane's* image in one cut (``(B, 18, 18)`` for the
+grid matrices, ``(2, B, 18, 18)`` for the fused pheromone stack), so a
+replication sweep launches one tile pass for the whole batch instead of
+one per lane. :class:`TiledEngine` is the one-lane case, the solo
+``tiled`` engine.
 
 Bit-identity: the scan/select kernels are row-independent and the movement
 winner draw is keyed per (lane, cell), so the tile partition only reorders
-independent work. Every lane's trajectory equals the solo engines' (and
-:class:`BatchedEngine`'s) bit for bit — pinned by the golden-digest parity
-tests.
+independent work. Every lane's trajectory equals the sequential engine's
+and :class:`~repro.engine.batched.BatchedEngine`'s bit for bit — pinned by
+the golden-digest parity tests — which is the correctness argument for the
+paper's tiled shared-memory implementation.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..config import SimulationConfig
 from ..engine.batched import BatchedEngine
+from ..engine.conflict import winner_rank
+from ..engine.vectorized import OneLane
 from ..errors import LaunchConfigError
 from ..grid.neighborhood import ABSOLUTE_OFFSETS
 from ..rng import Stream
 from ..types import Group
-from ..engine.conflict import winner_rank
 from .tiling import DEFAULT_TILE, OUT_OF_GRID, TileDecomposition
 
-__all__ = ["BatchedTiledEngine"]
+__all__ = ["BatchedTiledEngine", "TiledEngine"]
 
 
 class BatchedTiledEngine(BatchedEngine):
@@ -67,9 +72,9 @@ class BatchedTiledEngine(BatchedEngine):
             shared_mat = tile.load_shared(self.mats, fill=OUT_OF_GRID, xp=xp)
             shared_idx = tile.load_shared(self.index, fill=0, xp=xp)
             shared_tau = None
-            if self.pher is not None:
+            if self.tau is not None:
                 # One (2, B, 18, 18) image: both groups, every lane.
-                shared_tau = tile.load_shared(self.pher.stack, fill=0.0, xp=xp)
+                shared_tau = tile.load_shared(self.tau.stack, fill=0.0, xp=xp)
             interior_mat = shared_mat[:, 1:-1, 1:-1]
             sel = (interior_mat == int(Group.TOP)) | (
                 interior_mat == int(Group.BOTTOM)
@@ -88,8 +93,7 @@ class BatchedTiledEngine(BatchedEngine):
             nr = slr[:, None] + off[:, :, 0]
             nc = slc[:, None] + off[:, :, 1]
             # Halo sentinels and padding cells both read non-zero, so the
-            # emptiness test is the only bounds check needed (exactly the
-            # solo tiled engine's data flow).
+            # emptiness test is the only bounds check needed.
             candidates = shared_mat[bb[:, None], nr, nc] == 0
             rows = self.rows[bb, agent]
             dist = self._dist_stack[gslot, bb, rows]  # (n, 8)
@@ -98,26 +102,7 @@ class BatchedTiledEngine(BatchedEngine):
                 if shared_tau is not None
                 else None
             )
-            if self._homogeneous:
-                values = self.model.scan_values(dist, candidates, tau)
-            else:
-                # Partition by parameter group, as the batched engine does:
-                # scan_values is row-independent, so per-group calls over
-                # row subsets are bit-identical to one shared call.
-                values = xp.empty(dist.shape, dtype=np.float64)
-                pg = self._lane_pg[bb]
-                for gid, (_params, model, _lanes) in enumerate(
-                    self._param_groups
-                ):
-                    gsel = pg == gid
-                    if not bool(xp.any(gsel)):
-                        continue
-                    values[gsel] = model.scan_values(
-                        dist[gsel],
-                        candidates[gsel],
-                        tau[gsel] if tau is not None else None,
-                    )
-            self.scan[bb, agent, :] = values
+            self.scan[bb, agent, :] = self._scan_values(bb, dist, candidates, tau)
             self.front_empty[bb, agent] = candidates[:, 0]
 
     # ------------------------------------------------------------------
@@ -127,13 +112,7 @@ class BatchedTiledEngine(BatchedEngine):
         xp = self.xp
         ts = self.tiles.tile_size
         moved = xp.zeros(self.n_lanes, dtype=np.int64)
-
-        if self.pher is not None:
-            if self._homogeneous:
-                self.pher.evaporate()
-            else:
-                for _params, _model, lanes in self._param_groups:
-                    self.pher.evaporate_lanes(lanes, _params)
+        self._evaporate()
 
         # Kernel-launch snapshot: every tile reads the start-of-stage state.
         mats0 = self.mats.copy()
@@ -170,7 +149,7 @@ class BatchedTiledEngine(BatchedEngine):
             dst_r = tile.row0 + rr
             dst_c = tile.col0 + cc
             # Winner draws key by each lane's *real* width — the same
-            # (lane, cell) address the batched/vectorized engines use.
+            # (lane, cell) address the whole-array engine uses.
             cell_lanes = dst_r.astype(np.uint64) * self._widths_u64[
                 bb
             ] + dst_c.astype(np.uint64)
@@ -191,31 +170,21 @@ class BatchedTiledEngine(BatchedEngine):
                 winners = xp.where(hit, src, winners)
                 windir = xp.where(hit, d, windir)
                 cum += m
-            costs = self._step_costs[windir]
-            src_r = self.rows[bb, winners]
-            src_c = self.cols[bb, winners]
-            self.mats[bb, dst_r, dst_c] = self.ids[bb, winners]
-            self.index[bb, dst_r, dst_c] = winners
-            self.mats[bb, src_r, src_c] = 0
-            self.index[bb, src_r, src_c] = 0
-            self.rows[bb, winners] = dst_r
-            self.cols[bb, winners] = dst_c
-            self.tour[bb, winners] += costs
-            if self.pher is not None:
-                # Fused deposit into the (2, B, H, W) stack (see
-                # BatchedEngine._stage_move for the clamp argument).
-                gslot = (self.ids[bb, winners] == int(Group.BOTTOM)).astype(
-                    np.int64
-                )
-                if self._homogeneous:
-                    amounts = self.pher.params.deposit_q / self.tour[bb, winners]
-                    self.pher.deposit_stacked(gslot, bb, dst_r, dst_c, amounts)
-                else:
-                    amounts = self._deposit_q[bb] / self.tour[bb, winners]
-                    self.pher.deposit_raw_stacked(
-                        gslot, bb, dst_r, dst_c, amounts
-                    )
-                    for _params, _model, lanes in self._param_groups:
-                        self.pher.clamp_max(lanes, _params.tau_max)
-            self.backend.scatter_add(moved, bb, 1)
+            self._commit_moves(
+                bb, bb * (self.n_agents + 1) + winners, dst_r, dst_c, windir, moved
+            )
         return moved
+
+
+class TiledEngine(OneLane, BatchedTiledEngine):
+    """The solo tiled engine: a one-lane :class:`BatchedTiledEngine`."""
+
+    platform = "tiled"
+
+    def __init__(
+        self,
+        config: SimulationConfig,
+        seed: Optional[int] = None,
+        tile_size: int = DEFAULT_TILE,
+    ) -> None:
+        super().__init__(config, seed, tile_size=tile_size)

@@ -6,7 +6,7 @@ an 18x18 shared-memory array: the 16x16 *internal* elements plus one ring of
 can inspect its full Moore neighbourhood without touching global memory
 again. This module provides the index arithmetic; the halo-load warp
 mapping lives in :mod:`repro.cuda.halo`, and
-:class:`repro.cuda.tiled_engine.TiledEngine` executes the simulation
+:class:`repro.cuda.batched_tiled.BatchedTiledEngine` executes the simulation
 tile-by-tile through these decompositions.
 """
 

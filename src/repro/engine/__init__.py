@@ -1,6 +1,6 @@
-"""Simulation engines: sequential (CPU), vectorized (GPU) and the driver."""
+"""Simulation engines: sequential (CPU), whole-array batched (GPU) and the driver."""
 
-from .base import ABS_STEP_COSTS, BaseEngine, RunResult, StepReport
+from .base import ABS_STEP_COSTS, BaseEngine, RunResult, SoloEngine, StepReport
 from .batched import (
     BatchedEngine,
     BatchedStepReport,
@@ -19,6 +19,7 @@ from .vectorized import VectorizedEngine
 
 __all__ = [
     "BaseEngine",
+    "SoloEngine",
     "SequentialEngine",
     "VectorizedEngine",
     "BatchedEngine",

@@ -14,7 +14,10 @@ Every engine executes the paper's kernel sequence each step:
 
 Engines differ only in *how* the stages execute (Python loops, whole-array
 NumPy, or per-tile NumPy with halos); the keyed RNG makes their outputs
-bit-identical.
+bit-identical. :class:`BaseEngine` is the template of the sequential
+reference engine; the whole-array engines run the same four stages as
+one-lane batched engines (:mod:`repro.engine.vectorized`). Both share the
+solo surface of :class:`SoloEngine`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ..models import PheromoneField, build_model
 from ..rng import PhiloxKeyedRNG, Stream
 from ..types import Group
 
-__all__ = ["BaseEngine", "StepReport", "RunResult", "require_float64"]
+__all__ = ["BaseEngine", "SoloEngine", "StepReport", "RunResult", "require_float64"]
 
 
 def require_float64(backend) -> None:
@@ -89,7 +92,7 @@ ABS_STEP_COSTS = (
 
 @dataclass(frozen=True)
 class StepReport:
-    """Per-step outcome summary returned by :meth:`BaseEngine.step`."""
+    """Per-step outcome summary of a solo engine's ``step()``."""
 
     step: int
     #: Agents that decided on a future cell in tour construction.
@@ -102,7 +105,7 @@ class StepReport:
 
 @dataclass
 class RunResult:
-    """Outcome of :meth:`BaseEngine.run`."""
+    """Outcome of :meth:`SoloEngine.run`."""
 
     platform: str
     seed: int
@@ -114,11 +117,80 @@ class RunResult:
     crossings_per_step: Optional[np.ndarray]
 
 
-class BaseEngine(abc.ABC):
-    """Common state construction and the step/run template."""
+class SoloEngine:
+    """The surface of a solo run, shared by every engine name.
+
+    Subclasses provide ``config``, ``seed``, ``platform``, ``backend``,
+    the ``env``/``pop``/``pher`` state and :meth:`step`; this class adds
+    the run loop and the state checks on top.
+    """
 
     #: Platform tag, mirrors the paper's CPU/GPU split.
     platform: str = "base"
+
+    def run(
+        self,
+        steps: Optional[int] = None,
+        callback: Optional[Callable[["SoloEngine", StepReport], None]] = None,
+        record_timeline: bool = True,
+    ) -> RunResult:
+        """Run ``steps`` steps (default: the configured budget).
+
+        ``callback(engine, report)`` is invoked after every step; use it for
+        metrics hooks and recorders. With ``record_timeline=True`` the
+        per-step counters stream into preallocated ``(steps,)`` host
+        buffers (the recording boundary); ``record_timeline=False`` skips
+        the buffers entirely — the fast path for sweeps that only need
+        totals.
+        """
+        n = self.config.steps if steps is None else int(steps)
+        moved_tl = np.zeros(n, dtype=np.int64) if record_timeline else None
+        cross_tl = np.zeros(n, dtype=np.int64) if record_timeline else None
+        for i in range(n):
+            report = self.step()
+            if record_timeline:
+                moved_tl[i] = report.moved
+                cross_tl[i] = report.new_crossings
+            if callback is not None:
+                callback(self, report)
+        return RunResult(
+            platform=self.platform,
+            seed=self.seed,
+            steps_run=n,
+            throughput_total=self.pop.crossed_count(),
+            throughput_top=self.pop.crossed_count(Group.TOP),
+            throughput_bottom=self.pop.crossed_count(Group.BOTTOM),
+            moved_per_step=moved_tl,
+            crossings_per_step=cross_tl,
+        )
+
+    # ------------------------------------------------------------------
+    # Introspection / verification
+    # ------------------------------------------------------------------
+    def throughput(self) -> int:
+        """Number of agents that have crossed so far."""
+        return self.pop.crossed_count()
+
+    def validate_state(self) -> None:
+        """Cross-check env/pop invariants (used liberally in tests)."""
+        self.env.validate()
+        self.pop.validate_against(self.env)
+
+    def state_equals(self, other: "SoloEngine") -> bool:
+        """Exact state equality with another engine (any platform)."""
+        if not self.env.equals(other.env):
+            return False
+        if not self.pop.equals(other.pop):
+            return False
+        if (self.pher is None) != (other.pher is None):
+            return False
+        if self.pher is not None and not self.pher.equals(other.pher):
+            return False
+        return True
+
+
+class BaseEngine(SoloEngine, abc.ABC):
+    """State construction and the step template of the sequential engine."""
 
     def __init__(self, config: SimulationConfig, seed: Optional[int] = None) -> None:
         self.config = config
@@ -155,38 +227,11 @@ class BaseEngine(abc.ABC):
         self.scan = self.xp.zeros((self.pop.n_agents + 1, 8), dtype=np.float64)
         self.t = 0
 
-        # Group membership is static; cache the per-group index vectors and
-        # slot-offset arrays once.
-        self._members: Dict[Group, np.ndarray] = {
-            g: self.pop.members(g) for g in (Group.TOP, Group.BOTTOM)
-        }
+        # Per-group slot-offset arrays, cached once.
         self._offsets: Dict[Group, np.ndarray] = {
             g: self.backend.from_host(offsets_array(g))
             for g in (Group.TOP, Group.BOTTOM)
         }
-
-        # Fused-group caches: the whole-array engines run scan/select as
-        # ONE launch over the concatenated TOP-then-BOTTOM rows instead of
-        # one pass per group. ``_fused_gslot`` maps each row to its
-        # pheromone-stack slot (see models.pheromone.group_slot); the
-        # ``(2, 8, 2)`` offset stack and ``(2, H, 8)`` distance stack make
-        # every per-group table gather a single ``[gslot, ...]`` fancy
-        # index. Row order within the concatenation is irrelevant: the
-        # model kernels are row-independent and the RNG keys each row by
-        # its agent index, so the fused pass is bit-identical to the
-        # per-group passes (tests/test_backend_parity.py pins this).
-        m_top, m_bot = self._members[Group.TOP], self._members[Group.BOTTOM]
-        self._fused_idx = self.xp.concatenate([m_top, m_bot])
-        self._fused_gslot = self.xp.concatenate(
-            [
-                self.xp.zeros(int(m_top.size), dtype=np.int64),
-                self.xp.ones(int(m_bot.size), dtype=np.int64),
-            ]
-        )
-        self._offsets_stack = self.xp.stack(
-            [self._offsets[Group.TOP], self._offsets[Group.BOTTOM]]
-        )
-        self._dist_stack = self._build_dist_stack()
 
         # Heterogeneous-velocity extension (paper Section VII future work):
         # a keyed draw per agent marks the slow class; slow agents are
@@ -239,8 +284,6 @@ class BaseEngine(abc.ABC):
         pheromone field carry over; switching to a pheromone-free model
         discards the field (a subsequent switch back starts from tau0).
         """
-        from ..models import PheromoneField, build_model
-
         params.validate()
         model = build_model(params, backend=self.backend)
         if model.uses_pheromone:
@@ -258,14 +301,7 @@ class BaseEngine(abc.ABC):
             self.dist = build_distance_tables(
                 self.config.height, new_range, backend=self.backend
             )
-            self._dist_stack = self._build_dist_stack()
         self._on_model_swapped()
-
-    def _build_dist_stack(self) -> np.ndarray:
-        """Both groups' distance tables as one ``(2, H, 8)`` device stack."""
-        return self.xp.stack(
-            [self.dist[Group.TOP].table, self.dist[Group.BOTTOM].table]
-        )
 
     def _on_model_swapped(self) -> None:
         """Hook for engines that cache model-derived lookups."""
@@ -286,50 +322,11 @@ class BaseEngine(abc.ABC):
         )
         self._stage_support(t)
         self.t += 1
-        # ``decided``/``moved`` may arrive as 0-d device scalars (the
-        # whole-array stages accumulate on-device); the report build is the
-        # per-step recording boundary, so the host sync happens here, once.
         return StepReport(
             step=t,
             decided=int(decided),
             moved=int(moved),
             new_crossings=int(new_crossings),
-        )
-
-    def run(
-        self,
-        steps: Optional[int] = None,
-        callback: Optional[Callable[["BaseEngine", StepReport], None]] = None,
-        record_timeline: bool = True,
-    ) -> RunResult:
-        """Run ``steps`` steps (default: the configured budget).
-
-        ``callback(engine, report)`` is invoked after every step; use it for
-        metrics hooks and recorders. With ``record_timeline=True`` the
-        per-step counters stream into preallocated ``(steps,)`` host
-        buffers (the recording boundary); ``record_timeline=False`` skips
-        the buffers entirely — the fast path for sweeps that only need
-        totals.
-        """
-        n = self.config.steps if steps is None else int(steps)
-        moved_tl = np.zeros(n, dtype=np.int64) if record_timeline else None
-        cross_tl = np.zeros(n, dtype=np.int64) if record_timeline else None
-        for i in range(n):
-            report = self.step()
-            if record_timeline:
-                moved_tl[i] = report.moved
-                cross_tl[i] = report.new_crossings
-            if callback is not None:
-                callback(self, report)
-        return RunResult(
-            platform=self.platform,
-            seed=self.seed,
-            steps_run=n,
-            throughput_total=self.pop.crossed_count(),
-            throughput_top=self.pop.crossed_count(Group.TOP),
-            throughput_bottom=self.pop.crossed_count(Group.BOTTOM),
-            moved_per_step=moved_tl,
-            crossings_per_step=cross_tl,
         )
 
     # ------------------------------------------------------------------
@@ -351,27 +348,3 @@ class BaseEngine(abc.ABC):
         """Support kernel: reset the scan matrix and future coordinates."""
         self.pop.reset_futures()
         self.scan.fill(0.0)
-
-    # ------------------------------------------------------------------
-    # Introspection / verification
-    # ------------------------------------------------------------------
-    def throughput(self) -> int:
-        """Number of agents that have crossed so far."""
-        return self.pop.crossed_count()
-
-    def validate_state(self) -> None:
-        """Cross-check env/pop invariants (used liberally in tests)."""
-        self.env.validate()
-        self.pop.validate_against(self.env)
-
-    def state_equals(self, other: "BaseEngine") -> bool:
-        """Exact state equality with another engine (any platform)."""
-        if not self.env.equals(other.env):
-            return False
-        if not self.pop.equals(other.pop):
-            return False
-        if (self.pher is None) != (other.pher is None):
-            return False
-        if self.pher is not None and not self.pher.equals(other.pher):
-            return False
-        return True

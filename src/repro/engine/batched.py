@@ -1,25 +1,33 @@
-"""Multi-replication batched engine — whole-sweep data parallelism.
+"""Whole-array engine — every stage one launch over every agent of every lane.
 
-:class:`VectorizedEngine` plays one GPU launch per simulation; the paper's
-evaluation, however, is a 40-scenario population sweep with repeated seeds
-per point, i.e. many *independent replications*. :class:`BatchedEngine`
-lifts the scan / select / move kernels to a leading batch axis so ``B``
-replications advance through a single set of NumPy whole-array stages per
-step — the same data-parallel move the paper makes across agents, applied
-across runs.
+The paper runs each stage of a step as one GPU launch over all agents.
+:class:`BatchedEngine` does the same with whole-array NumPy stages and
+lifts them to a leading lane axis, so ``B`` independent replications
+advance through a single set of launches per step — the same
+data-parallel move the paper makes across agents, applied across runs.
+A solo run is the one-lane case: the ``vectorized`` engine
+(:class:`~repro.engine.vectorized.VectorizedEngine`) is a
+``BatchedEngine`` with B=1.
 
 Lanes need not share a scenario: per-agent arrays are padded to the
 largest lane's population and the grids to the largest lane's shape, with
 an ``active`` mask (and obstacle-sentinel padding cells) guaranteeing that
-padding slots never scan, decide, move, deposit or cross. Ragged per-lane
-group membership is flattened into ``(rep, agent)`` index vectors, so
-every stage is element-wise or row-wise per lane and the movement scatter
-touches disjoint ``(lane, cell)`` sets. Lane ``b`` draws its randomness
-with the Philox key of ``seeds[b]`` (see
+padding slots never scan, decide, move, deposit or cross. Lane ``b`` draws
+its randomness with the Philox key of ``seeds[b]`` (see
 :class:`repro.rng.batched.BatchedPhiloxRNG`), which makes each lane
-**bit-identical** to a solo :class:`VectorizedEngine` run with the same
-config and seed — the property ``tests/test_engine_batched.py`` pins down
-trajectory-for-trajectory, now over mixed-scenario batches too.
+**bit-identical** to a :class:`~repro.engine.sequential.SequentialEngine`
+run with the same config and seed — the property
+``tests/test_engine_batched.py`` pins down trajectory-for-trajectory, over
+mixed-scenario batches too.
+
+Every stage addresses the batched state through flat linear indices.
+Agent ``i`` of lane ``b`` is element ``b * (n + 1) + i`` of the raveled
+property arrays; cell ``(r, c)`` of lane ``b`` is element
+``b * H * W + r * W + c`` of the raveled grids, and the pheromone stack
+adds ``gslot * B * H * W`` for the group slot. Every gather is a 1-D
+``take`` and every scatter a 1-D index write, so the one-lane engine
+costs what a solo layout would and there is one indexing scheme for
+every lane count.
 
 Batching wins because a small-grid simulation step is dominated by the
 fixed overhead of its ~50 NumPy kernel dispatches; fusing ``B``
@@ -44,8 +52,8 @@ from ..config import SimulationConfig
 from ..errors import EngineError
 from ..grid import build_distance_tables, offsets_array
 from ..grid.environment import Environment
-from ..models import build_model
-from ..models.pheromone import deposit_at, evaporate_field, group_slot
+from ..models import PheromoneField, build_model
+from ..models.pheromone import evaporate_field, group_slot
 from ..rng import BatchedPhiloxRNG, RaggedLaneRNG, Stream
 from ..types import CellState, Group
 from .base import ABS_STEP_COSTS, RunResult, place_config, require_float64
@@ -62,6 +70,29 @@ __all__ = [
 #: Any non-zero value reads as "unavailable" to every kernel, exactly like
 #: a static obstacle, so padding needs no special-casing on the hot paths.
 _PAD_CELL = int(CellState.OBSTACLE)
+
+#: Padding-slot values of the property-matrix fields that are not 0/False.
+_FIELD_PAD = {
+    "future_rows": NO_FUTURE,
+    "future_cols": NO_FUTURE,
+    "crossed_step": -1,
+    "crossed_tour": np.nan,
+}
+
+
+def _stack_padded(arrays: Sequence[np.ndarray], shape: Tuple[int, ...], fill) -> np.ndarray:
+    """Per-lane host arrays stacked into one ``(B, *shape)`` array.
+
+    Each lane's array fills the leading corner of its slot and ``fill``
+    pads the rest. A single lane that needs no padding is returned as a
+    view, which spares a solo run the copy.
+    """
+    if len(arrays) == 1 and arrays[0].shape == tuple(shape):
+        return arrays[0][None]
+    out = np.full((len(arrays), *shape), fill, dtype=arrays[0].dtype)
+    for b, arr in enumerate(arrays):
+        out[(b, *(slice(0, n) for n in arr.shape))] = arr
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,67 +129,6 @@ class BatchedTimedResult:
         return self.wall_seconds / max(1, self.n_lanes)
 
 
-class _BatchedPheromone:
-    """Both groups' batched pheromone fields as one ``(2, B, H, W)`` stack.
-
-    The leading axis is the group slot (TOP=0, BOTTOM=1, per
-    :func:`~repro.models.pheromone.group_slot`), so whole-field
-    maintenance — evaporation, lane-block clamps — is a single launch over
-    both groups, and mixed-group deposits scatter once through a
-    ``(gslot, lane, row, col)`` fancy index.
-    """
-
-    def __init__(
-        self, n_lanes: int, height: int, width: int, params, backend=None
-    ) -> None:
-        self.params = params
-        self.backend = resolve_backend(backend)
-        xp = self.backend.xp
-        self.stack: np.ndarray = xp.full(
-            (2, n_lanes, height, width), params.tau0, dtype=np.float64
-        )
-
-    def field(self, group: Group) -> np.ndarray:
-        """One group's ``(B, H, W)`` fields (live stack view)."""
-        return self.stack[group_slot(group)]
-
-    def evaporate(self) -> None:
-        evaporate_field(self.stack, self.params, xp=self.backend.xp)
-
-    def evaporate_lanes(self, lanes, params) -> None:
-        """Eq. 3 on one parameter group's lane block only (both groups).
-
-        Element-wise, so running it on a fancy-indexed copy and writing
-        back is bit-identical to evaporating those lanes in place.
-        """
-        sub = self.stack[:, lanes]
-        evaporate_field(sub, params, xp=self.backend.xp)
-        self.stack[:, lanes] = sub
-
-    def deposit_stacked(self, gslots, lanes, rows, cols, amounts) -> None:
-        """Eq. 5 for a mixed-group winner batch: one scatter, one clamp."""
-        deposit_at(
-            self.stack, (gslots, lanes, rows, cols), amounts, self.params,
-            backend=self.backend,
-        )
-
-    def deposit_raw_stacked(self, gslots, lanes, rows, cols, amounts) -> None:
-        """Eq. 5 scatter without the tau_max clamp (heterogeneous path).
-
-        Lanes own disjoint ``(lane, row, col)`` cells, so one scatter over
-        the full stack is exact; the caller clamps each parameter group's
-        lane block afterwards with its own ``tau_max``.
-        """
-        self.backend.scatter_add(self.stack, (gslots, lanes, rows, cols), amounts)
-
-    def clamp_max(self, lanes, tau_max: float) -> None:
-        """Apply one parameter group's upper clamp to its lane block."""
-        xp = self.backend.xp
-        sub = self.stack[:, lanes]
-        xp.minimum(sub, tau_max, out=sub)
-        self.stack[:, lanes] = sub
-
-
 class BatchedEngine:
     """Run ``B`` independent replications in lock-step whole-array stages.
 
@@ -169,8 +139,8 @@ class BatchedEngine:
     placement band and extension knobs; they must share the movement-model
     parameters and the step budget (the batch advances in lock-step).
 
-    State mirrors :class:`VectorizedEngine` with a leading batch axis,
-    padded to the largest lane: ``mats``/``index`` are ``(B, Hmax, Wmax)``
+    State is a solo run's state with a leading lane axis, padded to the
+    largest lane: ``mats``/``index`` are ``(B, Hmax, Wmax)``
     with obstacle-sentinel padding cells, the property-matrix fields are
     ``(B, n_max + 1)`` and the scan matrix is ``(B, n_max + 1, 8)``. The
     ``active`` mask marks each lane's live agent slots; padding slots carry
@@ -238,8 +208,8 @@ class BatchedEngine:
         # the (pure-Python) setup logic; device mirrors feed the kernels.
         heights_host = np.array([c.height for c in configs], dtype=np.int64)
         widths_host = np.array([c.width for c in configs], dtype=np.int64)
+        self._heights_host = heights_host
         self._heights = self.backend.from_host(heights_host)
-        self._widths = self.backend.from_host(widths_host)
         self._widths_u64 = self.backend.from_host(widths_host.astype(np.uint64))
         self._cross_rows = self.backend.from_host(
             np.array([c.cross_rows for c in configs], dtype=np.int64)
@@ -251,18 +221,15 @@ class BatchedEngine:
         # lane's environment with a solo keyed RNG on the host (setup cost
         # only), stack into padded host arrays, and upload the whole batch
         # in one transfer. Padding cells read as obstacles.
-        mats_host = np.full(
-            (self.n_lanes, self.h_max, self.w_max), _PAD_CELL, dtype=np.int8
+        envs = [place_config(cfg, seed) for cfg, seed in zip(configs, seeds)]
+        pops = [Population.from_environment(env) for env in envs]
+        grid = (self.h_max, self.w_max)
+        self.mats = self.backend.from_host(
+            _stack_padded([env.mat for env in envs], grid, _PAD_CELL)
         )
-        index_host = np.zeros((self.n_lanes, self.h_max, self.w_max), dtype=np.int32)
-        pops: List[Population] = []
-        for b, (cfg, seed) in enumerate(zip(configs, seeds)):
-            env = place_config(cfg, seed)
-            mats_host[b, : cfg.height, : cfg.width] = env.mat
-            index_host[b, : cfg.height, : cfg.width] = env.index
-            pops.append(Population.from_environment(env))
-        self.mats = self.backend.from_host(mats_host)
-        self.index = self.backend.from_host(index_host)
+        self.index = self.backend.from_host(
+            _stack_padded([env.index for env in envs], grid, 0)
+        )
 
         lane_agents_host = np.array([p.n_agents for p in pops], dtype=np.int64)
         self.lane_agents = self.backend.from_host(lane_agents_host)
@@ -274,99 +241,74 @@ class BatchedEngine:
             xp.arange(size)[None, :] <= self.lane_agents[:, None]
         ) & (xp.arange(size)[None, :] > 0)
 
-        ids_host = np.zeros((self.n_lanes, size), dtype=np.int8)
-        rows_host = np.zeros((self.n_lanes, size), dtype=np.int64)
-        cols_host = np.zeros((self.n_lanes, size), dtype=np.int64)
-        for b, p in enumerate(pops):
-            end = p.n_agents + 1
-            ids_host[b, :end] = p.ids
-            rows_host[b, :end] = p.rows
-            cols_host[b, :end] = p.cols
-        self.ids = self.backend.from_host(ids_host)
-        self.rows = self.backend.from_host(rows_host)
-        self.cols = self.backend.from_host(cols_host)
-        self.future_rows = xp.full((self.n_lanes, size), NO_FUTURE, dtype=np.int64)
-        self.future_cols = xp.full((self.n_lanes, size), NO_FUTURE, dtype=np.int64)
-        self.front_empty = xp.zeros((self.n_lanes, size), dtype=bool)
-        self.tour = xp.zeros((self.n_lanes, size), dtype=np.float64)
-        self.crossed = xp.zeros((self.n_lanes, size), dtype=bool)
-        self.crossed_step = xp.full((self.n_lanes, size), -1, dtype=np.int64)
-        self.crossed_tour = xp.full((self.n_lanes, size), np.nan, dtype=np.float64)
+        # The property-matrix fields, ``(B, n_max + 1)`` each; padding
+        # slots hold a fresh Population's values (no ID, no future, no
+        # tour, never crossed).
+        for name in Population.FIELDS:
+            setattr(self, name, self.backend.from_host(_stack_padded(
+                [getattr(p, name) for p in pops], (size,), _FIELD_PAD.get(name, 0)
+            )))
         self.scan = xp.zeros((self.n_lanes, size, 8), dtype=np.float64)
 
-        # Ragged group membership, flattened lane-major into parallel
-        # (replication, agent-index) vectors. Agent indexing is top group
-        # first within each lane, so membership is ragged across lanes as
-        # soon as populations differ.
-        self._rep: Dict[Group, np.ndarray] = {}
-        self._agent: Dict[Group, np.ndarray] = {}
-        self._ragged_rng: Dict[Group, RaggedLaneRNG] = {}
-        for g in (Group.TOP, Group.BOTTOM):
-            reps: List[np.ndarray] = []
-            members: List[np.ndarray] = []
-            for b, p in enumerate(pops):
-                idx = p.members(g)
-                reps.append(np.full(idx.size, b, dtype=np.intp))
-                members.append(idx)
-            self._rep[g] = self.backend.from_host(
-                np.concatenate(reps) if reps else np.empty(0, np.intp)
-            )
-            self._agent[g] = self.backend.from_host(
-                np.concatenate(members) if members else np.empty(0, np.int64)
-            )
-            if self._agent[g].size:
-                self._ragged_rng[g] = self.rng.ragged(self._rep[g])
-        self._offsets: Dict[Group, np.ndarray] = {
-            g: self.backend.from_host(offsets_array(g))
-            for g in (Group.TOP, Group.BOTTOM)
-        }
-
-        # Fused-group vectors (TOP rows then BOTTOM rows): scan/select run
-        # as ONE whole-batch launch over the concatenation — the model
-        # kernels are row-independent and the ragged RNG keys row i by
-        # (seeds[rep[i]], agent[i]), so the fused pass draws exactly the
-        # per-group passes' variates (golden-parity pinned).
-        xp_ = self.backend.xp
-        self._rep_all = xp_.concatenate(
-            [self._rep[Group.TOP], self._rep[Group.BOTTOM]]
+        # Group membership, flattened into fused rows: the TOP agents of
+        # every lane, then the BOTTOM agents of every lane. Scan and select
+        # run as ONE whole-batch launch over these rows — the model kernels
+        # are row-independent and the ragged RNG keys row i by
+        # (seeds[rep[i]], agent[i]), so row order never changes a draw.
+        # Agent indexing is top group first within each lane, so membership
+        # is ragged across lanes as soon as populations differ.
+        members = [p.members(g) for g in (Group.TOP, Group.BOTTOM) for p in pops]
+        rep_host = np.concatenate([
+            np.full(m.size, i % self.n_lanes, dtype=np.int64)
+            for i, m in enumerate(members)
+        ])
+        agent_host = np.concatenate(members).astype(np.int64, copy=False)
+        #: Fused rows ``[0, _n_top)`` are TOP agents, the rest BOTTOM.
+        self._n_top = int(sum(m.size for m in members[: self.n_lanes]))
+        gslot_host = (np.arange(rep_host.size) >= self._n_top).astype(np.int64)
+        # Each row's (group slot, lane) block of the pheromone and distance
+        # stacks, whose leading axes are (2, B).
+        block = gslot_host * self.n_lanes + rep_host
+        cells = self.h_max * self.w_max
+        self._rep_all = self.backend.from_host(rep_host)
+        self._agent_all = self.backend.from_host(agent_host)
+        #: Flat index of each fused row into the raveled ``(B, n+1)`` arrays.
+        self._slot_all = self.backend.from_host(rep_host * size + agent_host)
+        #: Flat offset of each fused row's lane into the raveled grids
+        #: (``None`` with one lane, where it is 0).
+        self._cell_base_all = (
+            self.backend.from_host(rep_host * cells) if self.n_lanes > 1 else None
         )
-        self._agent_all = xp_.concatenate(
-            [self._agent[Group.TOP], self._agent[Group.BOTTOM]]
-        )
-        self._gslot_all = xp_.concatenate(
-            [
-                xp_.zeros(int(self._rep[Group.TOP].size), dtype=np.int64),
-                xp_.ones(int(self._rep[Group.BOTTOM].size), dtype=np.int64),
-            ]
-        )
+        #: ... of its (group slot, lane) into the raveled pheromone stack,
+        self._tau_base_all = self.backend.from_host(block * cells)
+        #: ... and of its (group slot, lane) rows into the distance stack.
+        self._dist_base_all = self.backend.from_host(block * self.h_max)
         self._ragged_rng_all: Optional[RaggedLaneRNG] = (
-            self.rng.ragged(self._rep_all) if self._rep_all.size else None
+            self.rng.ragged(self._rep_all) if rep_host.size else None
         )
-        self._offsets_stack = xp_.stack(
-            [self._offsets[Group.TOP], self._offsets[Group.BOTTOM]]
+        offsets_host = np.stack([offsets_array(g) for g in (Group.TOP, Group.BOTTOM)])
+        #: Neighbour offsets ``(2, 8, 2)`` by group slot.
+        self._offsets_stack = self.backend.from_host(offsets_host)
+        #: Each fused row's neighbour offsets, ``(N, 8)`` (int8 keeps the
+        #: static tables small; the sums with int64 positions are int64).
+        group_rows = [self._n_top, rep_host.size - self._n_top]
+        off8 = offsets_host.astype(np.int8)
+        self._nbr_rows = self.backend.from_host(
+            np.repeat(off8[:, :, 0], group_rows, axis=0)
         )
+        self._nbr_cols = self.backend.from_host(
+            np.repeat(off8[:, :, 1], group_rows, axis=0)
+        )
+        #: The same row / column offsets, flat by ``gslot * 8 + slot``.
+        self._off_rows16 = self.backend.from_host(offsets_host[:, :, 0].ravel())
+        self._off_cols16 = self.backend.from_host(offsets_host[:, :, 1].ravel())
 
-        # Per-lane distance tables stacked to (2, B, Hmax, 8) — group slot
-        # leading, matching the pheromone stack; rows beyond a lane's
-        # height carry inf (never candidates). Tables are pure functions of
-        # (height, scan_range), so duplicate heights share one host build;
-        # the stack uploads once.
-        scan_range = getattr(rep_cfg.params, "scan_range", 1)
-        by_height = {
-            int(h): build_distance_tables(int(h), scan_range)
-            for h in np.unique(heights_host)
-        }
-        dist_host = np.full(
-            (2, self.n_lanes, self.h_max, 8), np.inf, dtype=np.float64
-        )
-        for g in (Group.TOP, Group.BOTTOM):
-            for b, h in enumerate(heights_host):
-                dist_host[group_slot(g), b, : int(h)] = by_height[int(h)][g].table
-        self._dist_stack = self.backend.from_host(dist_host)
-
-        self.pher: Optional[_BatchedPheromone] = (
-            _BatchedPheromone(
-                self.n_lanes, self.h_max, self.w_max, rep_cfg.params, self.backend
+        self._build_dist_stack(int(getattr(rep_cfg.params, "scan_range", 1)))
+        #: Both groups' pheromone fields for every lane, ``(2, B, H, W)``.
+        self.tau: Optional[PheromoneField] = (
+            PheromoneField(
+                self.h_max, self.w_max, rep_cfg.params, self.backend,
+                n_lanes=self.n_lanes,
             )
             if self.model.uses_pheromone
             else None
@@ -379,8 +321,12 @@ class BatchedEngine:
         # Paper-modification flag, per lane (host bool short-circuits the
         # per-step branch without a device sync).
         fwd_host = np.array([c.forward_priority for c in configs], dtype=bool)
-        self._forward_priority = self.backend.from_host(fwd_host)
         self._any_forward_priority = bool(fwd_host.any())
+        #: Per fused row, whether its lane applies forward priority
+        #: (``None`` when every lane does).
+        self._forward_rows = (
+            None if fwd_host.all() else self.backend.from_host(fwd_host[rep_host])
+        )
 
         # Heterogeneous-velocity extension: per-lane keyed draws, identical
         # to each solo engine's mask under the matching seed.
@@ -404,7 +350,6 @@ class BatchedEngine:
         # that group's rows — bit-identical because every model kernel is
         # row-independent and the ragged RNG keys each row by its own
         # lane.
-        self._scan_range = int(scan_range)
         self._lane_params: List = [c.params for c in configs]
         self._models = {rep_cfg.params: self.model}
         self._refresh_param_groups()
@@ -418,6 +363,28 @@ class BatchedEngine:
              for idx, hook in enumerate(cfg.hooks)),
             key=lambda entry: entry[:3],
         )
+
+    def _build_dist_stack(self, scan_range: int) -> None:
+        """Per-lane distance tables stacked to ``(2, B, Hmax, 8)``.
+
+        Group slot leading, matching the pheromone stack; rows beyond a
+        lane's height carry inf (never candidates). Tables are pure
+        functions of (height, scan_range), so duplicate heights share one
+        host build; the stack uploads once.
+        """
+        heights = self._heights_host
+        by_height = {
+            int(h): build_distance_tables(int(h), scan_range)
+            for h in np.unique(heights)
+        }
+        dist_host = np.full(
+            (2, self.n_lanes, self.h_max, 8), np.inf, dtype=np.float64
+        )
+        for g in (Group.TOP, Group.BOTTOM):
+            for b, h in enumerate(heights):
+                dist_host[group_slot(g), b, : int(h)] = by_height[int(h)][g].table
+        self._dist_stack = self.backend.from_host(dist_host)
+        self._scan_range = int(scan_range)
 
     def _refresh_param_groups(self) -> None:
         """Rebuild the params → lanes partition after a lane swap."""
@@ -443,9 +410,9 @@ class BatchedEngine:
             # path exactly as the constructor set it up.
             params, model, _ = self._param_groups[0]
             self.model = model
-            if self.pher is not None:
-                self.pher.params = params
-        if self.pher is not None:
+            if self.tau is not None:
+                self.tau.params = params
+        if self.tau is not None:
             self._deposit_q = self.backend.from_host(
                 np.array(
                     [getattr(p, "deposit_q", 0.0) for p in self._lane_params],
@@ -465,13 +432,16 @@ class BatchedEngine:
     def swap_lane_model(self, lane: int, params) -> None:
         """Swap one lane's movement model mid-run (panic-alarm extension).
 
-        The batched counterpart of :meth:`BaseEngine.swap_model`,
-        restricted to swaps that keep the batch's shared state valid: the
-        new bundle must keep the constructor's ``scan_range`` (the
-        distance stacks are shared) and the engine's pheromone mode (the
-        ``(B, H, W)`` stacks exist for every lane or none). The default
-        :func:`~repro.components.hooks.panic_variant` bundles satisfy
-        both.
+        The environment, populations and — when old and new models both
+        use it — the pheromone field carry over. When every lane ends on
+        the same bundle (always, with one lane), the shared state follows
+        the new bundle: the distance stack is rebuilt for a new
+        ``scan_range``, and a pheromone-free model drops the pheromone
+        stack (a later switch back starts from tau0). Otherwise the lanes
+        would disagree on that shared state, so a swap that changes
+        ``scan_range`` or pheromone use raises. The default
+        :func:`~repro.components.hooks.panic_variant` bundles change
+        neither.
         """
         lane = int(lane)
         if not (0 <= lane < self.n_lanes):
@@ -481,30 +451,43 @@ class BatchedEngine:
         params.validate()
         if params == self._lane_params[lane]:
             return
-        if int(getattr(params, "scan_range", 1)) != self._scan_range:
-            raise EngineError(
-                "batched lanes cannot change scan_range mid-run "
-                f"(batch built with {self._scan_range}, swap wants "
-                f"{getattr(params, 'scan_range', 1)})"
-            )
         model = self._models.get(params)
         if model is None:
             model = build_model(params, backend=self.backend)
             self._models[params] = model
-        if model.uses_pheromone != (self.pher is not None):
+        lane_params = list(self._lane_params)
+        lane_params[lane] = params
+        scan_range = int(getattr(params, "scan_range", 1))
+        if all(p == params for p in lane_params):
+            if scan_range != self._scan_range:
+                self._build_dist_stack(scan_range)
+            if not model.uses_pheromone:
+                self.tau = None
+            elif self.tau is None:
+                self.tau = PheromoneField(
+                    self.h_max, self.w_max, params, self.backend,
+                    n_lanes=self.n_lanes,
+                )
+        elif scan_range != self._scan_range:
             raise EngineError(
-                "batched lanes cannot change pheromone use mid-run "
+                "batched lanes cannot disagree on scan_range "
+                f"(lane {lane} wants {scan_range}, the others use "
+                f"{self._scan_range})"
+            )
+        elif model.uses_pheromone != (self.tau is not None):
+            raise EngineError(
+                "batched lanes cannot disagree on pheromone use "
                 f"(swap to {model.name!r} on a "
-                f"{'pheromone' if self.pher is not None else 'pheromone-free'} "
+                f"{'pheromone' if self.tau is not None else 'pheromone-free'} "
                 "batch)"
             )
-        self._lane_params[lane] = params
+        self._lane_params = lane_params
         self._refresh_param_groups()
 
     # ------------------------------------------------------------------
     # Extensions
     # ------------------------------------------------------------------
-    def eligible_mask(self, t: int) -> np.ndarray:
+    def _eligible(self, t: int) -> np.ndarray:
         """Movement eligibility ``(B, n+1)`` at step ``t`` (velocity classes)."""
         xp = self.xp
         if not self._any_slow:
@@ -517,52 +500,55 @@ class BatchedEngine:
     # Stage 1: initial calculation (per-agent scan, all lanes)
     # ------------------------------------------------------------------
     def _stage_scan(self, t: int) -> None:
-        # One fused launch over every lane's TOP+BOTTOM rows: per-group
-        # tables are gathered through the group-slot stacks, so the whole
-        # batch scans in a single dispatch sequence.
+        # One fused launch over every lane's TOP+BOTTOM rows.
         xp = self.xp
-        rep = self._rep_all
-        agent = self._agent_all
-        if rep.size == 0:
+        slot = self._slot_all
+        if slot.size == 0:
             return
-        gslot = self._gslot_all
-        rows = self.rows[rep, agent]  # (N,)
-        cols = self.cols[rep, agent]
-        off = self._offsets_stack[gslot]  # (N, 8, 2)
-        nr = rows[:, None] + off[:, :, 0]  # (N, 8)
-        nc = cols[:, None] + off[:, :, 1]
-        h = self._heights[rep][:, None]
-        w = self._widths[rep][:, None]
-        inb = (nr >= 0) & (nr < h) & (nc >= 0) & (nc < w)
-        # nr/nc are fresh operator results and unneeded unclipped once the
-        # bounds mask exists, so the clips run in place (no allocation).
-        nrc = xp.clip(nr, 0, self.h_max - 1, out=nr)
-        ncc = xp.clip(nc, 0, self.w_max - 1, out=nc)
-        rcol = rep[:, None]
-        candidates = inb & (self.mats[rcol, nrc, ncc] == 0)
-        dist = self._dist_stack[gslot, rep, rows]  # (N, 8)
+        rows = self.rows.reshape(-1).take(slot)
+        cols = self.cols.reshape(-1).take(slot)
+        nr = rows[:, None] + self._nbr_rows  # (N, 8) neighbour coordinates
+        nc = cols[:, None] + self._nbr_cols
+        # Padding cells read as obstacles, so only the padded extent
+        # needs a bounds test. The clips and the flat cell index then
+        # overwrite nr in place (no allocation).
+        inb = (nr >= 0) & (nr < self.h_max) & (nc >= 0) & (nc < self.w_max)
+        xp.clip(nr, 0, self.h_max - 1, out=nr)
+        xp.clip(nc, 0, self.w_max - 1, out=nc)
+        nr *= self.w_max
+        nr += nc  # the in-lane cell index r * W + c
+        cell = nr if self._cell_base_all is None else nr + self._cell_base_all[:, None]
+        candidates = inb & (self.mats.reshape(-1).take(cell) == 0)
+        dist = self._dist_stack.reshape(-1, 8).take(
+            self._dist_base_all + rows, axis=0
+        )
         tau = None
-        if self.pher is not None:
-            tau = self.pher.stack[gslot[:, None], rcol, nrc, ncc]
+        if self.tau is not None:
+            nr += self._tau_base_all[:, None]
+            tau = self.tau.stack.reshape(-1).take(nr)
+        values = self._scan_values(self._rep_all, dist, candidates, tau)
+        self.scan.reshape(-1, 8)[slot] = values
+        self.front_empty.reshape(-1)[slot] = candidates[:, 0]
+
+    def _scan_values(self, rep, dist, candidates, tau) -> np.ndarray:
+        """Eq. 1/2 scan values for rows of lanes ``rep``, per parameter group."""
         if self._homogeneous:
-            values = self.model.scan_values(dist, candidates, tau)
-        else:
-            # Partition the concatenated rows by parameter group;
-            # scan_values is row-independent, so per-group calls over
-            # row subsets are bit-identical to one shared call.
-            values = xp.empty(dist.shape, dtype=np.float64)
-            pg = self._lane_pg[rep]
-            for gid, (_params, model, _lanes) in enumerate(self._param_groups):
-                sel = pg == gid
-                if not bool(xp.any(sel)):
-                    continue
-                values[sel] = model.scan_values(
-                    dist[sel],
-                    candidates[sel],
-                    tau[sel] if tau is not None else None,
-                )
-        self.scan[rep, agent, :] = values
-        self.front_empty[rep, agent] = candidates[:, 0]
+            return self.model.scan_values(dist, candidates, tau)
+        # scan_values is row-independent, so per-group calls over row
+        # subsets are bit-identical to one shared call.
+        xp = self.xp
+        values = xp.empty(dist.shape, dtype=np.float64)
+        pg = self._lane_pg[rep]
+        for gid, (_params, model, _lanes) in enumerate(self._param_groups):
+            sel = pg == gid
+            if not bool(xp.any(sel)):
+                continue
+            values[sel] = model.scan_values(
+                dist[sel],
+                candidates[sel],
+                tau[sel] if tau is not None else None,
+            )
+        return values
 
     # ------------------------------------------------------------------
     # Stage 2: tour construction (per-agent decision, all lanes)
@@ -570,14 +556,15 @@ class BatchedEngine:
     def _stage_select(self, t: int) -> np.ndarray:
         # Fused tour construction over the whole batch: one model.select
         # (the fused ragged RNG keys row i with replication rep[i], so
-        # each lane's rows see exactly the solo engine's draws), one
-        # future-coordinate write, one per-lane bincount.
+        # each lane's rows see exactly the solo draws), one future-cell
+        # write, one per-lane bincount.
         xp = self.xp
         rep = self._rep_all
-        agent = self._agent_all
-        if rep.size == 0:
+        slot = self._slot_all
+        if slot.size == 0:
             return xp.zeros(self.n_lanes, dtype=np.int64)
-        scan_rows = self.scan[rep, agent]  # (N, 8)
+        agent = self._agent_all
+        scan_rows = self.scan.reshape(-1, 8).take(slot, axis=0)  # (N, 8)
         if self._homogeneous:
             slots = self.model.select(scan_rows, self._ragged_rng_all, t, agent)
         else:
@@ -594,26 +581,28 @@ class BatchedEngine:
                     scan_rows[sel], self.rng.ragged(rep[sel]), t, agent[sel]
                 )
         if self._any_forward_priority:
-            # ``slots`` is fresh (model kernel output or the hetero fill
-            # buffer), so the forward override writes in place.
-            slots[self.front_empty[rep, agent] & self._forward_priority[rep]] = 0
+            # Paper modification: the forward cell, when empty, wins
+            # outright (slot 0). ``slots`` is fresh, so this writes in place.
+            forward = self.front_empty.reshape(-1).take(slot)
+            if self._forward_rows is not None:
+                forward &= self._forward_rows
+            slots[forward] = 0
         if self._any_slow:
-            valid = (slots >= 0) & self.eligible_mask(t)[rep, agent]
+            valid = (slots >= 0) & self._eligible(t).reshape(-1).take(slot)
         else:
             # Homogeneous velocities (the default): everyone is eligible,
             # so the all-true mask and its gather are dead dispatches.
             valid = slots >= 0
         invalid = ~valid
-        # In-place masked writes on the fresh intermediates replace three
-        # xp.where calls; the resulting values are identical element-wise.
         slots[invalid] = 0
-        off = self._offsets_stack[self._gslot_all, slots]  # (N, 2)
-        fr = self.rows[rep, agent] + off[:, 0]
-        fc = self.cols[rep, agent] + off[:, 1]
+        # BOTTOM rows read the second half of the (2 * 8) offset tables.
+        slots[self._n_top :] += 8
+        fr = self.rows.reshape(-1).take(slot) + self._off_rows16.take(slots)
+        fc = self.cols.reshape(-1).take(slot) + self._off_cols16.take(slots)
         fr[invalid] = NO_FUTURE
         fc[invalid] = NO_FUTURE
-        self.future_rows[rep, agent] = fr
-        self.future_cols[rep, agent] = fc
+        self.future_rows.reshape(-1)[slot] = fr
+        self.future_cols.reshape(-1)[slot] = fc
         return xp.bincount(rep[valid], minlength=self.n_lanes)
 
     # ------------------------------------------------------------------
@@ -622,35 +611,31 @@ class BatchedEngine:
     def _stage_move(self, t: int) -> np.ndarray:
         xp = self.xp
         moved = xp.zeros(self.n_lanes, dtype=np.int64)
+        self._evaporate()
 
-        if self.pher is not None:
-            if self._homogeneous:
-                self.pher.evaporate()
-            else:
-                for _params, _model, lanes in self._param_groups:
-                    self.pher.evaporate_lanes(lanes, _params)
-
-        # Deciding (lane, agent) pairs whose target cell is empty — the
-        # solo engine's candidate set per lane. Padding slots never decide.
-        lane, agent = xp.nonzero(self.future_rows != NO_FUTURE)
-        keep = (
-            self.mats[lane, self.future_rows[lane, agent], self.future_cols[lane, agent]]
-            == 0
-        )
-        lane = lane[keep]
-        agent = agent[keep]
-        if agent.size == 0:
-            return moved
-        fut_r = self.future_rows[lane, agent]
-        fut_c = self.future_cols[lane, agent]
-        direction = self._direction_table[
-            (self.rows[lane, agent] - fut_r + 1) * 3
-            + (self.cols[lane, agent] - fut_c + 1)
-        ]
+        # Deciding agents whose target cell is empty: the candidates the
+        # per-cell gather would find. Padding slots never decide.
+        future_rows = self.future_rows.reshape(-1)
+        slot = xp.nonzero(future_rows != NO_FUTURE)[0]
+        fut_r = future_rows.take(slot)
+        fut_c = self.future_cols.reshape(-1).take(slot)
+        lane = slot // (self.n_agents + 1)
         cell = (lane * self.h_max + fut_r) * self.w_max + fut_c
+        keep = self.mats.reshape(-1).take(cell) == 0
+        slot = slot[keep]
+        if slot.size == 0:
+            return moved
+        fut_r = fut_r[keep]
+        fut_c = fut_c[keep]
+        lane = lane[keep]
+        cell = cell[keep]
+        direction = self._direction_table.take(
+            (self.rows.reshape(-1).take(slot) - fut_r + 1) * 3
+            + (self.cols.reshape(-1).take(slot) - fut_c + 1)
+        )
         order, start, count = group_by_cell(cell, direction, xp=xp)
         # Winner draws key each cell by its lane's *real* width, matching
-        # the solo engine's ``Environment.cell_lane``.
+        # ``Environment.cell_lane`` of a solo run.
         head = order[start]
         head_lane = lane[head]
         cell_lanes = fut_r[head].astype(np.uint64) * self._widths_u64[
@@ -658,44 +643,74 @@ class BatchedEngine:
         ] + fut_c[head].astype(np.uint64)
         u = self.rng.uniform_at(Stream.MOVE_WINNER, t, head_lane, cell_lanes)
         pick = order[start + winner_rank(u, count, xp=xp)]
-        bs = lane[pick]
-        winners = agent[pick]
-        dst_r = fut_r[pick]
-        dst_c = fut_c[pick]
-        move_cost = self._step_costs[direction[pick]]
-        src_r = self.rows[bs, winners]
-        src_c = self.cols[bs, winners]
-
-        # (lane, cell) destinations were empty, sources occupied, and the
-        # two sets are disjoint per lane, so fancy indexing stays safe.
-        self.mats[bs, dst_r, dst_c] = self.ids[bs, winners]
-        self.index[bs, dst_r, dst_c] = winners
-        self.mats[bs, src_r, src_c] = 0
-        self.index[bs, src_r, src_c] = 0
-        self.rows[bs, winners] = dst_r
-        self.cols[bs, winners] = dst_c
-        self.tour[bs, winners] += move_cost
-
-        if self.pher is not None:
-            # Fused deposit: one scatter into the (2, B, H, W) stack covers
-            # both groups (winner cells are disjoint per lane, the tau_max
-            # clamp is idempotent) — no per-group any() host syncs.
-            gslot = (self.ids[bs, winners] == int(Group.BOTTOM)).astype(np.int64)
-            if self._homogeneous:
-                amounts = self.pher.params.deposit_q / self.tour[bs, winners]
-                self.pher.deposit_stacked(gslot, bs, dst_r, dst_c, amounts)
-            else:
-                # Per-lane deposit scale, raw scatter (lanes own disjoint
-                # cells), then each parameter group's own tau_max clamp on
-                # its lane block — values only exceed tau_max through
-                # deposits, so clamping after the scatter matches the
-                # homogeneous (and solo) clamp-per-deposit behaviour.
-                amounts = self._deposit_q[bs] / self.tour[bs, winners]
-                self.pher.deposit_raw_stacked(gslot, bs, dst_r, dst_c, amounts)
-                for _params, _model, lanes in self._param_groups:
-                    self.pher.clamp_max(lanes, _params.tau_max)
-        self.backend.scatter_add(moved, bs, 1)
+        self._commit_moves(
+            lane[pick], slot[pick], fut_r[pick], fut_c[pick], direction[pick], moved
+        )
         return moved
+
+    def _evaporate(self) -> None:
+        """Eq. 3 on every lane, with each parameter group's own rate."""
+        if self.tau is None:
+            return
+        if self._homogeneous:
+            self.tau.evaporate()
+            return
+        # Element-wise, so evaporating a fancy-indexed copy of a group's
+        # lane block and writing it back equals evaporating in place.
+        stack = self.tau.stack
+        for params, _model, lanes in self._param_groups:
+            sub = stack[:, lanes]
+            evaporate_field(sub, params, xp=self.xp)
+            stack[:, lanes] = sub
+
+    def _commit_moves(self, lane, slot, dst_r, dst_c, direction, moved) -> None:
+        """Execute winning moves: grid, property matrix, tour, pheromone.
+
+        ``slot`` are the winners' flat agent indices and ``direction``
+        their absolute gather directions. Destinations were empty and
+        sources occupied at the start of the stage, and each lane's
+        winners hold disjoint cells, so plain index writes are safe.
+        ``moved`` accumulates the per-lane move counts.
+        """
+        w = self.w_max
+        base = lane * (self.h_max * w)
+        rows = self.rows.reshape(-1)
+        cols = self.cols.reshape(-1)
+        src = base + rows.take(slot) * w + cols.take(slot)
+        dst = base + dst_r * w + dst_c
+        mats = self.mats.reshape(-1)
+        index = self.index.reshape(-1)
+        ids = self.ids.reshape(-1).take(slot)
+        mats[dst] = ids
+        index[dst] = slot - lane * (self.n_agents + 1)
+        mats[src] = 0
+        index[src] = 0
+        rows[slot] = dst_r
+        cols[slot] = dst_c
+        tour = self.tour.reshape(-1)
+        new_tour = tour.take(slot) + self._step_costs.take(direction)
+        tour[slot] = new_tour
+        if self.tau is not None:
+            # Eq. 5 for both groups in one scatter: BOTTOM winners deposit
+            # into the stack's second group slot.
+            cells = dst + (ids == int(Group.BOTTOM)) * (self.n_lanes * self.h_max * w)
+            if self._homogeneous:
+                self.tau.deposit_stacked(cells, self.tau.params.deposit_q / new_tour)
+            else:
+                # Per-lane deposit scale, one raw scatter (lanes own
+                # disjoint cells), then each parameter group's own tau_max
+                # clamp on its lane block — values only exceed tau_max
+                # through deposits, so clamping after the scatter matches
+                # the clamp-per-deposit of a solo run.
+                stack = self.tau.stack
+                self.backend.scatter_add(
+                    stack.reshape(-1), cells, self._deposit_q.take(lane) / new_tour
+                )
+                for params, _model, lanes in self._param_groups:
+                    sub = stack[:, lanes]
+                    self.xp.minimum(sub, params.tau_max, out=sub)
+                    stack[:, lanes] = sub
+        self.backend.scatter_add(moved, lane, 1)
 
     # ------------------------------------------------------------------
     # Stage 4 + crossings bookkeeping
@@ -840,26 +855,19 @@ class BatchedEngine:
         n = int(self.lane_agents[lane])
         end = n + 1
         pop = Population(n)
-        to_host = self.backend.to_host
-        pop.ids[...] = to_host(self.ids[lane, :end])
-        pop.rows[...] = to_host(self.rows[lane, :end])
-        pop.cols[...] = to_host(self.cols[lane, :end])
-        pop.future_rows[...] = to_host(self.future_rows[lane, :end])
-        pop.future_cols[...] = to_host(self.future_cols[lane, :end])
-        pop.front_empty[...] = to_host(self.front_empty[lane, :end])
-        pop.tour[...] = to_host(self.tour[lane, :end])
-        pop.crossed[...] = to_host(self.crossed[lane, :end])
-        pop.crossed_step[...] = to_host(self.crossed_step[lane, :end])
-        pop.crossed_tour[...] = to_host(self.crossed_tour[lane, :end])
+        for name in Population.FIELDS:
+            getattr(pop, name)[...] = self.backend.to_host(
+                getattr(self, name)[lane, :end]
+            )
         return pop
 
     def lane_pheromone(self, lane: int, group: Group) -> Optional[np.ndarray]:
         """Host copy of one lane's pheromone field (None when LEM)."""
-        if self.pher is None:
+        if self.tau is None:
             return None
         cfg = self.configs[lane]
         return self.backend.to_host(
-            self.pher.field(group)[lane, : cfg.height, : cfg.width]
+            self.tau.field(group)[lane, : cfg.height, : cfg.width]
         ).copy()
 
     def validate_state(self) -> None:

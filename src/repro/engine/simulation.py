@@ -23,7 +23,7 @@ from ..backend.profiling import (
 )
 from ..config import SimulationConfig
 from ..errors import EngineError
-from .base import BaseEngine, RunResult, StepReport
+from .base import RunResult, SoloEngine, StepReport
 from .sequential import SequentialEngine
 from .vectorized import VectorizedEngine
 
@@ -36,15 +36,15 @@ __all__ = [
 ]
 
 
-def _registry() -> Dict[str, Type[BaseEngine]]:
-    reg: Dict[str, Type[BaseEngine]] = {
+def _registry() -> Dict[str, Type[SoloEngine]]:
+    reg: Dict[str, Type[SoloEngine]] = {
         "sequential": SequentialEngine,
         "vectorized": VectorizedEngine,
     }
     # The tiled engine lives in repro.cuda (it needs the tiling substrate);
     # import lazily so repro.engine has no dependency on repro.cuda.
     try:
-        from ..cuda.tiled_engine import TiledEngine
+        from ..cuda.batched_tiled import TiledEngine
 
         reg["tiled"] = TiledEngine
     except ImportError:  # pragma: no cover - only during partial installs
@@ -52,12 +52,14 @@ def _registry() -> Dict[str, Type[BaseEngine]]:
     return reg
 
 
-#: Engine name -> class. "sequential" is the CPU stand-in, "vectorized" the
-#: GPU stand-in, "tiled" the shared-memory-faithful GPU emulation.
-ENGINE_REGISTRY: Dict[str, Type[BaseEngine]] = {}
+#: Engine name -> class. "sequential" is the CPU stand-in; "vectorized"
+#: (the GPU stand-in) and "tiled" (the shared-memory-faithful GPU
+#: emulation) are one-lane batched engines over the whole-array and the
+#: tiled stages.
+ENGINE_REGISTRY: Dict[str, Type[SoloEngine]] = {}
 
 
-def available_engines() -> Dict[str, Type[BaseEngine]]:
+def available_engines() -> Dict[str, Type[SoloEngine]]:
     """Return the engine registry, populating it on first use."""
     if not ENGINE_REGISTRY:
         ENGINE_REGISTRY.update(_registry())
@@ -69,7 +71,7 @@ def build_engine(
     engine: str = "vectorized",
     seed: Optional[int] = None,
     backend: Optional[str] = None,
-) -> BaseEngine:
+) -> SoloEngine:
     """Instantiate an engine by name for ``config``.
 
     ``backend`` overrides ``config.backend`` (an array-backend name such
@@ -119,7 +121,7 @@ def run_simulation(
     engine: str = "vectorized",
     seed: Optional[int] = None,
     steps: Optional[int] = None,
-    callback: Optional[Callable[[BaseEngine, StepReport], None]] = None,
+    callback: Optional[Callable[[SoloEngine, StepReport], None]] = None,
     record_timeline: bool = True,
     backend: Optional[str] = None,
     profile: bool = False,

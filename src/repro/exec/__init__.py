@@ -9,8 +9,7 @@
 * :class:`LaunchWork` / :func:`execute_launch` — the declarative engine
   launch payload (per-lane configs) that the sweep runner's planned
   units and the service scheduler's micro-batches both reduce to;
-* :data:`MP_START_METHOD` — the forward-compatible start-method choice
-  (formerly ``repro.experiments.sweep._MP_START_METHOD``).
+* :data:`MP_START_METHOD` — the forward-compatible start-method choice.
 
 The sweep (:class:`repro.experiments.sweep.SweepRunner`) submits a whole
 planned grid and gathers futures in request order; the service

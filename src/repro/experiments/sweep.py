@@ -43,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..backend import resolve_backend
 from ..errors import ExperimentError
 from ..exec import (
-    MP_START_METHOD,
     ExecutorPool,
     LaunchWork,
     execute_launch,
@@ -52,11 +51,7 @@ from ..exec import (
 )
 from ..obs import TraceSpec, Tracer
 from ..planner import (
-    BATCHABLE_ENGINES,
-    MAX_PAD_WASTE_CEILING,
-    MIN_PAD_WASTE,
     LaneRequest,
-    derived_pad_waste,
     plan_lanes,
     validate_plan_parameters,
 )
@@ -69,18 +64,7 @@ __all__ = [
     "sweep_grid",
     "named_sweep_points",
     "smoke_sweep_points",
-    # Re-exported from repro.planner (the shared lane packer) for
-    # backwards compatibility with pre-service callers.
-    "BATCHABLE_ENGINES",
-    "MIN_PAD_WASTE",
-    "MAX_PAD_WASTE_CEILING",
-    "derived_pad_waste",
 ]
-
-#: Backwards-compatible alias: the start-method choice moved into the
-#: shared execution layer (:data:`repro.exec.MP_START_METHOD`) when the
-#: transient per-sweep pool was replaced by the persistent executor.
-_MP_START_METHOD = MP_START_METHOD
 
 
 @dataclass(frozen=True)
@@ -346,7 +330,7 @@ class SweepRunner:
     max_pad_waste:
         Ceiling on the padded-slot fraction of a mixed batch, in [0, 1).
         ``None`` (default) derives the ceiling per pad pool from the cost
-        model's dispatch-overhead estimate (:func:`derived_pad_waste`) —
+        model's dispatch-overhead estimate (:func:`repro.planner.derived_pad_waste`) —
         loose for tiny dispatch-bound scenarios, tight at paper scale.
     backend:
         Array-backend name applied to every executed config ("numpy",

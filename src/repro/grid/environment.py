@@ -37,6 +37,16 @@ class Environment:
         #: 1-based agent indices; 0 marks an empty cell.
         self.index = xp.zeros((self.height, self.width), dtype=np.int32)
 
+    @classmethod
+    def over(cls, mat, index, backend=None) -> "Environment":
+        """An environment over existing matrices (shares their memory)."""
+        env = cls.__new__(cls)
+        env.height, env.width = (int(n) for n in mat.shape)
+        env.backend = resolve_backend(backend)
+        env.mat = mat
+        env.index = index
+        return env
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine.base import BaseEngine
+from ..engine.base import SoloEngine
 from ..types import Group
 
 __all__ = ["detour_factor", "EfficiencyReport", "efficiency_report"]
@@ -36,7 +36,7 @@ def _detour_from_host(
     return float(np.mean(crossed_tour[mask] / min_distance))
 
 
-def detour_factor(engine: BaseEngine, group: Optional[Group] = None) -> float:
+def detour_factor(engine: SoloEngine, group: Optional[Group] = None) -> float:
     """Mean ratio of tour length *at crossing* to the expected straight path.
 
     The tour length is captured when each agent first enters the opposite
@@ -68,7 +68,7 @@ class EfficiencyReport:
     crossed_fraction: float
 
 
-def efficiency_report(engine: BaseEngine) -> EfficiencyReport:
+def efficiency_report(engine: SoloEngine) -> EfficiencyReport:
     """Build an :class:`EfficiencyReport` from a finished engine.
 
     Reads the property matrix through the engine's backend (one host

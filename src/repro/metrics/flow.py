@@ -12,13 +12,13 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..engine.base import BaseEngine, StepReport
+from ..engine.base import SoloEngine, StepReport
 from ..types import Group
 
 __all__ = ["row_density_profile", "midline_flux", "FlowRecorder"]
 
 
-def row_density_profile(engine: BaseEngine) -> Dict[Group, np.ndarray]:
+def row_density_profile(engine: SoloEngine) -> Dict[Group, np.ndarray]:
     """Fraction of each row's cells occupied by each group."""
     mat = engine.env.mat
     width = engine.env.width
@@ -62,7 +62,7 @@ class FlowRecorder:
         self.move_rate = []
         self.flux = []
 
-    def __call__(self, engine: BaseEngine, report: StepReport) -> None:
+    def __call__(self, engine: SoloEngine, report: StepReport) -> None:
         """Record after each step."""
         pop = engine.pop
         if self.midline < 0:

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..engine.base import BaseEngine, StepReport
+from ..engine.base import SoloEngine, StepReport
 
 __all__ = ["GridlockDetector", "is_gridlocked"]
 
@@ -45,7 +45,7 @@ class GridlockDetector:
     def __post_init__(self) -> None:
         self.moved = []
 
-    def __call__(self, engine: BaseEngine, report: StepReport) -> None:
+    def __call__(self, engine: SoloEngine, report: StepReport) -> None:
         """Record after each step; latches the first gridlock onset."""
         self.moved.append(report.moved)
         rate = report.moved / max(1, engine.pop.n_agents)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.base import BaseEngine
+from ..engine.base import SoloEngine
 from ..types import Group
 
 __all__ = ["lane_order_parameter", "column_occupancies", "band_segregation"]
@@ -41,7 +41,7 @@ def lane_order_parameter(mat: np.ndarray) -> float:
     return float(np.mean(ratio * ratio))
 
 
-def band_segregation(engine: BaseEngine, n_bands: int = 8) -> np.ndarray:
+def band_segregation(engine: SoloEngine, n_bands: int = 8) -> np.ndarray:
     """Lane order parameter evaluated per horizontal band of rows.
 
     Splits the grid into ``n_bands`` stacked bands and computes the lane

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..engine.base import BaseEngine, StepReport
+from ..engine.base import SoloEngine, StepReport
 from ..types import Group
 
 __all__ = ["ThroughputTracker", "ThroughputSummary"]
@@ -48,9 +48,9 @@ class ThroughputTracker:
 
     def __init__(self) -> None:
         self.new_crossings: List[int] = []
-        self._engine: Optional[BaseEngine] = None
+        self._engine: Optional[SoloEngine] = None
 
-    def __call__(self, engine: BaseEngine, report: StepReport) -> None:
+    def __call__(self, engine: SoloEngine, report: StepReport) -> None:
         """Engine callback signature."""
         self._engine = engine
         self.new_crossings.append(report.new_crossings)

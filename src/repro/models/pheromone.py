@@ -8,15 +8,17 @@ cell an agent moves into, where ``L_k`` is that agent's tour length so far.
 
 Both matrices live in one ``(2, H, W)`` device stack (slot 0 = TOP,
 slot 1 = BOTTOM) so whole-field maintenance — evaporation, clamping — is a
-single array launch over both groups, and the fused engines can gather
-``stack[gslot, rows, cols]`` for a mixed-group agent batch in one op.
-``field(group)`` hands out live views into the stack, so per-group access
-is unchanged and free.
+single array launch over both groups, and the whole-array engines gather
+and deposit for a mixed-group agent batch through flat indices into the
+stack in one op each. A batched engine keeps every lane's pair in one
+``(2, B, H, W)`` stack. ``field(group)`` hands out live views into the
+stack, so per-group access is unchanged and free.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import copy
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -67,18 +69,36 @@ def deposit_at(field: np.ndarray, index, amounts, params: ACOParams, backend=Non
 
 
 class PheromoneField:
-    """Two per-group pheromone matrices in one ``(2, H, W)`` stack."""
+    """Two per-group pheromone matrices in one ``(2, H, W)`` stack.
 
-    def __init__(self, height: int, width: int, params: ACOParams, backend=None) -> None:
+    ``n_lanes`` adds a lane axis: the stack becomes ``(2, n_lanes, H, W)``,
+    one field pair per replication lane of a batched engine.
+    """
+
+    def __init__(
+        self,
+        height: int,
+        width: int,
+        params: ACOParams,
+        backend=None,
+        n_lanes: Optional[int] = None,
+    ) -> None:
         self.height = int(height)
         self.width = int(width)
         self.params = params
         self.backend = resolve_backend(backend)
         xp = self.backend.xp
-        #: ``(2, H, W)`` device stack; slot order per :func:`group_slot`.
+        lanes = () if n_lanes is None else (int(n_lanes),)
+        #: ``(2, [B,] H, W)`` device stack; slot order per :func:`group_slot`.
         self.stack: np.ndarray = xp.full(
-            (2, height, width), params.tau0, dtype=np.float64
+            (2, *lanes, height, width), params.tau0, dtype=np.float64
         )
+
+    def lane(self, lane: int) -> "PheromoneField":
+        """One lane of a batched field as a ``(2, H, W)`` field (live view)."""
+        view = copy.copy(self)
+        view.stack = self.stack[:, lane]
+        return view
 
     # ------------------------------------------------------------------
     # Access
@@ -114,15 +134,15 @@ class PheromoneField:
             backend=self.backend,
         )
 
-    def deposit_stacked(self, gslots, rows, cols, amounts) -> None:
+    def deposit_stacked(self, cells, amounts) -> None:
         """Mixed-group deposit: one scatter into the full stack.
 
-        ``gslots`` selects each deposit's group per :func:`group_slot`;
-        the fused move stages use this to retire both per-group deposit
-        launches (and their host-synced ``any`` guards) in one call.
+        ``cells`` are flat indices into the C-ordered stack, so the group
+        slot (and the lane, on a batched stack) is part of each index;
+        the whole-array move stage deposits for both groups in one call.
         """
         deposit_at(
-            self.stack, (gslots, rows, cols), amounts, self.params,
+            self.stack.reshape(-1), cells, amounts, self.params,
             backend=self.backend,
         )
 
@@ -136,8 +156,8 @@ class PheromoneField:
     # ------------------------------------------------------------------
     def copy(self) -> "PheromoneField":
         """Deep copy of both fields."""
-        other = PheromoneField(self.height, self.width, self.params, self.backend)
-        other.stack[...] = self.stack
+        other = copy.copy(self)
+        other.stack = self.stack.copy()
         return other
 
     def equals(self, other: "PheromoneField") -> bool:

@@ -8,7 +8,7 @@ Public surface:
 * distribution transforms in :mod:`repro.rng.distributions`.
 """
 
-from .batched import BatchedPhiloxRNG, FlatLaneRNG, RaggedLaneRNG
+from .batched import BatchedPhiloxRNG, RaggedLaneRNG
 from .distributions import (
     box_muller,
     categorical,
@@ -21,7 +21,6 @@ from .streams import Stream
 __all__ = [
     "PhiloxKeyedRNG",
     "BatchedPhiloxRNG",
-    "FlatLaneRNG",
     "RaggedLaneRNG",
     "Stream",
     "philox4x32",

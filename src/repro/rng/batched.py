@@ -17,13 +17,11 @@ Two addressing modes cover the engine's needs:
   ``rep``/``lane`` index vectors: draws for irregular sets such as the
   contested cells of the movement stage, which differ per replication.
 
-:meth:`BatchedPhiloxRNG.flat` exposes a :class:`PhiloxKeyedRNG`-compatible
-view over flattened replication-major lanes so the movement models' vector
-``select`` kernels run unmodified on batched scan matrices.
-:meth:`BatchedPhiloxRNG.ragged` generalises that view to *heterogeneous*
-replications whose member sets differ in size (padded batching): the
-replication of each flattened element is pinned by an explicit index
-vector instead of a fixed ``i // m`` stride.
+:meth:`BatchedPhiloxRNG.ragged` exposes a :class:`PhiloxKeyedRNG`-compatible
+view over flattened rows whose replication is pinned by an explicit index
+vector, so the movement models' vector ``select`` kernels run unmodified
+on the batched engine's fused rows, whose member sets may differ in size
+per replication (padded batching).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from .philox import (
     irwin_hall_normal12,
 )
 
-__all__ = ["BatchedPhiloxRNG", "FlatLaneRNG", "RaggedLaneRNG"]
+__all__ = ["BatchedPhiloxRNG", "RaggedLaneRNG"]
 
 
 class BatchedPhiloxRNG:
@@ -70,7 +68,7 @@ class BatchedPhiloxRNG:
             np.array([(s >> 32) & 0xFFFFFFFF for s in seeds], dtype=np.uint32)
         )
         # Reusable counter/output word buffers (see philox._take_u32);
-        # shared by the flat/ragged views, whose draws are sequential.
+        # shared by the ragged views, whose draws are sequential.
         self._scratch: dict = {}
 
     # ------------------------------------------------------------------
@@ -144,15 +142,11 @@ class BatchedPhiloxRNG:
     # ------------------------------------------------------------------
     # Adapters / internals
     # ------------------------------------------------------------------
-    def flat(self, lanes_per_rep: int) -> "FlatLaneRNG":
-        """A :class:`PhiloxKeyedRNG`-shaped view over flattened lanes."""
-        return FlatLaneRNG(self, lanes_per_rep)
-
     def ragged(self, rep) -> "RaggedLaneRNG":
         """A :class:`PhiloxKeyedRNG`-shaped view over ragged member sets.
 
         ``rep[i]`` is the replication index keying flattened element ``i``;
-        unlike :meth:`flat`, the per-replication member counts may differ.
+        the per-replication member counts may differ.
         """
         return RaggedLaneRNG(self, rep)
 
@@ -188,9 +182,15 @@ class BatchedPhiloxRNG:
         stream_word = np.uint32(int(stream) & 0xFFFFFFFF)
         # Gather the per-element key words through operator indexing — no
         # namespace dispatch — and feed the round loop directly; one call
-        # costs two counted launches (``empty``, ``stack``).
-        k0 = self._key_lo[rep]
-        k1 = self._key_hi_base[rep] ^ stream_word
+        # costs two counted launches (``empty``, ``stack``). With one
+        # replication the keys stay scalars, which the round loop
+        # broadcasts bit-identically (see ``_philox_rounds``).
+        if self.n_reps == 1:
+            k0 = np.uint32(self.seeds[0] & 0xFFFFFFFF)
+            k1 = np.uint32((self.seeds[0] >> 32) & 0xFFFFFFFF) ^ stream_word
+        else:
+            k0 = self._key_lo[rep]
+            k1 = self._key_hi_base[rep] ^ stream_word
         out = _philox_rounds(
             counter[0], counter[1], counter[2], counter[3],
             k0, k1, PHILOX_ROUNDS,
@@ -200,70 +200,14 @@ class BatchedPhiloxRNG:
         return xp.stack(out)
 
 
-class FlatLaneRNG:
-    """Duck-typed :class:`PhiloxKeyedRNG` over flattened replication lanes.
-
-    The movement models' ``select`` kernels take a ``(n, 8)`` scan matrix
-    plus a 1-D lane vector and draw through the ``uniform``/``uniform4``/
-    ``normal12``/``words`` surface. This view accepts lane vectors of length
-    ``B * lanes_per_rep`` in replication-major order and keys element ``i``
-    with replication ``i // lanes_per_rep``'s seed, so a batched ``select``
-    call is element-for-element identical to ``B`` solo calls.
-    """
-
-    def __init__(self, batched: BatchedPhiloxRNG, lanes_per_rep: int) -> None:
-        if lanes_per_rep < 1:
-            raise ValueError(f"lanes_per_rep must be >= 1, got {lanes_per_rep}")
-        self._batched = batched
-        self._m = int(lanes_per_rep)
-        # The replication-of-element map is static for a fixed lane count —
-        # build it once instead of re-dispatching repeat/arange per draw.
-        xp = batched.xp
-        self._rep = xp.repeat(
-            xp.arange(batched.n_reps, dtype=np.intp), self._m
-        )
-
-    def _rep_of(self, lanes: np.ndarray) -> np.ndarray:
-        n = lanes.shape[0]
-        expected = self._batched.n_reps * self._m
-        if n != expected:
-            raise ValueError(
-                f"expected {expected} flattened lanes "
-                f"({self._batched.n_reps} reps x {self._m}), got {n}"
-            )
-        return self._rep
-
-    def words(
-        self, stream: int, step: int, lane, slot: int = 0, scratch: bool = False
-    ) -> np.ndarray:
-        xp = self._batched.xp
-        lanes = xp.asarray(lane, dtype=np.uint64).reshape(-1)
-        # _words_flat directly: the rep map is pre-validated against the
-        # lane count, so the words_at re-asarray round trip is dead weight.
-        return self._batched._words_flat(
-            stream, step, self._rep_of(lanes), lanes, slot, scratch
-        )
-
-    def uniform(self, stream: int, step: int, lane, slot: int = 0) -> np.ndarray:
-        return _u32_to_unit_open(self.words(stream, step, lane, slot, scratch=True)[0])
-
-    def uniform4(self, stream: int, step: int, lane, slot: int = 0) -> np.ndarray:
-        return _u32_to_unit_open(self.words(stream, step, lane, slot, scratch=True))
-
-    def normal12(self, stream: int, step: int, lane, slot_base: int = 0) -> np.ndarray:
-        return irwin_hall_normal12(self.uniform4, stream, step, lane, slot_base)
-
-
 class RaggedLaneRNG:
     """Duck-typed :class:`PhiloxKeyedRNG` over ragged replication members.
 
-    Heterogeneous (padded) batches flatten per-group member sets whose size
-    differs per replication, so the fixed ``i // lanes_per_rep`` keying of
-    :class:`FlatLaneRNG` no longer applies. This view carries the explicit
-    replication index of every flattened element: element ``i`` of a lane
-    vector draws with replication ``rep[i]``'s seed, making a ragged
-    ``select`` call element-for-element identical to the per-replication
-    solo calls.
+    The batched engine flattens per-group member sets whose size may
+    differ per replication, so this view carries the explicit replication
+    index of every flattened element: element ``i`` of a lane vector draws
+    with replication ``rep[i]``'s seed, making a ragged ``select`` call
+    element-for-element identical to the per-replication solo calls.
     """
 
     def __init__(self, batched: BatchedPhiloxRNG, rep) -> None:

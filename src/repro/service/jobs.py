@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..config import SimulationConfig
+from ..engine.simulation import available_engines
 from ..errors import ServiceError
 from ..io import config_digest
 from ..obs import mint_trace_id
@@ -91,7 +92,16 @@ class Job:
         priority: int = 0,
         deadline_s: Optional[float] = None,
     ) -> "Job":
-        """Build a queued job, deriving the content digest."""
+        """Build a queued job, deriving the content digest.
+
+        An unknown ``engine`` raises :class:`ServiceError` here, at
+        submission, instead of failing the job at launch.
+        """
+        engines = available_engines()
+        if engine not in engines:
+            raise ServiceError(
+                f"unknown engine {engine!r}; available: {sorted(engines)}"
+            )
         return cls(
             job_id=job_id,
             config=config,

@@ -182,7 +182,9 @@ class TestHookSemantics:
         batched = BatchedEngine([hooked_cfg, plain_cfg], seeds)
         got = batched.run(record_timeline=True)
         for lane, cfg in enumerate((hooked_cfg, plain_cfg)):
-            solo = build_engine(cfg, engine="vectorized", seed=seeds[lane])
+            # Sequential: the solo "vectorized" engine is itself a one-lane
+            # BatchedEngine, so it would not be an independent reference.
+            solo = build_engine(cfg, engine="sequential", seed=seeds[lane])
             res = solo.run(record_timeline=True)
             assert np.array_equal(
                 got[lane].moved_per_step, res.moved_per_step

@@ -5,16 +5,16 @@ tile loop, so each shared-memory tile pass covers all B lanes (and both
 movement groups) in one set of launches. The contract is the same as
 every other engine pairing in this repo: trajectories must be
 bit-identical — to the flat :class:`BatchedEngine`, to solo
-:class:`TiledEngine` runs, and to the seed golden throughputs.
+:class:`TiledEngine` (one-lane) runs, to the sequential reference, and to
+the seed golden throughputs.
 """
 
 import numpy as np
 import pytest
 
 from repro import SimulationConfig
-from repro.cuda import BatchedTiledEngine
-from repro.cuda.tiled_engine import TiledEngine
-from repro.engine import BatchedEngine, run_batched
+from repro.cuda import BatchedTiledEngine, TiledEngine
+from repro.engine import BatchedEngine, build_engine, run_batched
 from repro.errors import LaunchConfigError
 from repro.types import Group
 
@@ -23,6 +23,17 @@ def _config(model: str, seed: int = 0, height: int = 32) -> SimulationConfig:
     return SimulationConfig(
         height=height, width=32, n_per_side=24, steps=25, seed=seed
     ).with_model(model)
+
+
+def _assert_lane_matches_solo_and_sequential(batched, lane, cfg, seed):
+    """A lane equals a one-lane TiledEngine run and the sequential reference."""
+    solo = TiledEngine(cfg, seed=seed)
+    solo.run(record_timeline=False)
+    seq = build_engine(cfg, "sequential", seed=seed)
+    seq.run(record_timeline=False)
+    assert solo.state_equals(seq)
+    assert batched.lane_environment(lane).equals(seq.env)
+    assert batched.lane_population(lane).equals(seq.pop)
 
 
 def _assert_batches_equal(a, b):
@@ -64,10 +75,7 @@ class TestBatchedTiledEquivalence:
         batched = BatchedTiledEngine(cfg, seeds=seeds)
         batched.run(record_timeline=False)
         for lane, seed in enumerate(seeds):
-            solo = TiledEngine(cfg, seed=seed)
-            solo.run(record_timeline=False)
-            assert batched.lane_environment(lane).equals(solo.env)
-            assert batched.lane_population(lane).equals(solo.pop)
+            _assert_lane_matches_solo_and_sequential(batched, lane, cfg, seed)
 
     def test_padded_heterogeneous_lanes(self):
         """Lanes of different grid heights stay solo-exact under tiling."""
@@ -79,10 +87,7 @@ class TestBatchedTiledEquivalence:
         batched = BatchedTiledEngine(configs, seeds=seeds)
         batched.run(record_timeline=False)
         for lane, (cfg, seed) in enumerate(zip(configs, seeds)):
-            solo = TiledEngine(cfg, seed=seed)
-            solo.run(record_timeline=False)
-            assert batched.lane_environment(lane).equals(solo.env)
-            assert batched.lane_population(lane).equals(solo.pop)
+            _assert_lane_matches_solo_and_sequential(batched, lane, cfg, seed)
 
     def test_lanes_match_seed_golden_throughputs(self):
         """The golden scenario from test_backend_parity, batched-tiled."""

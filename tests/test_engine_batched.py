@@ -1,5 +1,5 @@
 """Batched-vs-solo equivalence: every lane of a :class:`BatchedEngine`
-must be bit-identical to a solo :class:`VectorizedEngine` run with the
+must be bit-identical to a solo :class:`SequentialEngine` run with the
 same config and seed — trajectories, pheromone fields, crossing
 bookkeeping and per-step throughput series alike. Holds for homogeneous
 batches (shared config, distinct seeds) and for padded heterogeneous
@@ -17,7 +17,9 @@ from repro.types import Group
 
 
 def _solo_run(cfg, seed, steps=None):
-    eng = build_engine(cfg, engine="vectorized", seed=seed)
+    # The sequential reference: the solo "vectorized" engine is itself a
+    # one-lane BatchedEngine, so comparing against it would be circular.
+    eng = build_engine(cfg, engine="sequential", seed=seed)
     result = eng.run(steps=steps, record_timeline=True)
     return eng, result
 
@@ -26,7 +28,7 @@ def _assert_lane_matches_solo(batched, lane, solo_engine):
     assert batched.lane_environment(lane).equals(solo_engine.env)
     assert batched.lane_population(lane).equals(solo_engine.pop)
     if solo_engine.pher is None:
-        assert batched.pher is None
+        assert batched.lane_pheromone(lane, Group.TOP) is None
     else:
         for group in (Group.TOP, Group.BOTTOM):
             assert np.array_equal(
@@ -73,21 +75,23 @@ class TestBatchedRNG:
             )
             assert got[i] == solo[0]
 
-    def test_flat_view_matches_grid(self):
+    def test_ragged_view_matches_grid(self):
         batched = BatchedPhiloxRNG((5, 6, 7))
         lanes = np.arange(1, 11, dtype=np.uint64)
         grid = batched.uniform(Stream.TIEBREAK, 4, lanes)
-        flat = batched.flat(10).uniform(
+        ragged = batched.ragged(np.repeat(np.arange(3), 10)).uniform(
             Stream.TIEBREAK, 4, np.tile(lanes, 3)
         )
-        assert np.array_equal(grid.ravel(), flat)
+        assert np.array_equal(grid.ravel(), ragged)
 
     def test_rejects_bad_shapes(self):
         batched = BatchedPhiloxRNG((1, 2))
         with pytest.raises(ValueError):
             batched.words(Stream.TIEBREAK, 0, np.zeros((3, 4), dtype=np.uint64))
         with pytest.raises(ValueError):
-            batched.flat(4).uniform(Stream.TIEBREAK, 0, np.zeros(5, dtype=np.uint64))
+            batched.ragged(np.zeros(4)).uniform(
+                Stream.TIEBREAK, 0, np.zeros(5, dtype=np.uint64)
+            )
         with pytest.raises(ValueError):
             BatchedPhiloxRNG(())
 
@@ -117,7 +121,7 @@ class TestBatchedRNG:
 
 
 class TestBatchedEquivalence:
-    """Lane-for-lane trajectory equality with solo vectorized runs."""
+    """Lane-for-lane trajectory equality with solo sequential runs."""
 
     @pytest.mark.parametrize("model", ["lem", "aco"])
     @pytest.mark.parametrize("seeds", [(3,), (0, 11, 42)])
@@ -174,7 +178,7 @@ class TestBatchedEquivalence:
         seeds = (6, 7)
         batched = BatchedEngine(tiny_config, seeds)
         solos = [
-            build_engine(tiny_config, engine="vectorized", seed=s) for s in seeds
+            build_engine(tiny_config, engine="sequential", seed=s) for s in seeds
         ]
         for _ in range(10):
             report = batched.step()
@@ -202,6 +206,15 @@ class TestBatchedEngineAPI:
         solo_engine, solo_result = _solo_run(tiny_config, 12)
         _assert_lane_matches_solo(batched, 0, solo_engine)
         assert results[0].throughput_total == solo_result.throughput_total
+        # The solo "vectorized" engine is this one-lane batch; its env/pop
+        # are live views of lane 0.
+        vec = build_engine(tiny_config, engine="vectorized", seed=12)
+        assert isinstance(vec, BatchedEngine) and vec.n_lanes == 1
+        assert vec.run().throughput_total == solo_result.throughput_total
+        assert np.shares_memory(vec.env.mat, vec.mats)
+        assert np.shares_memory(vec.pop.rows, vec.rows)
+        assert vec.lane_environment(0).equals(vec.env)
+        assert vec.lane_population(0).equals(vec.pop)
 
     def test_run_batched_helper(self, tiny_config):
         out = run_batched(tiny_config, (0, 1), record_timeline=False)
@@ -354,7 +367,7 @@ class TestPaddedHeterogeneousLanes:
 
 
 class TestBatchedThroughputMatchesSequential:
-    """Transitivity check: batched == vectorized == sequential trajectories."""
+    """A one-lane batch (the solo ``vectorized`` engine) equals sequential."""
 
     def test_three_way_equality(self):
         cfg = SimulationConfig(height=16, width=16, n_per_side=12, steps=15, seed=0)

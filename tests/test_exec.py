@@ -73,11 +73,6 @@ class TestStartMethod:
         assert MP_START_METHOD in multiprocessing.get_all_start_methods()
         assert MP_START_METHOD != "fork"
 
-    def test_sweep_reexports_for_backward_compatibility(self):
-        from repro.experiments.sweep import _MP_START_METHOD
-
-        assert _MP_START_METHOD == MP_START_METHOD
-
 
 class TestPoolBasics:
     def test_submit_resolves_futures(self, pool):

@@ -79,13 +79,30 @@ class TestPanicAlarm:
         panicked.run(record_timeline=False)
         assert panicked.throughput() > calm.throughput()
 
-    def test_equivalence_preserved_under_panic(self):
-        cfg = self._cfg("aco", trigger=15).replace(n_per_side=60, steps=40)
-        seq = build_engine(cfg, "sequential")
-        vec = build_engine(cfg, "vectorized")
+    @pytest.mark.parametrize(
+        ("model", "panic_params"),
+        [
+            ("aco", None),
+            ("lem", ACOParams()),
+            ("aco", LEMParams()),
+            ("lem", LEMParams(scan_range=3)),
+        ],
+        ids=["aco-panic_variant", "lem-to-aco", "aco-to-lem", "lem-scan_range-3"],
+    )
+    def test_equivalence_preserved_under_panic(self, model, panic_params):
+        """Every engine takes the same swap, across model families too."""
+        hook = PanicHook(trigger_step=15, panic_params=panic_params)
+        cfg = self._cfg(model).replace(n_per_side=60, steps=40, hooks=(hook,))
+        engines = [
+            build_engine(cfg, name) for name in ("sequential", "vectorized", "tiled")
+        ]
         for _ in range(40):
-            assert seq.step() == vec.step()
-        assert seq.state_equals(vec)
+            seq_report, *others = [eng.step() for eng in engines]
+            assert all(report == seq_report for report in others)
+        seq, *others = engines
+        for eng in others:
+            assert eng.model.params == seq.model.params != cfg.params
+            assert seq.state_equals(eng)
 
     def test_swap_to_pheromone_model_creates_field(self):
         eng = build_engine(self._cfg("lem"), "vectorized")
@@ -125,7 +142,7 @@ class TestHeterogeneousSpeeds:
         assert eng.eligible_mask(3).all()
 
     def test_slow_fraction_assignment(self):
-        eng = build_engine(self._cfg(slow=0.5), "vectorized")
+        eng = build_engine(self._cfg(slow=0.5), "sequential")
         frac = eng._slow_mask[1:].mean()
         assert frac == pytest.approx(0.5, abs=0.15)
         assert not eng._slow_mask[0]
@@ -160,7 +177,7 @@ class TestHeterogeneousSpeeds:
 
     def test_slow_agents_move_less(self):
         cfg = self._cfg(slow=0.5, period=2).replace(steps=60)
-        eng = build_engine(cfg, "vectorized")
+        eng = build_engine(cfg, "sequential")
         eng.run(record_timeline=False)
         slow_tours = eng.pop.tour[eng._slow_mask]
         fast_tours = eng.pop.tour[~eng._slow_mask & (eng.pop.ids > 0)]

@@ -322,6 +322,16 @@ class TestFailurePaths:
         assert svc.job(good.job_id).state is JobState.DONE
         assert svc.stats_dict()["failed"] == 1
 
+    def test_unknown_engine_rejected_at_submission(self, tmp_path):
+        svc = SimulationService(str(tmp_path))
+        with pytest.raises(ServiceError, match="bogus"):
+            svc.submit(_cfg(), engine="bogus")
+        with pytest.raises(ServiceError, match="bogus"):
+            svc.submit_many([(_cfg(seed=1), "vectorized"), (_cfg(), "bogus")])
+        # Nothing of either request was queued or persisted.
+        assert svc.store.queued() == []
+        assert SimulationService(str(tmp_path)).store.queued() == []
+
     def test_unknown_job_id_raises(self, tmp_path):
         svc = SimulationService(str(tmp_path))
         with pytest.raises(ServiceError):

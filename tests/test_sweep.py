@@ -224,10 +224,10 @@ class TestPlatformCompat:
     """Explicit multiprocessing context + result-type annotations."""
 
     def test_pool_start_method_is_explicit_and_not_fork(self):
-        from repro.experiments.sweep import _MP_START_METHOD
+        from repro.exec import MP_START_METHOD
 
-        assert _MP_START_METHOD in multiprocessing.get_all_start_methods()
-        assert _MP_START_METHOD != "fork"
+        assert MP_START_METHOD in multiprocessing.get_all_start_methods()
+        assert MP_START_METHOD != "fork"
 
     def test_batched_result_config_annotation_is_optional(self):
         hints = typing.get_type_hints(BatchedTimedResult)
@@ -335,7 +335,7 @@ class TestDerivedPadWaste:
     """Default max_pad_waste derives from the cost model's dispatch overhead."""
 
     def test_bound_is_clamped_and_scale_monotone(self):
-        from repro.experiments.sweep import (
+        from repro.planner import (
             MAX_PAD_WASTE_CEILING,
             MIN_PAD_WASTE,
             derived_pad_waste,
