@@ -62,11 +62,14 @@ class BatchedTiledEngine(BatchedEngine):
         self.tiles = TileDecomposition(self.h_max, self.w_max, tile_size)
         #: Lane index broadcast over a tile, for the per-cell future gathers.
         self._bidx = self.xp.arange(self.n_lanes)[:, None, None]
+        #: The scan matrix ``(B, n_max + 1, 8)`` the tiles write into, in
+        #: agent order; the stage hands it to select as fused rows.
+        self.scan = self.xp.zeros((self.n_lanes, self.n_agents + 1, 8), dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Stage 1: per-tile initial calculation (all lanes per tile)
     # ------------------------------------------------------------------
-    def _stage_scan(self, t: int) -> None:
+    def _stage_scan(self, t: int):
         xp = self.xp
         for tile in self.tiles:
             shared_mat = tile.load_shared(self.mats, fill=OUT_OF_GRID, xp=xp)
@@ -104,6 +107,11 @@ class BatchedTiledEngine(BatchedEngine):
             )
             self.scan[bb, agent, :] = self._scan_values(bb, dist, candidates, tau)
             self.front_empty[bb, agent] = candidates[:, 0]
+        slot = self._slot_all
+        return (
+            self.scan.reshape(-1, 8).take(slot, axis=0),
+            self.front_empty.reshape(-1).take(slot),
+        )
 
     # ------------------------------------------------------------------
     # Stage 3: per-tile movement (all lanes per tile)
@@ -171,9 +179,15 @@ class BatchedTiledEngine(BatchedEngine):
                 windir = xp.where(hit, d, windir)
                 cum += m
             self._commit_moves(
-                bb, bb * (self.n_agents + 1) + winners, dst_r, dst_c, windir, moved
+                bb, bb * (self.n_agents + 1) + winners, dst_r, dst_c,
+                self._padded_cell(bb, dst_r, dst_c), windir, moved,
             )
         return moved
+
+    def _stage_support(self, t: int) -> None:
+        super()._stage_support(t)
+        self.front_empty.fill(False)
+        self.scan.fill(0.0)
 
 
 class TiledEngine(OneLane, BatchedTiledEngine):

@@ -22,12 +22,19 @@ mixed-scenario batches too.
 
 Every stage addresses the batched state through flat linear indices.
 Agent ``i`` of lane ``b`` is element ``b * (n + 1) + i`` of the raveled
-property arrays; cell ``(r, c)`` of lane ``b`` is element
-``b * H * W + r * W + c`` of the raveled grids, and the pheromone stack
-adds ``gslot * B * H * W`` for the group slot. Every gather is a 1-D
-``take`` and every scatter a 1-D index write, so the one-lane engine
-costs what a solo layout would and there is one indexing scheme for
-every lane count.
+property arrays. The grids are stored with a one-cell halo ring around
+every lane, ``(B, H + 2, W + 2)`` with ``Hp = H + 2`` and ``Wp = W + 2``
+— the halo ring of the paper's shared-memory tiles (Sec. IV.a) — so cell
+``(r, c)`` of lane ``b`` is element ``(b * Hp + r + 1) * Wp + c + 1`` of
+the raveled padded grids, and the pheromone stack adds
+``gslot * B * Hp * Wp`` for the group slot. The halo reads as an obstacle
+in ``mats`` (0 in ``index``), so the scan reads all eight neighbours of
+every agent through one static linear-offset table with no bounds test.
+Every gather is a 1-D ``take`` and every scatter a 1-D index write, so the
+one-lane engine costs what a solo layout would and there is one indexing
+scheme for every lane count. ``mats``, ``index`` and ``tau.stack`` are
+interior views, so every reader outside the stages sees the unpadded
+``(B, H, W)`` grids.
 
 Batching wins because a small-grid simulation step is dominated by the
 fixed overhead of its ~50 NumPy kernel dispatches; fusing ``B``
@@ -50,7 +57,7 @@ from ..backend import resolve_backend
 from ..backend.profiling import ProfilingBackend
 from ..config import SimulationConfig
 from ..errors import EngineError
-from ..grid import build_distance_tables, offsets_array
+from ..grid import absolute_offsets_array, build_distance_tables, offsets_array
 from ..grid.environment import Environment
 from ..models import PheromoneField, build_model
 from ..models.pheromone import evaporate_field, group_slot
@@ -80,18 +87,23 @@ _FIELD_PAD = {
 }
 
 
-def _stack_padded(arrays: Sequence[np.ndarray], shape: Tuple[int, ...], fill) -> np.ndarray:
+def _stack_padded(
+    arrays: Sequence[np.ndarray], shape: Tuple[int, ...], fill, halo: int = 0
+) -> np.ndarray:
     """Per-lane host arrays stacked into one ``(B, *shape)`` array.
 
     Each lane's array fills the leading corner of its slot and ``fill``
-    pads the rest. A single lane that needs no padding is returned as a
-    view, which spares a solo run the copy.
+    pads the rest. ``halo`` adds that many ``fill`` cells before and
+    after every axis of ``shape`` (one allocation, one write per lane).
+    A single lane that needs no padding is returned as a view, which
+    spares a solo run the copy.
     """
-    if len(arrays) == 1 and arrays[0].shape == tuple(shape):
+    if halo == 0 and len(arrays) == 1 and arrays[0].shape == tuple(shape):
         return arrays[0][None]
-    out = np.full((len(arrays), *shape), fill, dtype=arrays[0].dtype)
+    padded = tuple(n + 2 * halo for n in shape)
+    out = np.full((len(arrays), *padded), fill, dtype=arrays[0].dtype)
     for b, arr in enumerate(arrays):
-        out[(b, *(slice(0, n) for n in arr.shape))] = arr
+        out[(b, *(slice(halo, halo + n) for n in arr.shape))] = arr
     return out
 
 
@@ -140,11 +152,13 @@ class BatchedEngine:
     parameters and the step budget (the batch advances in lock-step).
 
     State is a solo run's state with a leading lane axis, padded to the
-    largest lane: ``mats``/``index`` are ``(B, Hmax, Wmax)``
-    with obstacle-sentinel padding cells, the property-matrix fields are
-    ``(B, n_max + 1)`` and the scan matrix is ``(B, n_max + 1, 8)``. The
-    ``active`` mask marks each lane's live agent slots; padding slots carry
-    the sentinel ID 0 and never enter any stage.
+    largest lane: ``mats``/``index`` are ``(B, Hmax, Wmax)`` views of
+    halo-ringed ``(B, Hmax + 2, Wmax + 2)`` arrays whose halo and padding
+    cells hold the obstacle sentinel (``mats``) and 0 (``index``), and the
+    property-matrix fields are ``(B, n_max + 1)``. The ``active`` mask
+    marks each lane's live agent slots; padding slots carry the sentinel
+    ID 0 and never enter any stage. Scan values pass from scan to select
+    in fused-row order and are not kept between steps.
     """
 
     platform = "batched"
@@ -220,16 +234,25 @@ class BatchedEngine:
         # Placement is a pure function of (config, seed, group); build each
         # lane's environment with a solo keyed RNG on the host (setup cost
         # only), stack into padded host arrays, and upload the whole batch
-        # in one transfer. Padding cells read as obstacles.
+        # in one transfer. Padding and halo cells read as obstacles.
         envs = [place_config(cfg, seed) for cfg, seed in zip(configs, seeds)]
         pops = [Population.from_environment(env) for env in envs]
         grid = (self.h_max, self.w_max)
-        self.mats = self.backend.from_host(
-            _stack_padded([env.mat for env in envs], grid, _PAD_CELL)
+        #: Padded grid extents: every lane carries a one-cell halo ring.
+        self._hp = self.h_max + 2
+        self._wp = self.w_max + 2
+        #: ``(B, Hmax + 2, Wmax + 2)`` grids, which the stages read and
+        #: write by padded flat index.
+        self._mats_p = self.backend.from_host(
+            _stack_padded([env.mat for env in envs], grid, _PAD_CELL, halo=1)
         )
-        self.index = self.backend.from_host(
-            _stack_padded([env.index for env in envs], grid, 0)
+        self._index_p = self.backend.from_host(
+            _stack_padded([env.index for env in envs], grid, 0, halo=1)
         )
+        #: ``(B, Hmax, Wmax)`` interior views for every reader outside the
+        #: stages.
+        self.mats = self._mats_p[:, 1:-1, 1:-1]
+        self.index = self._index_p[:, 1:-1, 1:-1]
 
         lane_agents_host = np.array([p.n_agents for p in pops], dtype=np.int64)
         self.lane_agents = self.backend.from_host(lane_agents_host)
@@ -248,7 +271,6 @@ class BatchedEngine:
             setattr(self, name, self.backend.from_host(_stack_padded(
                 [getattr(p, name) for p in pops], (size,), _FIELD_PAD.get(name, 0)
             )))
-        self.scan = xp.zeros((self.n_lanes, size, 8), dtype=np.float64)
 
         # Group membership, flattened into fused rows: the TOP agents of
         # every lane, then the BOTTOM agents of every lane. Scan and select
@@ -266,52 +288,54 @@ class BatchedEngine:
         #: Fused rows ``[0, _n_top)`` are TOP agents, the rest BOTTOM.
         self._n_top = int(sum(m.size for m in members[: self.n_lanes]))
         gslot_host = (np.arange(rep_host.size) >= self._n_top).astype(np.int64)
-        # Each row's (group slot, lane) block of the pheromone and distance
-        # stacks, whose leading axes are (2, B).
-        block = gslot_host * self.n_lanes + rep_host
-        cells = self.h_max * self.w_max
         self._rep_all = self.backend.from_host(rep_host)
         self._agent_all = self.backend.from_host(agent_host)
         #: Flat index of each fused row into the raveled ``(B, n+1)`` arrays.
         self._slot_all = self.backend.from_host(rep_host * size + agent_host)
-        #: Flat offset of each fused row's lane into the raveled grids
-        #: (``None`` with one lane, where it is 0).
-        self._cell_base_all = (
-            self.backend.from_host(rep_host * cells) if self.n_lanes > 1 else None
+        #: Padded flat cell of each fused row's lane origin ``(0, 0)``; a
+        #: row's cell is this plus ``r * Wp + c``.
+        self._cell_base_all = self.backend.from_host(
+            (rep_host * self._hp + 1) * self._wp + 1
         )
-        #: ... of its (group slot, lane) into the raveled pheromone stack,
-        self._tau_base_all = self.backend.from_host(block * cells)
+        #: Offset of each fused row's group slot into the raveled padded
+        #: pheromone stack (its lane is already in the cell),
+        self._tau_base_all = self.backend.from_host(
+            gslot_host * (self.n_lanes * self._hp * self._wp)
+        )
         #: ... and of its (group slot, lane) rows into the distance stack.
-        self._dist_base_all = self.backend.from_host(block * self.h_max)
+        self._dist_base_all = self.backend.from_host(
+            (gslot_host * self.n_lanes + rep_host) * self.h_max
+        )
         self._ragged_rng_all: Optional[RaggedLaneRNG] = (
             self.rng.ragged(self._rep_all) if rep_host.size else None
         )
         offsets_host = np.stack([offsets_array(g) for g in (Group.TOP, Group.BOTTOM)])
         #: Neighbour offsets ``(2, 8, 2)`` by group slot.
         self._offsets_stack = self.backend.from_host(offsets_host)
-        #: Each fused row's neighbour offsets, ``(N, 8)`` (int8 keeps the
-        #: static tables small; the sums with int64 positions are int64).
-        group_rows = [self._n_top, rep_host.size - self._n_top]
-        off8 = offsets_host.astype(np.int8)
-        self._nbr_rows = self.backend.from_host(
-            np.repeat(off8[:, :, 0], group_rows, axis=0)
+        #: Each fused row's neighbour offsets as padded linear offsets
+        #: ``dr * Wp + dc``, ``(N, 8)`` (int16 keeps the static table small;
+        #: the sums with int64 positions are int64).
+        lin16 = (offsets_host[:, :, 0] * self._wp + offsets_host[:, :, 1]).astype(
+            np.int16
         )
-        self._nbr_cols = self.backend.from_host(
-            np.repeat(off8[:, :, 1], group_rows, axis=0)
+        self._nbr_lin = self.backend.from_host(
+            np.repeat(lin16, [self._n_top, rep_host.size - self._n_top], axis=0)
         )
-        #: The same row / column offsets, flat by ``gslot * 8 + slot``.
+        #: Row / column offsets, flat by ``gslot * 8 + slot``.
         self._off_rows16 = self.backend.from_host(offsets_host[:, :, 0].ravel())
         self._off_cols16 = self.backend.from_host(offsets_host[:, :, 1].ravel())
+        #: Padded linear offset of each absolute gather direction: a
+        #: winner's source cell is its destination plus this.
+        directions = absolute_offsets_array()
+        self._dir_lin = self.backend.from_host(
+            directions[:, 0] * self._wp + directions[:, 1]
+        )
 
         self._build_dist_stack(int(getattr(rep_cfg.params, "scan_range", 1)))
-        #: Both groups' pheromone fields for every lane, ``(2, B, H, W)``.
+        #: Both groups' pheromone fields for every lane, ``(2, B, H, W)``
+        #: (halo-ringed like the grids).
         self.tau: Optional[PheromoneField] = (
-            PheromoneField(
-                self.h_max, self.w_max, rep_cfg.params, self.backend,
-                n_lanes=self.n_lanes,
-            )
-            if self.model.uses_pheromone
-            else None
+            self._new_pheromone(rep_cfg.params) if self.model.uses_pheromone else None
         )
 
         #: Gather-direction and tour-increment tables, resident on the device.
@@ -363,6 +387,16 @@ class BatchedEngine:
              for idx, hook in enumerate(cfg.hooks)),
             key=lambda entry: entry[:3],
         )
+
+    def _new_pheromone(self, params) -> PheromoneField:
+        return PheromoneField(
+            self.h_max, self.w_max, params, self.backend,
+            n_lanes=self.n_lanes, halo=1,
+        )
+
+    def _padded_cell(self, lane, rows, cols):
+        """Flat index of cells ``(rows, cols)`` of ``lane`` in the padded grids."""
+        return (lane * self._hp + rows) * self._wp + cols + (self._wp + 1)
 
     def _build_dist_stack(self, scan_range: int) -> None:
         """Per-lane distance tables stacked to ``(2, B, Hmax, 8)``.
@@ -464,10 +498,7 @@ class BatchedEngine:
             if not model.uses_pheromone:
                 self.tau = None
             elif self.tau is None:
-                self.tau = PheromoneField(
-                    self.h_max, self.w_max, params, self.backend,
-                    n_lanes=self.n_lanes,
-                )
+                self.tau = self._new_pheromone(params)
         elif scan_range != self._scan_range:
             raise EngineError(
                 "batched lanes cannot disagree on scan_range "
@@ -499,36 +530,33 @@ class BatchedEngine:
     # ------------------------------------------------------------------
     # Stage 1: initial calculation (per-agent scan, all lanes)
     # ------------------------------------------------------------------
-    def _stage_scan(self, t: int) -> None:
-        # One fused launch over every lane's TOP+BOTTOM rows.
-        xp = self.xp
+    def _stage_scan(self, t: int) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Scan values ``(N, 8)`` and forward-empty flags of the fused rows.
+
+        One fused launch over every lane's TOP+BOTTOM rows; ``(None,
+        None)`` when the batch has no agents.
+        """
         slot = self._slot_all
         if slot.size == 0:
-            return
+            return None, None
         rows = self.rows.reshape(-1).take(slot)
-        cols = self.cols.reshape(-1).take(slot)
-        nr = rows[:, None] + self._nbr_rows  # (N, 8) neighbour coordinates
-        nc = cols[:, None] + self._nbr_cols
-        # Padding cells read as obstacles, so only the padded extent
-        # needs a bounds test. The clips and the flat cell index then
-        # overwrite nr in place (no allocation).
-        inb = (nr >= 0) & (nr < self.h_max) & (nc >= 0) & (nc < self.w_max)
-        xp.clip(nr, 0, self.h_max - 1, out=nr)
-        xp.clip(nc, 0, self.w_max - 1, out=nc)
-        nr *= self.w_max
-        nr += nc  # the in-lane cell index r * W + c
-        cell = nr if self._cell_base_all is None else nr + self._cell_base_all[:, None]
-        candidates = inb & (self.mats.reshape(-1).take(cell) == 0)
+        # Each row's padded cell, then its eight neighbours' cells. Halo
+        # and padding cells read as obstacles, so no neighbour needs a
+        # bounds test.
+        cell = rows * self._wp
+        cell += self.cols.reshape(-1).take(slot)
+        cell += self._cell_base_all
+        nbr = cell[:, None] + self._nbr_lin  # (N, 8)
+        candidates = self._mats_p.reshape(-1).take(nbr) == 0
         dist = self._dist_stack.reshape(-1, 8).take(
             self._dist_base_all + rows, axis=0
         )
         tau = None
         if self.tau is not None:
-            nr += self._tau_base_all[:, None]
-            tau = self.tau.stack.reshape(-1).take(nr)
+            nbr += self._tau_base_all[:, None]
+            tau = self.tau.padded.reshape(-1).take(nbr)
         values = self._scan_values(self._rep_all, dist, candidates, tau)
-        self.scan.reshape(-1, 8)[slot] = values
-        self.front_empty.reshape(-1)[slot] = candidates[:, 0]
+        return values, candidates[:, 0]
 
     def _scan_values(self, rep, dist, candidates, tau) -> np.ndarray:
         """Eq. 1/2 scan values for rows of lanes ``rep``, per parameter group."""
@@ -553,18 +581,17 @@ class BatchedEngine:
     # ------------------------------------------------------------------
     # Stage 2: tour construction (per-agent decision, all lanes)
     # ------------------------------------------------------------------
-    def _stage_select(self, t: int) -> np.ndarray:
-        # Fused tour construction over the whole batch: one model.select
-        # (the fused ragged RNG keys row i with replication rep[i], so
-        # each lane's rows see exactly the solo draws), one future-cell
-        # write, one per-lane bincount.
+    def _stage_select(self, t: int, scan_rows, front_empty) -> np.ndarray:
+        # Fused tour construction over the whole batch from the scan's
+        # fused rows: one model.select (the fused ragged RNG keys row i
+        # with replication rep[i], so each lane's rows see exactly the
+        # solo draws), one future-cell write, one per-lane bincount.
         xp = self.xp
         rep = self._rep_all
         slot = self._slot_all
         if slot.size == 0:
             return xp.zeros(self.n_lanes, dtype=np.int64)
         agent = self._agent_all
-        scan_rows = self.scan.reshape(-1, 8).take(slot, axis=0)  # (N, 8)
         if self._homogeneous:
             slots = self.model.select(scan_rows, self._ragged_rng_all, t, agent)
         else:
@@ -583,9 +610,9 @@ class BatchedEngine:
         if self._any_forward_priority:
             # Paper modification: the forward cell, when empty, wins
             # outright (slot 0). ``slots`` is fresh, so this writes in place.
-            forward = self.front_empty.reshape(-1).take(slot)
+            forward = front_empty
             if self._forward_rows is not None:
-                forward &= self._forward_rows
+                forward = forward & self._forward_rows
             slots[forward] = 0
         if self._any_slow:
             valid = (slots >= 0) & self._eligible(t).reshape(-1).take(slot)
@@ -620,8 +647,8 @@ class BatchedEngine:
         fut_r = future_rows.take(slot)
         fut_c = self.future_cols.reshape(-1).take(slot)
         lane = slot // (self.n_agents + 1)
-        cell = (lane * self.h_max + fut_r) * self.w_max + fut_c
-        keep = self.mats.reshape(-1).take(cell) == 0
+        cell = self._padded_cell(lane, fut_r, fut_c)
+        keep = self._mats_p.reshape(-1).take(cell) == 0
         slot = slot[keep]
         if slot.size == 0:
             return moved
@@ -644,7 +671,8 @@ class BatchedEngine:
         u = self.rng.uniform_at(Stream.MOVE_WINNER, t, head_lane, cell_lanes)
         pick = order[start + winner_rank(u, count, xp=xp)]
         self._commit_moves(
-            lane[pick], slot[pick], fut_r[pick], fut_c[pick], direction[pick], moved
+            lane[pick], slot[pick], fut_r[pick], fut_c[pick], cell[pick],
+            direction[pick], moved,
         )
         return moved
 
@@ -657,29 +685,29 @@ class BatchedEngine:
             return
         # Element-wise, so evaporating a fancy-indexed copy of a group's
         # lane block and writing it back equals evaporating in place.
-        stack = self.tau.stack
+        stack = self.tau.padded
         for params, _model, lanes in self._param_groups:
             sub = stack[:, lanes]
             evaporate_field(sub, params, xp=self.xp)
             stack[:, lanes] = sub
 
-    def _commit_moves(self, lane, slot, dst_r, dst_c, direction, moved) -> None:
+    def _commit_moves(self, lane, slot, dst_r, dst_c, dst, direction, moved) -> None:
         """Execute winning moves: grid, property matrix, tour, pheromone.
 
-        ``slot`` are the winners' flat agent indices and ``direction``
-        their absolute gather directions. Destinations were empty and
-        sources occupied at the start of the stage, and each lane's
-        winners hold disjoint cells, so plain index writes are safe.
-        ``moved`` accumulates the per-lane move counts.
+        ``slot`` are the winners' flat agent indices, ``(dst_r, dst_c)``
+        their destinations, ``dst`` the same cells as padded flat indices
+        (:meth:`_padded_cell`) and ``direction`` their absolute gather
+        directions. Destinations were empty and sources occupied at the
+        start of the stage, and each lane's winners hold disjoint cells,
+        so plain index writes are safe. ``moved`` accumulates the
+        per-lane move counts.
         """
-        w = self.w_max
-        base = lane * (self.h_max * w)
         rows = self.rows.reshape(-1)
         cols = self.cols.reshape(-1)
-        src = base + rows.take(slot) * w + cols.take(slot)
-        dst = base + dst_r * w + dst_c
-        mats = self.mats.reshape(-1)
-        index = self.index.reshape(-1)
+        # The source sits at the destination plus the gather direction.
+        src = dst + self._dir_lin.take(direction)
+        mats = self._mats_p.reshape(-1)
+        index = self._index_p.reshape(-1)
         ids = self.ids.reshape(-1).take(slot)
         mats[dst] = ids
         index[dst] = slot - lane * (self.n_agents + 1)
@@ -693,7 +721,9 @@ class BatchedEngine:
         if self.tau is not None:
             # Eq. 5 for both groups in one scatter: BOTTOM winners deposit
             # into the stack's second group slot.
-            cells = dst + (ids == int(Group.BOTTOM)) * (self.n_lanes * self.h_max * w)
+            cells = dst + (ids == int(Group.BOTTOM)) * (
+                self.n_lanes * self._hp * self._wp
+            )
             if self._homogeneous:
                 self.tau.deposit_stacked(cells, self.tau.params.deposit_q / new_tour)
             else:
@@ -702,7 +732,7 @@ class BatchedEngine:
                 # clamp on its lane block — values only exceed tau_max
                 # through deposits, so clamping after the scatter matches
                 # the clamp-per-deposit of a solo run.
-                stack = self.tau.stack
+                stack = self.tau.padded
                 self.backend.scatter_add(
                     stack.reshape(-1), cells, self._deposit_q.take(lane) / new_tour
                 )
@@ -731,8 +761,6 @@ class BatchedEngine:
     def _stage_support(self, t: int) -> None:
         self.future_rows.fill(NO_FUTURE)
         self.future_cols.fill(NO_FUTURE)
-        self.front_empty.fill(False)
-        self.scan.fill(0.0)
 
     # ------------------------------------------------------------------
     # Template step / run
@@ -742,8 +770,7 @@ class BatchedEngine:
         t = self.t
         if self._pending_hooks:
             self._apply_due_hooks(t)
-        self._stage_scan(t)
-        decided = self._stage_select(t)
+        decided = self._stage_select(t, *self._stage_scan(t))
         moved = self._stage_move(t)
         new_crossings = self._record_crossings(t)
         self._stage_support(t)
@@ -891,11 +918,16 @@ class BatchedEngine:
                 raise AssertionError("padding agent slot accumulated tour length")
             if bool(xp.any(self.crossed[b, pad])):
                 raise AssertionError("padding agent slot crossed")
+            # Every padded cell outside the lane — its halo ring and the
+            # padding up to the largest lane — reads as an obstacle with
+            # no agent index.
             cfg = self.configs[b]
-            if bool(xp.any(self.mats[b, cfg.height :, :] != _PAD_CELL)) or bool(
-                xp.any(self.mats[b, :, cfg.width :] != _PAD_CELL)
+            outside = xp.ones((self._hp, self._wp), dtype=bool)
+            outside[1 : cfg.height + 1, 1 : cfg.width + 1] = False
+            if bool(xp.any(self._mats_p[b][outside] != _PAD_CELL)) or bool(
+                xp.any(self._index_p[b][outside] != 0)
             ):
-                raise AssertionError("grid padding lost its sentinel label")
+                raise AssertionError("grid halo or padding lost its sentinel label")
 
 
 def run_batched(

@@ -13,6 +13,12 @@ and deposit for a mixed-group agent batch through flat indices into the
 stack in one op each. A batched engine keeps every lane's pair in one
 ``(2, B, H, W)`` stack. ``field(group)`` hands out live views into the
 stack, so per-group access is unchanged and free.
+
+With ``halo=1`` the field is stored with a one-cell ring around every
+grid, ``(2, [B,] H + 2, W + 2)`` in :attr:`PheromoneField.padded`, so a
+whole-array scan reads all eight neighbours of any interior cell by flat
+index with no bounds test. ``stack`` is then the interior view; every
+reader outside the whole-array stages sees the unpadded field.
 """
 
 from __future__ import annotations
@@ -72,7 +78,10 @@ class PheromoneField:
     """Two per-group pheromone matrices in one ``(2, H, W)`` stack.
 
     ``n_lanes`` adds a lane axis: the stack becomes ``(2, n_lanes, H, W)``,
-    one field pair per replication lane of a batched engine.
+    one field pair per replication lane of a batched engine. ``halo``
+    rings every grid with that many cells in :attr:`padded`; ``stack`` is
+    always the unpadded interior. Halo cells are never deposited on and
+    never read as candidates, so their values only ever evaporate.
     """
 
     def __init__(
@@ -82,22 +91,36 @@ class PheromoneField:
         params: ACOParams,
         backend=None,
         n_lanes: Optional[int] = None,
+        halo: int = 0,
     ) -> None:
         self.height = int(height)
         self.width = int(width)
         self.params = params
         self.backend = resolve_backend(backend)
+        self.halo = int(halo)
         xp = self.backend.xp
         lanes = () if n_lanes is None else (int(n_lanes),)
-        #: ``(2, [B,] H, W)`` device stack; slot order per :func:`group_slot`.
-        self.stack: np.ndarray = xp.full(
-            (2, *lanes, height, width), params.tau0, dtype=np.float64
+        #: ``(2, [B,] H + 2 * halo, W + 2 * halo)`` device array; slot
+        #: order per :func:`group_slot`.
+        self.padded: np.ndarray = xp.full(
+            (2, *lanes, height + 2 * self.halo, width + 2 * self.halo),
+            params.tau0,
+            dtype=np.float64,
+        )
+        self._bind_interior()
+
+    def _bind_interior(self) -> None:
+        h = self.halo
+        #: ``(2, [B,] H, W)`` interior view of :attr:`padded`.
+        self.stack: np.ndarray = (
+            self.padded[..., h:-h, h:-h] if h else self.padded
         )
 
     def lane(self, lane: int) -> "PheromoneField":
         """One lane of a batched field as a ``(2, H, W)`` field (live view)."""
         view = copy.copy(self)
-        view.stack = self.stack[:, lane]
+        view.padded = self.padded[:, lane]
+        view._bind_interior()
         return view
 
     # ------------------------------------------------------------------
@@ -116,7 +139,7 @@ class PheromoneField:
     # ------------------------------------------------------------------
     def evaporate(self) -> None:
         """Apply ``tau <- (1 - rho) * tau`` to both fields in one launch."""
-        evaporate_field(self.stack, self.params, xp=self.backend.xp)
+        evaporate_field(self.padded, self.params, xp=self.backend.xp)
 
     def deposit(self, group: Group, rows, cols, amounts) -> None:
         """Add ``amounts`` on cells ``(rows, cols)`` of ``group``'s field.
@@ -137,12 +160,13 @@ class PheromoneField:
     def deposit_stacked(self, cells, amounts) -> None:
         """Mixed-group deposit: one scatter into the full stack.
 
-        ``cells`` are flat indices into the C-ordered stack, so the group
-        slot (and the lane, on a batched stack) is part of each index;
-        the whole-array move stage deposits for both groups in one call.
+        ``cells`` are flat indices into the C-ordered :attr:`padded`
+        array, so the group slot (and the lane, on a batched stack) is
+        part of each index; the whole-array move stage deposits for both
+        groups in one call.
         """
         deposit_at(
-            self.stack.reshape(-1), cells, amounts, self.params,
+            self.padded.reshape(-1), cells, amounts, self.params,
             backend=self.backend,
         )
 
@@ -157,7 +181,8 @@ class PheromoneField:
     def copy(self) -> "PheromoneField":
         """Deep copy of both fields."""
         other = copy.copy(self)
-        other.stack = self.stack.copy()
+        other.padded = self.padded.copy()
+        other._bind_interior()
         return other
 
     def equals(self, other: "PheromoneField") -> bool:
@@ -167,7 +192,10 @@ class PheromoneField:
 
     def totals(self) -> Dict[Group, float]:
         """Total pheromone mass per group (diagnostics/tests)."""
+        # Summed as a contiguous copy, so a padded field's interior view
+        # reduces in the same order (and to the same bits) as a plain one.
+        xp = self.backend.xp
         return {
-            g: float(self.stack[group_slot(g)].sum())
+            g: float(xp.ascontiguousarray(self.field(g)).sum())
             for g in (Group.TOP, Group.BOTTOM)
         }

@@ -7,12 +7,14 @@ both tallies: namespace dispatches (``ops``) and *allocating*
 dispatches (``allocs`` — calls that return a fresh array: no ``out=``
 and not in ``NON_ALLOC_OPS``).
 
-``BUDGETS`` are the dispatch counts measured when the kernels were
-fused, with ~20% headroom for benign drift; exceeding one means a
-whole-batch launch was split back into per-group or per-lane passes.
-``ALLOC_BUDGETS`` carry modest headroom over the allocation counts
-measured when the ``out=``-capable ops landed; exceeding one means a
-hot step-loop temporary went back to fresh heap allocation.
+``BUDGETS`` are measured dispatch counts with ~20% headroom for benign
+drift; exceeding one means a whole-batch launch was split back into
+per-group or per-lane passes. ``ALLOC_BUDGETS`` carry the same headroom
+over measured allocation counts; exceeding one means a hot step-loop
+temporary went back to fresh heap allocation. The whole-array engines'
+budgets were last tightened to the halo-padded scan (37 ops and 18
+allocs per step at any lane count); the sequential and tiled budgets
+date from the fused kernels and the ``out=``-capable ops.
 
 ``PRE_FUSION`` (per-group TOP/BOTTOM passes, unfused RNG) and
 ``PRE_ARENA`` (before the ``out=``-capable ops) are the same
@@ -43,13 +45,13 @@ PRE_FUSION = {
     "padded4": 171.6,
 }
 
-#: Post-fusion budgets: measured steady-state ops/step plus ~20% headroom.
+#: Measured steady-state ops/step plus ~20% headroom.
 BUDGETS = {
     "sequential": 22,
-    "vectorized": 82,
+    "vectorized": 45,
     "tiled": 220,
-    "batched4": 85,
-    "padded4": 85,
+    "batched4": 45,
+    "padded4": 45,
 }
 
 #: Steady-state allocs/step before the ``out=`` ops (pre-arena), same scenario.
@@ -61,14 +63,13 @@ PRE_ARENA = {
     "padded4": 60.0,
 }
 
-#: Post-arena budgets: measured allocs/step plus headroom for drift.
-#: batched4's 30 is the headline ceiling (half of pre-arena), not just headroom.
+#: Measured allocs/step plus headroom for drift.
 ALLOC_BUDGETS = {
     "sequential": 8,
-    "vectorized": 32,
+    "vectorized": 22,
     "tiled": 155,
-    "batched4": 30,
-    "padded4": 30,
+    "batched4": 22,
+    "padded4": 22,
 }
 
 #: The one backend-name string every measurement here resolves: the

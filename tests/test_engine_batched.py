@@ -300,6 +300,24 @@ class TestPaddedHeterogeneousLanes:
                 )
         batched.validate_state()
 
+    @pytest.mark.parametrize(
+        "grid, cell, value",
+        [
+            ("_mats_p", (1, 0, 5), 0),  # lane 1's top halo row
+            ("_mats_p", (0, 9, 17), 0),  # lane 0's right halo column
+            ("_index_p", (2, 25, 3), 7),  # lane 2's bottom halo row
+            ("_index_p", (1, 4, 0), 1),  # lane 1's left halo column
+        ],
+    )
+    def test_validate_state_guards_the_halo(self, grid, cell, value):
+        """Halo cells must hold the obstacle sentinel and no agent index."""
+        batched = BatchedEngine(_mixed_configs("lem"), (0, 1, 2))
+        batched.step()
+        batched.validate_state()
+        getattr(batched, grid)[cell] = value
+        with pytest.raises(AssertionError, match="halo"):
+            batched.validate_state()
+
     def test_lane_composition_does_not_matter(self):
         """A lane's trajectory is independent of its padded neighbours."""
         big = SimulationConfig(height=24, width=24, n_per_side=40, steps=20)

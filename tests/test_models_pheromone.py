@@ -69,3 +69,71 @@ class TestCopyEquality:
     def test_totals(self, field):
         totals = field.totals()
         assert totals[Group.TOP] == pytest.approx(0.5 * 100)
+
+
+class TestHalo:
+    """A halo-ringed field is an unpadded field plus a ring nobody reads."""
+
+    PARAMS = ACOParams(rho=0.3, tau0=0.5, tau_min=0.01, tau_max=0.9)
+
+    def _pair(self, n_lanes=None):
+        # Big enough that a strided sum of the interior view would round
+        # differently from a contiguous one.
+        plain = PheromoneField(40, 70, self.PARAMS, n_lanes=n_lanes)
+        haloed = PheromoneField(40, 70, self.PARAMS, n_lanes=n_lanes, halo=1)
+        return plain, haloed
+
+    @staticmethod
+    def _deposit(field, gslot, lane, rows, cols, amounts):
+        """deposit_stacked at the same cells, as flat indices of ``padded``."""
+        h = field.halo
+        lanes = () if field.padded.ndim == 3 else (lane,)
+        cells = np.ravel_multi_index(
+            (gslot, *lanes, rows + h, cols + h), field.padded.shape
+        )
+        field.deposit_stacked(cells, amounts)
+
+    def _assert_same(self, plain, haloed):
+        assert haloed.stack.shape == plain.stack.shape
+        assert np.array_equal(haloed.stack, plain.stack)
+        for g in (Group.TOP, Group.BOTTOM):
+            assert np.array_equal(haloed.field(g), plain.field(g))
+        assert haloed.totals() == plain.totals()
+
+    @pytest.mark.parametrize("n_lanes", [None, 3])
+    def test_interior_bit_identical_under_updates(self, n_lanes):
+        plain, haloed = self._pair(n_lanes)
+        assert haloed.padded.shape[-2:] == (42, 72)
+        rng = np.random.default_rng(5)
+        lane = np.zeros(12, dtype=np.int64) if n_lanes is None else rng.integers(0, 3, 12)
+        for _ in range(6):
+            plain.evaporate()
+            haloed.evaporate()
+            args = (
+                rng.integers(0, 2, 12), lane, rng.integers(0, 40, 12),
+                rng.integers(0, 70, 12), rng.random(12) / 3,
+            )
+            self._deposit(plain, *args)
+            self._deposit(haloed, *args)
+            self._assert_same(plain, haloed)
+        if n_lanes is not None:
+            for b in range(n_lanes):
+                self._assert_same(plain.lane(b), haloed.lane(b))
+
+    def test_lane_copy_and_equals(self):
+        plain, haloed = self._pair(3)
+        view = haloed.lane(1)
+        assert np.shares_memory(view.padded, haloed.padded)
+        view.deposit_scalar(Group.BOTTOM, 2, 3, 0.25)
+        assert haloed.field(Group.BOTTOM)[1, 2, 3] == 0.75
+        plain.lane(1).deposit_scalar(Group.BOTTOM, 2, 3, 0.25)
+        self._assert_same(plain, haloed)
+        dup = haloed.copy()
+        assert dup.equals(haloed) and dup.equals(plain)
+        assert not np.shares_memory(dup.padded, haloed.padded)
+        self._deposit(dup, 0, 2, 4, 6, 0.1)
+        assert not dup.equals(haloed)
+        # The halo ring never enters a comparison or a total.
+        haloed.padded[:, :, 0, :] = 123.0
+        assert haloed.equals(plain)
+        assert haloed.totals() == plain.totals()

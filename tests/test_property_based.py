@@ -1,13 +1,13 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationConfig, build_engine
 from repro.engine import BatchedEngine, shift, winner_rank
-from repro.grid import DistanceTable
-from repro.models import fast_pow
+from repro.grid import DistanceTable, ObstacleSpec
+from repro.models import ACOParams, LEMParams, fast_pow
 from repro.models.mathops import fast_pow_scalar
 from repro.rng import PhiloxKeyedRNG, Stream, categorical, philox4x32
 from repro.types import Group
@@ -209,3 +209,89 @@ class TestSimulationProperties:
             now = eng.throughput()
             assert now >= last
             last = now
+
+
+@st.composite
+def _border_lane(draw):
+    """One small lane's geometry: a 4-24 edge grid (often non-square,
+    16 often enough to bring the tiled engine in), a population up to
+    what its placement band holds, and an optional obstacle layout. Small
+    grids put most agents next to a border, where the halo replaces the
+    bounds test.
+    """
+    h = draw(st.one_of(st.just(16), st.integers(4, 24)))
+    w = draw(st.one_of(st.just(16), st.integers(4, 24)))
+    n = draw(st.integers(1, max(1, (h // 2) * w * 4 // 5)))
+    layout = draw(st.sampled_from([None, "bottleneck", "pillars", "rects"]))
+    if layout == "bottleneck":
+        obstacles = ObstacleSpec("bottleneck", gap=draw(st.integers(1, w)))
+    elif layout == "pillars":
+        obstacles = ObstacleSpec("pillars", spacing=3, size=draw(st.integers(1, 2)))
+    elif layout == "rects":
+        # Walls flush with the left and right edges of the middle rows.
+        mid = h // 2
+        obstacles = ObstacleSpec(
+            "rects", rects=((mid - 1, 0, mid + 1, 1), (mid, w - 1, mid + 1, w))
+        )
+    else:
+        obstacles = None
+    return dict(height=h, width=w, n_per_side=n, obstacles=obstacles)
+
+
+class TestBorderDifferential:
+    @given(
+        lanes=st.lists(_border_lane(), min_size=2, max_size=2),
+        scan_range=st.sampled_from([1, 2, 3]),
+        model=st.sampled_from(["lem", "aco"]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(slow, max_examples=30)
+    def test_padded_lanes_match_sequential_at_borders(
+        self, lanes, scan_range, model, seed
+    ):
+        """Halo and lane-padding cells stand in for the bounds test.
+
+        A solo whole-array engine and a 2-lane batch whose lanes differ
+        in shape (so the smaller lane reads the larger one's padding as
+        well as its own halo) must track per-lane sequential runs step
+        for step, with every state invariant checked each step.
+        """
+        assume((lanes[0]["height"], lanes[0]["width"]) != (
+            lanes[1]["height"], lanes[1]["width"]
+        ))
+        params = {"lem": LEMParams, "aco": ACOParams}[model](scan_range=scan_range)
+        steps = 10
+        try:
+            cfgs = [
+                SimulationConfig(steps=steps, seed=seed, params=params, **lane)
+                for lane in lanes
+            ]
+            seqs = [build_engine(cfg, "sequential") for cfg in cfgs]
+        except ValueError:  # the layout leaves the band too few free cells
+            assume(False)
+        solos = [build_engine(cfgs[0], "vectorized")]
+        if cfgs[0].height % 16 == 0 and cfgs[0].width % 16 == 0:
+            solos.append(build_engine(cfgs[0], "tiled"))
+        bat = BatchedEngine(cfgs, seeds=(seed, seed))
+        for _ in range(steps):
+            reports = [eng.step() for eng in (*seqs, *solos)]
+            rb = bat.step()
+            assert all(r == reports[0] for r in reports[2:])
+            for solo in solos:
+                assert seqs[0].state_equals(solo)
+                solo.validate_state()
+            bat.validate_state()
+            for lane, seq in enumerate(seqs):
+                assert (
+                    int(rb.decided[lane]), int(rb.moved[lane]),
+                    int(rb.new_crossings[lane]),
+                ) == (reports[lane].decided, reports[lane].moved,
+                      reports[lane].new_crossings)
+                assert bat.lane_environment(lane).equals(seq.env)
+                assert bat.lane_population(lane).equals(seq.pop)
+                for group in (Group.TOP, Group.BOTTOM):
+                    tau = bat.lane_pheromone(lane, group)
+                    if seq.pher is None:
+                        assert tau is None
+                    else:
+                        assert np.array_equal(tau, seq.pher.field(group))
