@@ -63,7 +63,7 @@ class BatchedTiledEngine(BatchedEngine):
         #: Lane index broadcast over a tile, for the per-cell future gathers.
         self._bidx = self.xp.arange(self.n_lanes)[:, None, None]
         #: The scan matrix ``(B, n_max + 1, 8)`` the tiles write into, in
-        #: agent order; the stage hands it to select as fused rows.
+        #: agent order; the stage hands select the deciding fused rows.
         self.scan = self.xp.zeros((self.n_lanes, self.n_agents + 1, 8), dtype=np.float64)
 
     # ------------------------------------------------------------------
@@ -107,11 +107,10 @@ class BatchedTiledEngine(BatchedEngine):
             )
             self.scan[bb, agent, :] = self._scan_values(bb, dist, candidates, tau)
             self.front_empty[bb, agent] = candidates[:, 0]
+        # Select sees only the rows that decide, as in the whole-array scan.
         slot = self._slot_all
-        return (
-            self.scan.reshape(-1, 8).take(slot, axis=0),
-            self.front_empty.reshape(-1).take(slot),
-        )
+        rows = self._deciding_rows(self.front_empty.reshape(-1).take(slot))
+        return self.scan.reshape(-1, 8).take(slot.take(rows), axis=0), rows
 
     # ------------------------------------------------------------------
     # Stage 3: per-tile movement (all lanes per tile)

@@ -36,12 +36,21 @@ scheme for every lane count. ``mats``, ``index`` and ``tau.stack`` are
 interior views, so every reader outside the stages sees the unpadded
 ``(B, H, W)`` grids.
 
+Under forward priority (the paper's modification, on by default) an
+agent whose forward cell is empty moves forward without evaluating eq. 1
+/ eq. 2, so the scan and select stages run the neighbour gather, the
+model and its random draws only on the fused rows whose forward cell is
+blocked (or whose lane has forward priority off); every other row takes
+slot 0 with no model or RNG work. Philox draws are keyed by (seed,
+stream, step, agent), so skipping rows changes no other row's variates.
+
 Batching wins because a small-grid simulation step is dominated by the
-fixed overhead of its ~50 NumPy kernel dispatches; fusing ``B``
-replications into one dispatch sequence amortises that overhead ``B``
-ways (see ``benchmarks/test_bench_batched_sweep.py`` for same-shape lanes
-and ``benchmarks/test_bench_padded_sweep.py`` for padded mixed-scenario
-lanes).
+fixed overhead of its few dozen NumPy kernel dispatches (budgeted per
+step, in free flow and jammed, by ``tests/test_dispatch_budget.py``);
+fusing ``B`` replications into one dispatch sequence amortises that
+overhead ``B`` ways (see ``benchmarks/test_bench_batched_sweep.py`` for
+same-shape lanes and ``benchmarks/test_bench_padded_sweep.py`` for
+padded mixed-scenario lanes).
 """
 
 from __future__ import annotations
@@ -157,8 +166,9 @@ class BatchedEngine:
     cells hold the obstacle sentinel (``mats``) and 0 (``index``), and the
     property-matrix fields are ``(B, n_max + 1)``. The ``active`` mask
     marks each lane's live agent slots; padding slots carry the sentinel
-    ID 0 and never enter any stage. Scan values pass from scan to select
-    in fused-row order and are not kept between steps.
+    ID 0 and never enter any stage. Scan values of the rows that decide
+    pass from scan to select with those rows' fused indices and are not
+    kept between steps.
     """
 
     platform = "batched"
@@ -342,10 +352,8 @@ class BatchedEngine:
         self._direction_table = self.backend.from_host(DIRECTION_TABLE)
         self._step_costs = self.backend.from_host(np.asarray(ABS_STEP_COSTS))
 
-        # Paper-modification flag, per lane (host bool short-circuits the
-        # per-step branch without a device sync).
+        # Paper modification, per lane: see _deciding_rows.
         fwd_host = np.array([c.forward_priority for c in configs], dtype=bool)
-        self._any_forward_priority = bool(fwd_host.any())
         #: Per fused row, whether its lane applies forward priority
         #: (``None`` when every lane does).
         self._forward_rows = (
@@ -530,33 +538,52 @@ class BatchedEngine:
     # ------------------------------------------------------------------
     # Stage 1: initial calculation (per-agent scan, all lanes)
     # ------------------------------------------------------------------
-    def _stage_scan(self, t: int) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Scan values ``(N, 8)`` and forward-empty flags of the fused rows.
+    def _deciding_rows(self, front_empty) -> np.ndarray:
+        """Fused rows that evaluate eq. 1 / eq. 2 this step.
 
-        One fused launch over every lane's TOP+BOTTOM rows; ``(None,
-        None)`` when the batch has no agents.
+        Under forward priority (the paper's modification) a row whose
+        forward cell is empty takes slot 0 outright, so it neither scans
+        its neighbours nor draws. Every other row decides: its forward
+        cell is blocked, or its lane has forward priority off.
+        """
+        forward = front_empty
+        if self._forward_rows is not None:
+            forward = forward & self._forward_rows
+        return self.xp.nonzero(~forward)[0]
+
+    def _stage_scan(self, t: int) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Scan values ``(n, 8)`` of the deciding fused rows, and those rows.
+
+        One fused launch over every lane's TOP+BOTTOM rows finds each
+        row's padded cell and forward-empty flag; only the rows
+        :meth:`_deciding_rows` picks go on to the eight-neighbour gather
+        and eq. 1 / eq. 2. ``(None, None)`` when the batch has no agents,
+        ``(None, rows)`` when no row decides.
         """
         slot = self._slot_all
         if slot.size == 0:
             return None, None
         rows = self.rows.reshape(-1).take(slot)
-        # Each row's padded cell, then its eight neighbours' cells. Halo
-        # and padding cells read as obstacles, so no neighbour needs a
-        # bounds test.
+        # Each row's padded cell. Halo and padding cells read as
+        # obstacles, so no neighbour needs a bounds test.
         cell = rows * self._wp
         cell += self.cols.reshape(-1).take(slot)
         cell += self._cell_base_all
-        nbr = cell[:, None] + self._nbr_lin  # (N, 8)
-        candidates = self._mats_p.reshape(-1).take(nbr) == 0
+        mats = self._mats_p.reshape(-1)
+        deciding = self._deciding_rows(mats.take(cell + self._nbr_lin[:, 0]) == 0)
+        if deciding.size == 0:
+            return None, deciding
+        nbr = cell.take(deciding)[:, None] + self._nbr_lin.take(deciding, axis=0)
+        candidates = mats.take(nbr) == 0
         dist = self._dist_stack.reshape(-1, 8).take(
-            self._dist_base_all + rows, axis=0
+            self._dist_base_all.take(deciding) + rows.take(deciding), axis=0
         )
         tau = None
         if self.tau is not None:
-            nbr += self._tau_base_all[:, None]
+            nbr += self._tau_base_all.take(deciding)[:, None]
             tau = self.tau.padded.reshape(-1).take(nbr)
-        values = self._scan_values(self._rep_all, dist, candidates, tau)
-        return values, candidates[:, 0]
+        rep = self._rep_all.take(deciding)
+        return self._scan_values(rep, dist, candidates, tau), deciding
 
     def _scan_values(self, rep, dist, candidates, tau) -> np.ndarray:
         """Eq. 1/2 scan values for rows of lanes ``rep``, per parameter group."""
@@ -581,39 +608,37 @@ class BatchedEngine:
     # ------------------------------------------------------------------
     # Stage 2: tour construction (per-agent decision, all lanes)
     # ------------------------------------------------------------------
-    def _stage_select(self, t: int, scan_rows, front_empty) -> np.ndarray:
-        # Fused tour construction over the whole batch from the scan's
-        # fused rows: one model.select (the fused ragged RNG keys row i
-        # with replication rep[i], so each lane's rows see exactly the
-        # solo draws), one future-cell write, one per-lane bincount.
+    def _stage_select(self, t: int, values, rows) -> np.ndarray:
+        # Fused tour construction over the whole batch. Every row starts
+        # at slot 0 (forward); one model.select over the scan's deciding
+        # rows overwrites theirs (the ragged RNG subset keys row i with
+        # replication rep[i], so each lane's rows see exactly the solo
+        # draws). Then one future-cell write and one per-lane bincount.
         xp = self.xp
         rep = self._rep_all
         slot = self._slot_all
         if slot.size == 0:
             return xp.zeros(self.n_lanes, dtype=np.int64)
-        agent = self._agent_all
-        if self._homogeneous:
-            slots = self.model.select(scan_rows, self._ragged_rng_all, t, agent)
-        else:
+        slots = xp.zeros(slot.size, dtype=np.int64)
+        if rows.size and self._homogeneous:
+            slots[rows] = self.model.select(
+                values, self._ragged_rng_all.subset(rows), t,
+                self._agent_all.take(rows),
+            )
+        elif rows.size:
             # Per-group select over row subsets: the subset ragged RNG
             # still keys row i by rep[i], so every agent draws the
             # same variates as in the shared call (and the solo run).
-            slots = xp.full(rep.size, -1, dtype=np.int64)
-            pg = self._lane_pg[rep]
+            pg = self._lane_pg[rep.take(rows)]
             for gid, (_params, model, _lanes) in enumerate(self._param_groups):
                 sel = pg == gid
                 if not bool(xp.any(sel)):
                     continue
-                slots[sel] = model.select(
-                    scan_rows[sel], self.rng.ragged(rep[sel]), t, agent[sel]
+                sub = rows[sel]
+                slots[sub] = model.select(
+                    values[sel], self._ragged_rng_all.subset(sub), t,
+                    self._agent_all.take(sub),
                 )
-        if self._any_forward_priority:
-            # Paper modification: the forward cell, when empty, wins
-            # outright (slot 0). ``slots`` is fresh, so this writes in place.
-            forward = front_empty
-            if self._forward_rows is not None:
-                forward = forward & self._forward_rows
-            slots[forward] = 0
         if self._any_slow:
             valid = (slots >= 0) & self._eligible(t).reshape(-1).take(slot)
         else:

@@ -8,10 +8,16 @@ A movement model answers two questions, mirroring the paper's kernel split:
 * :meth:`MovementModel.select` — the *tour construction phase*: given the
   scan row and keyed randomness, which neighbour slot the agent targets.
 
-Both methods are vectorized over agents of a single group. The sequential
-engine calls them with single-lane arrays; because the keyed RNG and every
-numeric operation are order-independent, the results are bit-identical to
-the vectorized engine's batched calls (see ``tests/test_engine_equivalence``).
+Both methods are vectorized over rows and treat every row on its own: a
+row carries its own distances, candidates and RNG lane, so one call may mix
+TOP and BOTTOM agents and agents of different replication lanes (the
+whole-array engine's fused rows). The engines call them only on the rows
+that decide: under forward priority (the paper's modification) an agent
+whose forward cell is empty moves forward without evaluating eq. 1 / eq. 2,
+so it never reaches either method. The sequential engine uses the scalar
+API below instead; because the keyed RNG and every numeric operation are
+order-independent, its results are bit-identical to the whole-array
+engine's row calls (see ``tests/test_engine_equivalence``).
 
 Slot indices here are 0-based (0 = forward); ``-1`` means "no move".
 """

@@ -21,7 +21,8 @@ Two addressing modes cover the engine's needs:
 view over flattened rows whose replication is pinned by an explicit index
 vector, so the movement models' vector ``select`` kernels run unmodified
 on the batched engine's fused rows, whose member sets may differ in size
-per replication (padded batching).
+per replication (padded batching). :meth:`RaggedLaneRNG.subset` narrows
+such a view to the rows that actually draw in a step.
 """
 
 from __future__ import annotations
@@ -219,6 +220,19 @@ class RaggedLaneRNG:
             )
         self._batched = batched
         self._rep = rep
+
+    def subset(self, rows) -> "RaggedLaneRNG":
+        """The view over elements ``rows`` of this one.
+
+        Each element keeps its replication, so a subset draw equals the
+        same elements of the full draw. The indices were range-checked
+        when this view was built, so the subset skips the check and its
+        two host reductions.
+        """
+        view = object.__new__(RaggedLaneRNG)
+        view._batched = self._batched
+        view._rep = self._rep.take(rows)
+        return view
 
     def _check(self, lanes: np.ndarray) -> np.ndarray:
         if lanes.shape != self._rep.shape:

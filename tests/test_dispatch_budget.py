@@ -1,27 +1,40 @@
 """Per-step dispatch and allocation budgets: fused kernels stay fused,
 step-loop temporaries stay off the heap.
 
-Each engine runs a few steady-state steps (32x32 grid, 24 agents/side,
-LEM) under the counting backend, and one ``backend.snapshot()`` gives
-both tallies: namespace dispatches (``ops``) and *allocating*
-dispatches (``allocs`` — calls that return a fresh array: no ``out=``
-and not in ``NON_ALLOC_OPS``).
+Each engine runs a few steady-state steps on a 32x32 grid under the
+counting backend, and one ``backend.snapshot()`` gives both tallies:
+namespace dispatches (``ops``) and *allocating* dispatches (``allocs``
+— calls that return a fresh array: no ``out=`` and not in
+``NON_ALLOC_OPS``). Two scenarios cover the two shapes a step takes:
 
-``BUDGETS`` are measured dispatch counts with ~20% headroom for benign
-drift; exceeding one means a whole-batch launch was split back into
-per-group or per-lane passes. ``ALLOC_BUDGETS`` carry the same headroom
-over measured allocation counts; exceeding one means a hot step-loop
-temporary went back to fresh heap allocation. The whole-array engines'
-budgets were last tightened to the halo-padded scan (37 ops and 18
-allocs per step at any lane count); the sequential and tiled budgets
+* **free flow** (24 agents/side, LEM): after the warm-up every agent's
+  forward cell is empty, so under forward priority no agent scans its
+  neighbours or reaches ``model.select`` — the step is scan bookkeeping,
+  the move stage and support;
+* **jammed** (200 agents/side, LEM and ACO, measured once the groups
+  have met): every step has agents whose forward cell is blocked, so
+  every step runs the neighbour gather, eq. 1 / eq. 2 and the select
+  draws.
+
+``BUDGETS`` / ``ALLOC_BUDGETS`` (free flow) and ``JAMMED_BUDGETS`` /
+``JAMMED_ALLOC_BUDGETS`` carry ~20% headroom over measured counts for
+benign drift; exceeding one means a whole-batch launch was split back
+into per-group or per-lane passes, or a hot step-loop temporary went
+back to fresh heap allocation. The whole-array free-flow budgets were
+last tightened to forward-first select (19 ops and 10 allocs per step
+at any lane count); jammed, they measure 39 ops / 20 allocs (LEM) and
+32 / 12 (ACO) at any lane count, against the 45 / 22 budgets the
+halo-padded scan set when every step still ran select. The sequential and tiled budgets
 date from the fused kernels and the ``out=``-capable ops.
 
 ``PRE_FUSION`` (per-group TOP/BOTTOM passes, unfused RNG) and
-``PRE_ARENA`` (before the ``out=``-capable ops) are the same
-measurements taken on older trees, kept as fixed reference points
-so the headline criteria — batched dispatches cut by at least 40%,
-batched allocations by at least half — are asserted against history,
-not against a number that drifts with the code under test.
+``PRE_ARENA`` (before the ``out=``-capable ops) are free-flow-scenario
+measurements taken on older trees, when every step ran select, kept as
+fixed reference points so the headline criteria — batched dispatches
+cut by at least 40%, batched allocations by at least half — are
+asserted against history, not against a number that drifts with the
+code under test. The jammed scenario is the one that holds select to
+them.
 
 Only ``xp.*`` namespace calls count (array methods and operator
 indexing do not — see ``repro.backend.profiling``), so budgets are a
@@ -36,7 +49,7 @@ from repro import SimulationConfig
 from repro.backend import resolve_backend
 from repro.engine import BatchedEngine, build_engine
 
-#: Steady-state ops/step on the PR-7 tree (pre-fusion), same scenario.
+#: Steady-state ops/step on the PR-7 tree (pre-fusion), free-flow scenario.
 PRE_FUSION = {
     "sequential": 47.2,
     "vectorized": 155.0,
@@ -45,16 +58,16 @@ PRE_FUSION = {
     "padded4": 171.6,
 }
 
-#: Measured steady-state ops/step plus ~20% headroom.
+#: Measured free-flow ops/step plus ~20% headroom.
 BUDGETS = {
     "sequential": 22,
-    "vectorized": 45,
+    "vectorized": 23,
     "tiled": 220,
-    "batched4": 45,
-    "padded4": 45,
+    "batched4": 23,
+    "padded4": 23,
 }
 
-#: Steady-state allocs/step before the ``out=`` ops (pre-arena), same scenario.
+#: Steady-state allocs/step before the ``out=`` ops (pre-arena), free flow.
 PRE_ARENA = {
     "sequential": 12.0,
     "vectorized": 58.0,
@@ -63,14 +76,24 @@ PRE_ARENA = {
     "padded4": 60.0,
 }
 
-#: Measured allocs/step plus headroom for drift.
+#: Measured free-flow allocs/step plus headroom for drift.
 ALLOC_BUDGETS = {
     "sequential": 8,
-    "vectorized": 22,
+    "vectorized": 12,
     "tiled": 155,
-    "batched4": 22,
-    "padded4": 22,
+    "batched4": 12,
+    "padded4": 12,
 }
+
+#: Jammed-scenario ops/step and allocs/step budgets of the whole-array
+#: engines, per model (every step runs select).
+JAMMED_BUDGETS = {"vectorized": 45, "batched4": 45}
+JAMMED_ALLOC_BUDGETS = {"vectorized": 22, "batched4": 22}
+JAMMED_MODELS = ("lem", "aco")
+
+#: Agents per side of each scenario.
+FREE_FLOW = 24
+JAMMED = 200
 
 #: The one backend-name string every measurement here resolves: the
 #: counting instance is cached per exact name, so the engine and the
@@ -78,49 +101,72 @@ ALLOC_BUDGETS = {
 PROFILE_NAME = "profile:numpy"
 
 WARMUP_STEPS = 3
+#: The two groups meet by step ~10 and stay jammed; before that they
+#: spread out of their bands and briefly flow freely.
+JAMMED_WARMUP_STEPS = 12
 MEASURED_STEPS = 5
 
 
-def _config(seed: int = 0, height: int = 32) -> SimulationConfig:
+def _config(
+    seed: int = 0, height: int = 32, n_per_side: int = FREE_FLOW, model: str = "lem"
+) -> SimulationConfig:
     return SimulationConfig(
-        height=height, width=32, n_per_side=24, steps=40, seed=seed,
+        height=height, width=32, n_per_side=n_per_side, steps=40, seed=seed,
         backend=PROFILE_NAME,
-    ).with_model("lem")
+    ).with_model(model)
 
 
-def _build(kind: str):
+def _build(kind: str, n_per_side: int, model: str):
     """An engine by name; ``batched<B>`` is B homogeneous lanes."""
     if kind == "padded4":
-        configs = [_config(s, height=32 if s % 2 == 0 else 48) for s in range(4)]
+        configs = [
+            _config(s, 32 if s % 2 == 0 else 48, n_per_side, model) for s in range(4)
+        ]
         return BatchedEngine(configs, seeds=tuple(range(4)))
+    cfg = _config(n_per_side=n_per_side, model=model)
     if kind.startswith("batched"):
-        n_lanes = int(kind[len("batched"):])
-        return BatchedEngine(_config(), seeds=tuple(range(n_lanes)))
-    return build_engine(_config(), engine=kind)
+        return BatchedEngine(cfg, seeds=tuple(range(int(kind[len("batched"):]))))
+    return build_engine(cfg, engine=kind)
 
 
 @lru_cache(maxsize=None)
-def _steady_per_step(kind: str) -> tuple:
-    """(ops, allocs) per step over MEASURED_STEPS after WARMUP_STEPS.
+def _steady_per_step(
+    kind: str, n_per_side: int = FREE_FLOW, model: str = "lem"
+) -> tuple:
+    """(ops, allocs, select calls) per step over MEASURED_STEPS after
+    the scenario's warm-up.
 
-    Counts are deterministic, so each engine is measured once per
-    session and shared by every assertion below.
+    Counts are deterministic, so each engine and scenario is measured
+    once per session and shared by every assertion below.
     """
     resolve_backend(PROFILE_NAME).reset()
-    engine = _build(kind)
+    engine = _build(kind, n_per_side, model)
     backend = engine.backend
-    for _ in range(WARMUP_STEPS):
+    warmup = WARMUP_STEPS if n_per_side == FREE_FLOW else JAMMED_WARMUP_STEPS
+    for _ in range(warmup):
         engine.step()
+    calls = []
+    select = engine.model.select
+
+    def counted(*args):
+        calls.append(1)
+        return select(*args)
+
     backend.reset()
+    engine.model.select = counted
     for _ in range(MEASURED_STEPS):
         engine.step()
     counts = backend.snapshot()
-    return counts.ops / MEASURED_STEPS, counts.allocs / MEASURED_STEPS
+    return (
+        counts.ops / MEASURED_STEPS,
+        counts.allocs / MEASURED_STEPS,
+        len(calls) / MEASURED_STEPS,
+    )
 
 
 @pytest.mark.parametrize("kind", sorted(BUDGETS))
 def test_engine_stays_within_dispatch_budget(kind):
-    ops, _ = _steady_per_step(kind)
+    ops, _, _ = _steady_per_step(kind)
     assert ops <= BUDGETS[kind], (
         f"{kind}: {ops:.1f} ops/step exceeds the {BUDGETS[kind]} budget — "
         f"a fused whole-batch launch has likely been split"
@@ -129,7 +175,7 @@ def test_engine_stays_within_dispatch_budget(kind):
 
 @pytest.mark.parametrize("kind", sorted(ALLOC_BUDGETS))
 def test_engine_stays_within_alloc_budget(kind):
-    _, allocs = _steady_per_step(kind)
+    _, allocs, _ = _steady_per_step(kind)
     assert allocs <= ALLOC_BUDGETS[kind], (
         f"{kind}: {allocs:.1f} allocs/step exceeds the "
         f"{ALLOC_BUDGETS[kind]} budget — a step-loop temporary has gone "
@@ -137,50 +183,80 @@ def test_engine_stays_within_alloc_budget(kind):
     )
 
 
-def test_batched_dispatch_cut_meets_headline_criterion():
-    """PR-8 acceptance: batched per-step dispatches down >= 40% vs PR 7."""
-    ops, _ = _steady_per_step("batched4")
-    assert ops <= 0.6 * PRE_FUSION["batched4"], (
-        f"batched engine at {ops:.1f} ops/step is less than a 40% cut from "
-        f"the pre-fusion {PRE_FUSION['batched4']} ops/step"
+@pytest.mark.parametrize("model", JAMMED_MODELS)
+@pytest.mark.parametrize("kind", sorted(JAMMED_BUDGETS))
+def test_jammed_engine_stays_within_budgets(kind, model):
+    ops, allocs, _ = _steady_per_step(kind, JAMMED, model)
+    assert ops <= JAMMED_BUDGETS[kind], (
+        f"{kind}/{model} jammed: {ops:.1f} ops/step exceeds the "
+        f"{JAMMED_BUDGETS[kind]} budget — the select path has been split"
     )
+    assert allocs <= JAMMED_ALLOC_BUDGETS[kind], (
+        f"{kind}/{model} jammed: {allocs:.1f} allocs/step exceeds the "
+        f"{JAMMED_ALLOC_BUDGETS[kind]} budget"
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(JAMMED_BUDGETS))
+def test_scenarios_take_the_paths_they_guard(kind):
+    """Free flow never reaches select; the jammed case selects every step
+    in one fused call, so its budgets hold the select path."""
+    assert _steady_per_step(kind)[2] == 0
+    for model in JAMMED_MODELS:
+        assert _steady_per_step(kind, JAMMED, model)[2] == 1
+
+
+def test_batched_dispatch_cut_meets_headline_criterion():
+    """PR-8 acceptance: batched per-step dispatches down >= 40% vs PR 7,
+    in free flow and with every step running select."""
+    for n_per_side in (FREE_FLOW, JAMMED):
+        ops, _, _ = _steady_per_step("batched4", n_per_side)
+        assert ops <= 0.6 * PRE_FUSION["batched4"], (
+            f"batched engine at {ops:.1f} ops/step ({n_per_side} per side) "
+            f"is less than a 40% cut from the pre-fusion "
+            f"{PRE_FUSION['batched4']} ops/step"
+        )
 
 
 def test_batched_alloc_cut_meets_headline_criterion():
     """Headline criterion: batched allocs/step down >= 50% vs pre-arena."""
-    _, allocs = _steady_per_step("batched4")
-    assert allocs <= 0.5 * PRE_ARENA["batched4"], (
-        f"batched engine at {allocs:.1f} allocs/step is less than a 50% "
-        f"cut from the pre-arena {PRE_ARENA['batched4']} allocs/step"
-    )
+    for n_per_side in (FREE_FLOW, JAMMED):
+        _, allocs, _ = _steady_per_step("batched4", n_per_side)
+        assert allocs <= 0.5 * PRE_ARENA["batched4"], (
+            f"batched engine at {allocs:.1f} allocs/step ({n_per_side} per "
+            f"side) is less than a 50% cut from the pre-arena "
+            f"{PRE_ARENA['batched4']} allocs/step"
+        )
 
 
 def test_batched_dispatch_independent_of_batch_width():
     """Fused whole-batch launches: ops/step must not scale with lanes.
 
     This is the structural claim behind batching — B lanes share one
-    dispatch sequence. A small fixed allowance covers per-lane host-side
-    bookkeeping at the recording boundary.
+    dispatch sequence, in free flow and when every step selects. A small
+    fixed allowance covers per-lane host-side bookkeeping at the
+    recording boundary.
     """
-    ops2, _ = _steady_per_step("batched2")
-    ops8, _ = _steady_per_step("batched8")
-    assert ops8 <= ops2 + 5, (
-        f"ops/step grew from {ops2:.1f} (B=2) to {ops8:.1f} (B=8): "
-        f"per-lane dispatch is leaking back in"
-    )
+    for n_per_side in (FREE_FLOW, JAMMED):
+        ops2, _, _ = _steady_per_step("batched2", n_per_side)
+        ops8, _, _ = _steady_per_step("batched8", n_per_side)
+        assert ops8 <= ops2 + 5, (
+            f"ops/step grew from {ops2:.1f} (B=2) to {ops8:.1f} (B=8) with "
+            f"{n_per_side} per side: per-lane dispatch is leaking back in"
+        )
 
 
 def test_fused_engines_cheaper_than_pre_fusion_everywhere():
     """No engine regressed past its own pre-fusion dispatch count."""
     for kind, pre in PRE_FUSION.items():
-        ops, _ = _steady_per_step(kind)
+        ops, _, _ = _steady_per_step(kind)
         assert ops < pre, f"{kind}: {ops:.1f} ops/step >= pre-fusion {pre}"
 
 
 def test_every_engine_allocates_less_than_pre_arena():
     """No engine regressed past its own pre-arena allocation count."""
     for kind, pre in PRE_ARENA.items():
-        _, allocs = _steady_per_step(kind)
+        _, allocs, _ = _steady_per_step(kind)
         assert allocs < pre, (
             f"{kind}: {allocs:.1f} allocs/step >= pre-arena {pre}"
         )

@@ -12,6 +12,7 @@ from repro import SimulationConfig
 from repro.agents.population import NO_FUTURE
 from repro.engine import BatchedEngine, build_engine, run_batched
 from repro.errors import EngineError
+from repro.grid import offsets_array
 from repro.rng import BatchedPhiloxRNG, PhiloxKeyedRNG, RaggedLaneRNG, Stream
 from repro.types import Group
 
@@ -109,6 +110,23 @@ class TestBatchedRNG:
             lane = np.uint64(lanes[i])
             assert got_u[i] == solo.uniform(Stream.ACO_SELECT, 4, lane)[0]
             assert got_n[i] == solo.normal12(Stream.LEM_SELECT, 4, lane)[0]
+
+    def test_ragged_subset_matches_full_view(self):
+        """A subset view draws exactly the full view's elements at ``rows``."""
+        batched = BatchedPhiloxRNG((5, 6, 7))
+        rep = np.array([0, 0, 1, 2, 2, 2])
+        lanes = np.array([1, 2, 1, 1, 2, 3], dtype=np.uint64)
+        full = batched.ragged(rep)
+        rows = np.array([1, 3, 5])
+        sub = full.subset(rows)
+        assert isinstance(sub, RaggedLaneRNG)
+        assert np.array_equal(
+            sub.normal12(Stream.LEM_SELECT, 2, lanes[rows]),
+            full.normal12(Stream.LEM_SELECT, 2, lanes)[rows],
+        )
+        assert sub.subset(np.array([], dtype=np.intp)).uniform(
+            Stream.ACO_SELECT, 2, np.zeros(0, dtype=np.uint64)
+        ).shape == (0,)
 
     def test_ragged_view_rejects_misaligned_lanes(self):
         batched = BatchedPhiloxRNG((1, 2))
@@ -382,6 +400,110 @@ class TestPaddedHeterogeneousLanes:
         homo = run_batched(tiny_config, (0, 1), record_timeline=False)
         assert homo.config == tiny_config
         assert homo.configs == (tiny_config, tiny_config)
+
+
+def _blocked_agents(engine, lane):
+    """Agents of ``lane`` whose forward cell is an obstacle, an agent or
+    off the grid, read from the lane's host state."""
+    env = engine.lane_environment(lane)
+    pop = engine.lane_population(lane)
+    h, w = env.shape
+    blocked = []
+    for a in range(1, pop.n_agents + 1):
+        dr, dc = offsets_array(Group(int(pop.ids[a])))[0]
+        r, c = int(pop.rows[a]) + dr, int(pop.cols[a]) + dc
+        if not (0 <= r < h and 0 <= c < w and env.mat[r, c] == 0):
+            blocked.append(a)
+    return blocked
+
+
+def _spy_select(engine):
+    """Record each ``model.select`` call as a list of (lane, agent) rows."""
+    calls = []
+    select = engine.model.select
+
+    def spy(scan, rng, step, lanes):
+        calls.append(sorted(zip(rng._rep.tolist(), lanes.tolist())))
+        return select(scan, rng, step, lanes)
+
+    engine.model.select = spy
+    return calls
+
+
+class TestForwardFirstSelect:
+    """Only rows that decide reach eq. 1 / eq. 2 and the RNG: a row whose
+    lane has forward priority and whose forward cell is empty takes slot 0
+    with no model call."""
+
+    def _step_and_check(self, engine, seqs, calls, deciding):
+        """One step of ``engine`` against per-lane sequential runs; returns
+        the rows select saw, checked against ``deciding(lane)``."""
+        expected = sorted(
+            (lane, a) for lane in range(engine.n_lanes) for a in deciding(lane)
+        )
+        calls.clear()
+        report = engine.step()
+        seen = [row for call in calls for row in call]
+        assert sorted(seen) == expected
+        assert len(calls) == (1 if expected else 0)
+        engine.validate_state()
+        for lane, seq in enumerate(seqs):
+            seq_report = seq.step()
+            assert int(report.decided[lane]) == seq_report.decided
+            assert int(report.moved[lane]) == seq_report.moved
+            _assert_lane_matches_solo(engine, lane, seq)
+        return expected
+
+    def test_free_flow_step_never_calls_select(self):
+        cfg = SimulationConfig(height=32, width=32, n_per_side=24, steps=12, seed=0)
+        engine = BatchedEngine(cfg, (0,))
+        seq = build_engine(cfg, engine="sequential", seed=0)
+        calls = _spy_select(engine)
+        free_steps = 0
+        for _ in range(cfg.steps):
+            rows = self._step_and_check(
+                engine, [seq], calls, lambda lane: _blocked_agents(engine, lane)
+            )
+            free_steps += not rows
+        assert free_steps >= 5  # the scenario really is in free flow
+
+    @pytest.mark.parametrize("model", ["lem", "aco"])
+    def test_jammed_step_selects_exactly_the_blocked_rows(self, model):
+        cfg = SimulationConfig(
+            height=32, width=32, n_per_side=200, steps=8, seed=1
+        ).with_model(model)
+        engine = BatchedEngine(cfg, (1, 2))
+        seqs = [build_engine(cfg, engine="sequential", seed=s) for s in (1, 2)]
+        calls = _spy_select(engine)
+        for _ in range(cfg.steps):
+            rows = self._step_and_check(
+                engine, seqs, calls, lambda lane: _blocked_agents(engine, lane)
+            )
+            assert rows  # every jammed step selects
+
+    @pytest.mark.parametrize("model", ["lem", "aco"])
+    def test_lane_without_forward_priority_selects_every_row(self, model):
+        base = SimulationConfig(height=16, width=16, n_per_side=30, steps=10)
+        configs = [
+            base.with_model(model),
+            base.replace(height=24, width=20, n_per_side=20, forward_priority=False)
+            .with_model(model),
+        ]
+        seeds = (4, 4)
+        engine = BatchedEngine(configs, seeds)
+        seqs = [
+            build_engine(cfg, engine="sequential", seed=s)
+            for cfg, s in zip(configs, seeds)
+        ]
+        calls = _spy_select(engine)
+
+        def deciding(lane):
+            if lane == 1:
+                return range(1, int(engine.lane_agents[1]) + 1)
+            return _blocked_agents(engine, lane)
+
+        for _ in range(base.steps):
+            self._step_and_check(engine, seqs, calls, deciding)
 
 
 class TestBatchedThroughputMatchesSequential:

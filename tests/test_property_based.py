@@ -215,9 +215,10 @@ class TestSimulationProperties:
 def _border_lane(draw):
     """One small lane's geometry: a 4-24 edge grid (often non-square,
     16 often enough to bring the tiled engine in), a population up to
-    what its placement band holds, and an optional obstacle layout. Small
-    grids put most agents next to a border, where the halo replaces the
-    bounds test.
+    what its placement band holds, an optional obstacle layout, and the
+    lane's forward-priority and velocity-class knobs. Small grids put most
+    agents next to a border, where the halo replaces the bounds test; the
+    knobs decide which rows reach select and which may move.
     """
     h = draw(st.one_of(st.just(16), st.integers(4, 24)))
     w = draw(st.one_of(st.just(16), st.integers(4, 24)))
@@ -235,7 +236,13 @@ def _border_lane(draw):
         )
     else:
         obstacles = None
-    return dict(height=h, width=w, n_per_side=n, obstacles=obstacles)
+    return dict(
+        height=h, width=w, n_per_side=n, obstacles=obstacles,
+        forward_priority=draw(st.booleans()),
+        # Half the lanes keep a single velocity class.
+        slow_fraction=draw(st.sampled_from([0.0, 0.0, 0.3, 1.0])),
+        slow_period=draw(st.integers(2, 4)),
+    )
 
 
 class TestBorderDifferential:
@@ -253,8 +260,9 @@ class TestBorderDifferential:
 
         A solo whole-array engine and a 2-lane batch whose lanes differ
         in shape (so the smaller lane reads the larger one's padding as
-        well as its own halo) must track per-lane sequential runs step
-        for step, with every state invariant checked each step.
+        well as its own halo) and may differ in forward priority and
+        velocity classes must track per-lane sequential runs step for
+        step, with every state invariant checked each step.
         """
         assume((lanes[0]["height"], lanes[0]["width"]) != (
             lanes[1]["height"], lanes[1]["width"]
