@@ -41,7 +41,6 @@ from .components.scenarios import (
 )
 from .config import SimulationConfig, paper_config
 from .engine import (
-    BaseEngine,
     BatchedEngine,
     BatchedTimedResult,
     RunResult,
@@ -108,7 +107,6 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     # engines
-    "BaseEngine",
     "SequentialEngine",
     "VectorizedEngine",
     "BatchedEngine",

@@ -7,6 +7,11 @@ layout as a structure-of-arrays (one NumPy vector per field) because that
 is the cache/coalescing-friendly layout the data-driven kernels want, and
 retain the sentinel row: every array has length ``n_agents + 1`` and agent
 ``i`` lives at index ``i`` (1-based, matching the index matrix).
+
+FRONT CELL is not stored. The paper keeps it in global memory only because
+its scan and tour-construction kernels are separate launches; here the
+scan stage computes each agent's forward-cell flag and hands it straight
+to tour construction with the scan values, so nothing outlives the step.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ class Population:
         "cols",
         "future_rows",
         "future_cols",
-        "front_empty",
         "tour",
         "crossed",
         "crossed_step",
@@ -61,8 +65,6 @@ class Population:
         #: Decided next cell (FUTURE ROW / FUTURE COLUMN), NO_FUTURE if none.
         self.future_rows = xp.full(size, NO_FUTURE, dtype=np.int64)
         self.future_cols = xp.full(size, NO_FUTURE, dtype=np.int64)
-        #: FRONT CELL field: True when the forward cell was empty at scan.
-        self.front_empty = xp.zeros(size, dtype=bool)
         #: Tour length accumulated so far (tour matrix; eq. 5 denominator).
         self.tour = xp.zeros(size, dtype=np.float64)
         #: Crossing bookkeeping for the throughput metric.
@@ -134,7 +136,6 @@ class Population:
         """Support-kernel work: clear decided moves before the next scan."""
         self.future_rows.fill(NO_FUTURE)
         self.future_cols.fill(NO_FUTURE)
-        self.front_empty.fill(False)
 
     def record_crossings(self, height: int, cross_band: int, step: int) -> int:
         """Mark agents that have entered the opposite band; return new count.

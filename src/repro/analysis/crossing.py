@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine.base import BaseEngine
+from ..engine.base import SoloEngine
 from ..errors import StatsError
 from ..types import Group
 
@@ -64,7 +64,7 @@ class CrossingTimes:
         return inside / (stop - start)
 
 
-def crossing_times(engine: BaseEngine, group: Optional[Group] = None) -> CrossingTimes:
+def crossing_times(engine: SoloEngine, group: Optional[Group] = None) -> CrossingTimes:
     """Extract the crossing-time distribution from a finished engine."""
     pop = engine.pop
     mask = pop.crossed.copy()

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..engine.base import BaseEngine, StepReport
+from ..engine.base import SoloEngine, StepReport
 from ..types import Group
 
 __all__ = ["SpaceTimeRecorder", "render_spacetime"]
@@ -33,7 +33,7 @@ class SpaceTimeRecorder:
         if self.every < 1:
             raise ValueError(f"every must be >= 1, got {self.every}")
 
-    def __call__(self, engine: BaseEngine, report: StepReport) -> None:
+    def __call__(self, engine: SoloEngine, report: StepReport) -> None:
         """Sample after qualifying steps."""
         if report.step % self.every:
             return

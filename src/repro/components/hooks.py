@@ -88,7 +88,7 @@ class StepHook:
     """Base class for scheduled engine mutations (frozen → hashable).
 
     Subclasses implement the firing step and the mutation, twice: once
-    against the sequential :class:`~repro.engine.base.BaseEngine` and
+    against the :class:`~repro.engine.sequential.SequentialEngine` and
     once against one lane of a :class:`~repro.engine.batched.BatchedEngine`
     (the solo ``vectorized`` and ``tiled`` engines are one-lane batches).
     Both must express the *same* mutation so every engine stays

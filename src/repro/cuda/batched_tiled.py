@@ -62,15 +62,17 @@ class BatchedTiledEngine(BatchedEngine):
         self.tiles = TileDecomposition(self.h_max, self.w_max, tile_size)
         #: Lane index broadcast over a tile, for the per-cell future gathers.
         self._bidx = self.xp.arange(self.n_lanes)[:, None, None]
-        #: The scan matrix ``(B, n_max + 1, 8)`` the tiles write into, in
-        #: agent order; the stage hands select the deciding fused rows.
-        self.scan = self.xp.zeros((self.n_lanes, self.n_agents + 1, 8), dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Stage 1: per-tile initial calculation (all lanes per tile)
     # ------------------------------------------------------------------
     def _stage_scan(self, t: int):
         xp = self.xp
+        # The tiles write scan rows and forward flags in agent order; the
+        # stage hands select the deciding fused rows and keeps neither.
+        size = self.n_agents + 1
+        scan = xp.zeros((self.n_lanes, size, 8), dtype=np.float64)
+        front = xp.zeros((self.n_lanes, size), dtype=bool)
         for tile in self.tiles:
             shared_mat = tile.load_shared(self.mats, fill=OUT_OF_GRID, xp=xp)
             shared_idx = tile.load_shared(self.index, fill=0, xp=xp)
@@ -105,12 +107,12 @@ class BatchedTiledEngine(BatchedEngine):
                 if shared_tau is not None
                 else None
             )
-            self.scan[bb, agent, :] = self._scan_values(bb, dist, candidates, tau)
-            self.front_empty[bb, agent] = candidates[:, 0]
+            scan[bb, agent, :] = self._scan_values(bb, dist, candidates, tau)
+            front[bb, agent] = candidates[:, 0]
         # Select sees only the rows that decide, as in the whole-array scan.
         slot = self._slot_all
-        rows = self._deciding_rows(self.front_empty.reshape(-1).take(slot))
-        return self.scan.reshape(-1, 8).take(slot.take(rows), axis=0), rows
+        rows = self._deciding_rows(front.reshape(-1).take(slot))
+        return scan.reshape(-1, 8).take(slot.take(rows), axis=0), rows
 
     # ------------------------------------------------------------------
     # Stage 3: per-tile movement (all lanes per tile)
@@ -182,11 +184,6 @@ class BatchedTiledEngine(BatchedEngine):
                 self._padded_cell(bb, dst_r, dst_c), windir, moved,
             )
         return moved
-
-    def _stage_support(self, t: int) -> None:
-        super()._stage_support(t)
-        self.front_empty.fill(False)
-        self.scan.fill(0.0)
 
 
 class TiledEngine(OneLane, BatchedTiledEngine):

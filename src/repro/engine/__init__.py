@@ -1,6 +1,6 @@
 """Simulation engines: sequential (CPU), whole-array batched (GPU) and the driver."""
 
-from .base import ABS_STEP_COSTS, BaseEngine, RunResult, SoloEngine, StepReport
+from .base import ABS_STEP_COSTS, RunResult, SoloEngine, StepReport
 from .batched import (
     BatchedEngine,
     BatchedStepReport,
@@ -18,7 +18,6 @@ from .simulation import (
 from .vectorized import VectorizedEngine
 
 __all__ = [
-    "BaseEngine",
     "SoloEngine",
     "SequentialEngine",
     "VectorizedEngine",

@@ -20,57 +20,179 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..agents import Population
 from ..agents.population import NO_FUTURE
 from ..backend import resolve_backend
 from ..config import SimulationConfig
 from ..errors import EngineError
-from ..rng import Stream
+from ..grid import build_distance_tables, offsets_array
+from ..models import PheromoneField, build_model
+from ..rng import PhiloxKeyedRNG, Stream
 from ..types import Group
-from .base import ABS_STEP_COSTS, BaseEngine
+from .base import ABS_STEP_COSTS, SoloEngine, StepReport, place_config, require_float64
 from .conflict import DIRECTION_INDEX
 
 __all__ = ["SequentialEngine"]
 
 
-class SequentialEngine(BaseEngine):
+class SequentialEngine(SoloEngine):
     """Scalar per-agent / per-cell reference implementation."""
 
     platform = "sequential"
 
     def __init__(self, config: SimulationConfig, seed: Optional[int] = None) -> None:
+        self.config = config
+        self.seed = int(config.seed if seed is None else seed)
+        self.backend = resolve_backend(config.backend)
         # The scalar loops read every cell and agent one element at a time;
         # on a device backend each read would be a host round-trip, so this
         # reference engine is host-only by design.
-        if resolve_backend(config.backend).capabilities.is_gpu:
+        if self.backend.capabilities.is_gpu:
             raise EngineError(
                 "the sequential reference engine is host-only; use "
                 "backend='numpy' or a whole-array engine for device backends"
             )
-        super().__init__(config, seed)
-        # Python-native lookup tables: identical float values (tolist is
-        # exact), much cheaper to index from interpreted loops.
-        self._dist_list = {
-            g: self.dist[g].table.tolist() for g in (Group.TOP, Group.BOTTOM)
-        }
+        require_float64(self.backend)
+        self.xp = self.backend.xp
+        self.rng = PhiloxKeyedRNG(self.seed, backend=self.backend)
+        self.model = build_model(config.params, backend=self.backend)
+
+        # Data preparation stage (paper IV.a): environment + index matrix,
+        # property matrix, distance tables (constant memory) and pheromone
+        # field. Obstacles (extension) are carved out before agents are
+        # placed; placement draws only from the seed (see place_config).
+        self.env = place_config(config, self.seed).to_backend(self.backend)
+        self.pop = Population.from_environment(self.env)
+        self.pher: Optional[PheromoneField] = (
+            PheromoneField(config.height, config.width, config.params, self.backend)
+            if self.model.uses_pheromone
+            else None
+        )
+        self._set_scan_range(getattr(config.params, "scan_range", 1))
+        self.t = 0
+
+        # Neighbour offsets per group as Python tuples, cheap to index from
+        # interpreted loops.
         self._off_list = {
-            g: [tuple(map(int, off)) for off in self._offsets[g]]
+            g: [tuple(map(int, off)) for off in offsets_array(g)]
             for g in (Group.TOP, Group.BOTTOM)
         }
-        n = self.pop.n_agents
-        #: Scan rows as Python lists (mirrored into ``self.scan`` for API
-        #: parity with the other engines).
-        self._scan_rows: List[List[float]] = [[0.0] * 8 for _ in range(n + 1)]
 
-    def _on_model_swapped(self) -> None:
-        """Refresh the Python-native distance lookup after a model swap."""
+        # Heterogeneous-velocity extension (paper Section VII future work):
+        # a keyed draw per agent marks the slow class; slow agents are
+        # movement-eligible only every ``slow_period``-th step (staggered by
+        # agent index so the crowd does not pulse in lockstep).
+        self._slow_mask = self.xp.zeros(self.pop.n_agents + 1, dtype=bool)
+        if config.slow_fraction > 0.0:
+            lanes = self.xp.arange(self.pop.n_agents + 1, dtype=np.uint64)
+            u = self.rng.uniform(Stream.SPEED_CLASS, 0, lanes)
+            self._slow_mask = u < config.slow_fraction
+            self._slow_mask[0] = False
+        # The mask is static; the host flag spares a per-step device sync.
+        self._any_slow = bool(self._slow_mask.any())
+
+        # Step-hook schedule (components framework): hooks fire once,
+        # before their firing step executes, in (fire_step, config-order)
+        # order — a pure function of the step counter, so hooked runs are
+        # bit-identical across engines.
+        self._pending_hooks = sorted(
+            ((hook.fire_step(), idx, hook) for idx, hook in enumerate(config.hooks)),
+            key=lambda entry: entry[:2],
+        )
+
+    def _set_scan_range(self, scan_range: int) -> None:
+        """Build the distance tables and their Python-list lookup."""
+        self.dist = build_distance_tables(
+            self.config.height, scan_range, backend=self.backend
+        )
+        # tolist is exact: identical float values, cheaper to index from
+        # the scalar loops.
         self._dist_list = {
             g: self.dist[g].table.tolist() for g in (Group.TOP, Group.BOTTOM)
         }
+
+    def _apply_due_hooks(self, t: int) -> None:
+        """Fire every scheduled hook whose firing step has arrived."""
+        while self._pending_hooks and self._pending_hooks[0][0] <= t:
+            _, _, hook = self._pending_hooks.pop(0)
+            hook.apply(self)
+
+    # ------------------------------------------------------------------
+    # Extensions
+    # ------------------------------------------------------------------
+    def eligible_mask(self, t: int) -> np.ndarray:
+        """Movement eligibility per agent at step ``t`` (velocity classes).
+
+        Fast agents are always eligible; slow agents only when
+        ``(t + index) % slow_period == 0``. With ``slow_fraction = 0``
+        (default) everyone is always eligible.
+        """
+        if not self._any_slow:
+            return self.xp.ones(self.pop.n_agents + 1, dtype=bool)
+        idx = self.xp.arange(self.pop.n_agents + 1, dtype=np.int64)
+        on_beat = (t + idx) % self.config.slow_period == 0
+        return ~self._slow_mask | on_beat
+
+    def swap_model(self, params) -> None:
+        """Swap the movement model mid-run (panic-alarm extension).
+
+        The environment, populations and — when both models use it — the
+        pheromone field carry over; switching to a pheromone-free model
+        discards the field (a subsequent switch back starts from tau0).
+        """
+        params.validate()
+        model = build_model(params, backend=self.backend)
+        if model.uses_pheromone:
+            if self.pher is None:
+                self.pher = PheromoneField(
+                    self.config.height, self.config.width, params, self.backend
+                )
+            else:
+                self.pher.params = params
+        else:
+            self.pher = None
+        self.model = model
+        new_range = getattr(params, "scan_range", 1)
+        if new_range != self.dist[Group.TOP].scan_range:
+            self._set_scan_range(new_range)
+
+    # ------------------------------------------------------------------
+    # Step
+    # ------------------------------------------------------------------
+    def step(self) -> StepReport:
+        """Run one synchronous simulation step (all four stages)."""
+        t = self.t
+        if self._pending_hooks:
+            self._apply_due_hooks(t)
+        decided = self._stage_select(t, *self._stage_scan(t))
+        moved = self._stage_move(t)
+        new_crossings = self.pop.record_crossings(
+            self.config.height, self.config.cross_rows, t
+        )
+        # Support kernel: clear the decided moves before the next scan.
+        self.pop.reset_futures()
+        self.t += 1
+        return StepReport(
+            step=t,
+            decided=int(decided),
+            moved=int(moved),
+            new_crossings=int(new_crossings),
+        )
+
+    def validate_state(self) -> None:
+        """Cross-check env/pop invariants (used liberally in tests)."""
+        self.env.validate()
+        self.pop.validate_against(self.env)
 
     # ------------------------------------------------------------------
     # Stage 1: initial calculation
     # ------------------------------------------------------------------
-    def _stage_scan(self, t: int) -> None:
+    def _stage_scan(self, t: int) -> Tuple[List[List[float]], List[bool]]:
+        """Scan rows (one per agent, sentinel row 0 included) and forward flags.
+
+        ``front[a]`` is True when agent ``a``'s forward cell is empty; both
+        go straight to :meth:`_stage_select`.
+        """
         env, pop = self.env, self.pop
         h, w = env.shape
         mat_l = env.mat.tolist()
@@ -82,6 +204,7 @@ class SequentialEngine(BaseEngine):
         ids_l = pop.ids.tolist()
         rows_l = pop.rows.tolist()
         cols_l = pop.cols.tolist()
+        scan: List[List[float]] = [[0.0] * 8 for _ in range(pop.n_agents + 1)]
         front: List[bool] = [False] * (pop.n_agents + 1)
         model = self.model
 
@@ -92,7 +215,7 @@ class SequentialEngine(BaseEngine):
             offsets = self._off_list[group]
             dist_row = self._dist_list[group][row]
             tau_field = tau_l[group] if tau_l is not None else None
-            scan_row = self._scan_rows[a]
+            scan_row = scan[a]
             for s in range(8):
                 dr, dc = offsets[s]
                 r = row + dr
@@ -102,24 +225,20 @@ class SequentialEngine(BaseEngine):
                     scan_row[s] = model.scan_value_scalar(dist_row[s], tau)
                     if s == 0:
                         front[a] = True
-                else:
-                    scan_row[s] = 0.0
-        pop.front_empty[:] = front
-        # Mirror into the shared scan matrix so cross-engine inspection and
-        # the support-stage reset behave uniformly.
-        self.scan[1:] = self._scan_rows[1:]
+        return scan, front
 
     # ------------------------------------------------------------------
     # Stage 2: tour construction
     # ------------------------------------------------------------------
-    def _stage_select(self, t: int) -> int:
+    def _stage_select(
+        self, t: int, scan: List[List[float]], front: List[bool]
+    ) -> int:
         pop = self.pop
         model = self.model
         variates = model.scalar_prepare(self.rng, t, pop.n_agents)
         ids_l = pop.ids.tolist()
         rows_l = pop.rows.tolist()
         cols_l = pop.cols.tolist()
-        front_l = pop.front_empty.tolist()
         forward_priority = self.config.forward_priority
 
         fut_r: List[int] = [NO_FUTURE] * (pop.n_agents + 1)
@@ -129,10 +248,10 @@ class SequentialEngine(BaseEngine):
         for a in range(1, pop.n_agents + 1):
             if not eligible[a]:
                 continue
-            if forward_priority and front_l[a]:
+            if forward_priority and front[a]:
                 slot = 0
             else:
-                slot = model.select_scalar(self._scan_rows[a], a, variates)
+                slot = model.select_scalar(scan[a], a, variates)
             if slot >= 0:
                 dr, dc = self._off_list[Group(ids_l[a])][slot]
                 fut_r[a] = rows_l[a] + dr

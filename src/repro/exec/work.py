@@ -40,10 +40,10 @@ class LaunchWork:
     into a pool worker without side channels.
 
     ``batched`` selects :func:`~repro.engine.run_batched` (requires
-    >= 2 lanes); ``mixed`` passes the whole per-lane config list to the
-    batched engine (padded heterogeneous lanes) instead of one shared
-    config plus a seed stack. Non-batched work runs each config through
-    a solo :func:`~repro.engine.run_simulation` on ``engine``.
+    >= 2 lanes), which gets the whole per-lane config list: lanes that
+    share a scenario and lanes padded over different ones take the same
+    path. Non-batched work runs each config through a solo
+    :func:`~repro.engine.run_simulation` on ``engine``.
 
     ``metrics`` optionally names a per-step metric stream (a picklable
     :class:`~repro.analytics.MetricStreamSpec`, one run id per lane).
@@ -65,7 +65,6 @@ class LaunchWork:
     configs: Tuple[SimulationConfig, ...]
     engine: str = "vectorized"
     batched: bool = False
-    mixed: bool = False
     record_timeline: bool = False
     metrics: Optional[MetricStreamSpec] = None
     trace: Optional[TraceSpec] = None
@@ -154,7 +153,7 @@ def execute_launch(work: LaunchWork) -> LaunchOutcome:
                 else None
             )
             out = run_batched(
-                configs if work.mixed else configs[0],
+                configs,
                 seeds,
                 record_timeline=work.record_timeline,
                 callback=stream.batched_callback if stream is not None else None,

@@ -279,7 +279,6 @@ def _unit_work(unit: _WorkUnit, configs: List) -> LaunchWork:
         configs=tuple(configs),
         engine=unit.point.engine,
         batched=unit.batched and len(configs) > 1,
-        mixed=unit.points is not None,
         record_timeline=unit.record_timeline,
     )
 

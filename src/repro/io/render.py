@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.base import BaseEngine
+from ..engine.base import SoloEngine
 from ..types import Group
 
 __all__ = ["render_grid", "render_density", "render_engine"]
@@ -64,7 +64,7 @@ def render_density(mat: np.ndarray, out_rows: int = 24, out_cols: int = 72) -> s
     return "\n".join(lines)
 
 
-def render_engine(engine: BaseEngine, max_cells: int = 4000) -> str:
+def render_engine(engine: SoloEngine, max_cells: int = 4000) -> str:
     """Render an engine's environment, choosing full or density view.
 
     Rendering is a host-side recording boundary: the grid is brought back

@@ -205,11 +205,7 @@ class BatchScheduler:
         return LaunchWork(
             configs=tuple(j.config for j in lane_jobs),
             engine=lane_jobs[0].engine,
-            # Service batches always ship per-lane config lists (the
-            # coalescing pass guarantees distinct digests, so lanes are
-            # heterogeneous-or-seed-distinct either way).
             batched=batch.batched,
-            mixed=batch.batched,
             record_timeline=self.record_timeline,
             metrics=self.metrics_for(lane_jobs) if self.metrics_for else None,
             trace=TraceSpec(dispatched_unix=time.time()) if self.trace else None,

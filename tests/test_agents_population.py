@@ -54,10 +54,10 @@ class TestConstruction:
 class TestFutures:
     def test_reset_futures(self, pop):
         pop.future_rows[3] = 7
-        pop.front_empty[3] = True
+        pop.future_cols[3] = 2
         pop.reset_futures()
         assert np.all(pop.future_rows == NO_FUTURE)
-        assert not pop.front_empty.any()
+        assert np.all(pop.future_cols == NO_FUTURE)
 
 
 class TestCrossings:

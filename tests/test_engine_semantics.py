@@ -84,13 +84,10 @@ class TestTwoPhaseUpdate:
     def test_scan_cleared_after_step(self, engine_name):
         eng = make_engine(engine_name)
         eng.step()
-        assert not eng.pop.front_empty.any()
-        if engine_name == "vectorized":
-            # The whole-array scan hands its rows straight to select:
-            # no scan matrix exists to outlive the step.
-            assert not hasattr(eng, "scan")
-        else:
-            assert np.all(eng.scan == 0.0)
+        # Every scan hands its values and forward flags straight to select:
+        # no scan matrix or FRONT CELL field exists to outlive the step.
+        assert not hasattr(eng, "scan")
+        assert not hasattr(eng.pop, "front_empty")
 
 
 class TestTour:

@@ -193,7 +193,7 @@ class TestLaunchWork:
     def test_batched_launch_matches_run_batched(self):
         cfgs = tuple(_cfg(seed=s) for s in range(3))
         out = execute_launch(
-            LaunchWork(configs=cfgs, batched=True, mixed=True)
+            LaunchWork(configs=cfgs, batched=True)
         )
         assert out.lanes == 3
         expected = run_batched([c for c in cfgs], [c.seed for c in cfgs],
@@ -206,14 +206,13 @@ class TestLaunchWork:
         work = LaunchWork(
             configs=(_cfg(n_per_side=8, steps=10), _cfg(n_per_side=16, steps=10)),
             batched=True,
-            mixed=True,
         )
         assert launch_cost(work) == 16 * 10 + 32 * 10
 
     def test_pool_results_bit_identical_to_inline(self, pool):
         works = [
             LaunchWork(configs=tuple(_cfg(seed=s) for s in range(2)),
-                       batched=True, mixed=True),
+                       batched=True),
             LaunchWork(configs=(_cfg(seed=9, n_per_side=8),)),
         ]
         futures = [

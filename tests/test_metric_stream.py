@@ -110,7 +110,6 @@ class TestExecuteLaunchStreaming:
             LaunchWork(
                 configs=configs,
                 batched=True,
-                mixed=True,
                 record_timeline=True,
                 metrics=MetricStreamSpec(db_path=db_path, run_ids=ids),
             )
