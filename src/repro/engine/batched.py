@@ -319,6 +319,8 @@ class BatchedEngine:
         self._ragged_rng_all: Optional[RaggedLaneRNG] = (
             self.rng.ragged(self._rep_all) if rep_host.size else None
         )
+        # Select and winner draws are at most one per fused row.
+        self.rng.reserve(rep_host.size)
         offsets_host = np.stack([offsets_array(g) for g in (Group.TOP, Group.BOTTOM)])
         #: Neighbour offsets ``(2, 8, 2)`` by group slot.
         self._offsets_stack = self.backend.from_host(offsets_host)
@@ -686,15 +688,23 @@ class BatchedEngine:
             + (self.cols.reshape(-1).take(slot) - fut_c + 1)
         )
         order, start, count = group_by_cell(cell, direction, xp=xp)
-        # Winner draws key each cell by its lane's *real* width, matching
-        # ``Environment.cell_lane`` of a solo run.
-        head = order[start]
-        head_lane = lane[head]
-        cell_lanes = fut_r[head].astype(np.uint64) * self._widths_u64[
-            head_lane
-        ] + fut_c[head].astype(np.uint64)
-        u = self.rng.uniform_at(Stream.MOVE_WINNER, t, head_lane, cell_lanes)
-        pick = order[start + winner_rank(u, count, xp=xp)]
+        # A cell with one candidate takes it: ``winner_rank(u, 1)`` is 0
+        # for every ``u``. Only contested cells draw, and draws are keyed
+        # by cell, so skipping the others changes no draw. The boolean
+        # masks are operator indexing, not counted dispatches.
+        pick = order[start]
+        contested = count > 1
+        c_start = start[contested]
+        if c_start.size:
+            # Winner draws key each cell by its lane's *real* width,
+            # matching ``Environment.cell_lane`` of a solo run.
+            head = pick[contested]
+            head_lane = lane[head]
+            cell_lanes = fut_r[head].astype(np.uint64) * self._widths_u64[
+                head_lane
+            ] + fut_c[head].astype(np.uint64)
+            u = self.rng.uniform_at(Stream.MOVE_WINNER, t, head_lane, cell_lanes)
+            pick[contested] = order[c_start + winner_rank(u, count[contested], xp=xp)]
         self._commit_moves(
             lane[pick], slot[pick], fut_r[pick], fut_c[pick], cell[pick],
             direction[pick], moved,

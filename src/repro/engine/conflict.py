@@ -5,8 +5,11 @@ serialising the writes with atomics, the paper inverts the problem: each
 *empty cell* gathers the set of neighbouring agents whose FUTURE
 coordinates point at it and picks one winner uniformly at random.
 
-:func:`winner_rank` is that uniform pick, shared by every engine. The
-whole-array engines reach the same per-cell choice agent-keyed:
+:func:`winner_rank` is that uniform pick, shared by every engine. A cell
+with a single candidate has nothing to pick, so the sequential and
+whole-array engines draw only for contested cells (2+ candidates); draws
+are keyed by cell, so skipping a draw changes no other. The whole-array
+engines reach the same per-cell choice agent-keyed:
 :func:`group_by_cell` sorts the deciding agents by target cell, replacing
 the per-cell gather. The tiled engines keep the per-cell gather (they
 mirror the paper's CUDA kernel) and read neighbours through their
@@ -62,7 +65,9 @@ def winner_rank(u: np.ndarray, counts: np.ndarray, xp=np) -> np.ndarray:
     """Uniform winner index in ``[0, counts)`` from uniforms in ``(0, 1)``.
 
     ``floor(u * k)`` clamped to ``k - 1`` (the clamp only matters in the
-    measure-zero limit ``u -> 1``); identical arithmetic on scalar and
+    measure-zero limit ``u -> 1``). A count of 1 gives rank 0 for every
+    ``u``, so callers skip the draw for single-candidate cells and pass
+    only contested ones. Identical arithmetic on scalar and
     vector paths (and across array backends). The clamp runs in place on
     the intermediate ``k - 1`` array (fresh by construction), so the call
     performs no allocating namespace dispatch beyond the gather itself.

@@ -295,19 +295,26 @@ class SequentialEngine(SoloEngine):
 
         if not pending:
             return 0
-        # One batched draw for all contested cells, keyed by cell lane —
-        # the same keys the vectorized engine uses.
-        lanes = np.fromiter(pending.keys(), dtype=np.uint64, count=len(pending))
-        uniforms = self.rng.uniform(Stream.MOVE_WINNER, t, lanes).tolist()
+        # One batched draw for the contested cells (2+ candidates), keyed
+        # by cell lane — the same keys the whole-array engines use. A cell
+        # with one candidate takes it without a draw (winner_rank(u, 1) is
+        # 0 for every u); the draws come back in ``pending`` order.
+        contested = [key for key, cands in pending.items() if len(cands) > 1]
+        uniforms = iter(())
+        if contested:
+            lanes = np.array(contested, dtype=np.uint64)
+            uniforms = iter(self.rng.uniform(Stream.MOVE_WINNER, t, lanes).tolist())
 
         deposit_q = self.pher.params.deposit_q if self.pher is not None else 0.0
         moved = 0
-        for (key, cands), u in zip(pending.items(), uniforms):
-            cands.sort()  # ascending direction index
+        for key, cands in pending.items():
+            pick = 0
             k = len(cands)
-            pick = int(u * k)
-            if pick >= k:  # u -> 1 rounding guard, same clamp as winner_rank
-                pick = k - 1
+            if k > 1:
+                cands.sort()  # ascending direction index
+                pick = int(next(uniforms) * k)
+                if pick >= k:  # u -> 1 rounding guard, same clamp as winner_rank
+                    pick = k - 1
             d, a = cands[pick]
             fr, fc = divmod(key, w)
             src_r = rows_l[a]

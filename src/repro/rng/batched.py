@@ -143,6 +143,17 @@ class BatchedPhiloxRNG:
     # ------------------------------------------------------------------
     # Adapters / internals
     # ------------------------------------------------------------------
+    def reserve(self, n: int) -> None:
+        """Size the scratch word buffers for scattered draws of ``n`` lanes.
+
+        The buffers otherwise grow to each new high-water mark, and a
+        regrowth inside the step loop is a fresh allocation. An engine
+        whose draws never exceed one per agent reserves that count once
+        at build.
+        """
+        for role in ("ctr", "out"):
+            _take_u32(self.xp, self._scratch, role, n)
+
     def ragged(self, rep) -> "RaggedLaneRNG":
         """A :class:`PhiloxKeyedRNG`-shaped view over ragged member sets.
 

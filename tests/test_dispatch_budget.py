@@ -9,23 +9,28 @@ namespace dispatches (``ops``) and *allocating* dispatches (``allocs``
 
 * **free flow** (24 agents/side, LEM): after the warm-up every agent's
   forward cell is empty, so under forward priority no agent scans its
-  neighbours or reaches ``model.select`` — the step is scan bookkeeping,
-  the move stage and support;
+  neighbours or reaches ``model.select``, and no two agents target one
+  cell, so the move stage makes no winner draw — the step is scan
+  bookkeeping, the uncontested move stage and support;
 * **jammed** (200 agents/side, LEM and ACO, measured once the groups
-  have met): every step has agents whose forward cell is blocked, so
-  every step runs the neighbour gather, eq. 1 / eq. 2 and the select
-  draws.
+  have met): every step has agents whose forward cell is blocked and
+  cells that several agents target, so every step runs the neighbour
+  gather, eq. 1 / eq. 2, the select draws and the winner draws.
 
 ``BUDGETS`` / ``ALLOC_BUDGETS`` (free flow) and ``JAMMED_BUDGETS`` /
 ``JAMMED_ALLOC_BUDGETS`` carry ~20% headroom over measured counts for
 benign drift; exceeding one means a whole-batch launch was split back
 into per-group or per-lane passes, or a hot step-loop temporary went
-back to fresh heap allocation. The whole-array free-flow budgets were
-last tightened to forward-first select (19 ops and 10 allocs per step
-at any lane count); jammed, they measure 39 ops / 20 allocs (LEM) and
-32 / 12 (ACO) at any lane count, against the 45 / 22 budgets the
-halo-padded scan set when every step still ran select. The sequential and tiled budgets
-date from the fused kernels and the ``out=``-capable ops.
+back to fresh heap allocation. The whole-array free-flow budgets and
+the sequential ops budget were last tightened to contested-only winner draws
+(12 ops and 10 allocs per step at any lane count on the whole-array
+engines, 11 ops and 4 allocs on ``sequential``); jammed, the whole-array
+engines measure 39 ops / 20 allocs (LEM) and 32 / 12 (ACO) at any lane
+count, against the 45 / 22 budgets the halo-padded scan set. Those
+jammed counts hold because the engine reserves the RNG's scratch word
+buffers at build: a draw that set a new high-water mark mid-run would
+reallocate them. The tiled budgets date from the fused kernels and the
+``out=``-capable ops.
 
 ``PRE_FUSION`` (per-group TOP/BOTTOM passes, unfused RNG) and
 ``PRE_ARENA`` (before the ``out=``-capable ops) are free-flow-scenario
@@ -48,6 +53,7 @@ import pytest
 from repro import SimulationConfig
 from repro.backend import resolve_backend
 from repro.engine import BatchedEngine, build_engine
+from repro.rng import Stream
 
 #: Steady-state ops/step on the PR-7 tree (pre-fusion), free-flow scenario.
 PRE_FUSION = {
@@ -60,11 +66,11 @@ PRE_FUSION = {
 
 #: Measured free-flow ops/step plus ~20% headroom.
 BUDGETS = {
-    "sequential": 22,
-    "vectorized": 23,
+    "sequential": 14,
+    "vectorized": 15,
     "tiled": 220,
-    "batched4": 23,
-    "padded4": 23,
+    "batched4": 15,
+    "padded4": 15,
 }
 
 #: Steady-state allocs/step before the ``out=`` ops (pre-arena), free flow.
@@ -133,8 +139,8 @@ def _build(kind: str, n_per_side: int, model: str):
 def _steady_per_step(
     kind: str, n_per_side: int = FREE_FLOW, model: str = "lem"
 ) -> tuple:
-    """(ops, allocs, select calls) per step over MEASURED_STEPS after
-    the scenario's warm-up.
+    """(ops, allocs, select calls, MOVE_WINNER draws) per step over
+    MEASURED_STEPS after the scenario's warm-up.
 
     Counts are deterministic, so each engine and scenario is measured
     once per session and shared by every assertion below.
@@ -146,14 +152,24 @@ def _steady_per_step(
     for _ in range(warmup):
         engine.step()
     calls = []
+    draws = []
     select = engine.model.select
+    # The sequential engine draws through its solo RNG's ``uniform``.
+    draw_name = "uniform_at" if hasattr(engine.rng, "uniform_at") else "uniform"
+    draw = getattr(engine.rng, draw_name)
 
     def counted(*args):
         calls.append(1)
         return select(*args)
 
+    def counted_draw(stream, *args):
+        if stream == Stream.MOVE_WINNER:
+            draws.append(1)
+        return draw(stream, *args)
+
     backend.reset()
     engine.model.select = counted
+    setattr(engine.rng, draw_name, counted_draw)
     for _ in range(MEASURED_STEPS):
         engine.step()
     counts = backend.snapshot()
@@ -161,12 +177,13 @@ def _steady_per_step(
         counts.ops / MEASURED_STEPS,
         counts.allocs / MEASURED_STEPS,
         len(calls) / MEASURED_STEPS,
+        len(draws) / MEASURED_STEPS,
     )
 
 
 @pytest.mark.parametrize("kind", sorted(BUDGETS))
 def test_engine_stays_within_dispatch_budget(kind):
-    ops, _, _ = _steady_per_step(kind)
+    ops, *_ = _steady_per_step(kind)
     assert ops <= BUDGETS[kind], (
         f"{kind}: {ops:.1f} ops/step exceeds the {BUDGETS[kind]} budget — "
         f"a fused whole-batch launch has likely been split"
@@ -175,7 +192,7 @@ def test_engine_stays_within_dispatch_budget(kind):
 
 @pytest.mark.parametrize("kind", sorted(ALLOC_BUDGETS))
 def test_engine_stays_within_alloc_budget(kind):
-    _, allocs, _ = _steady_per_step(kind)
+    _, allocs, *_ = _steady_per_step(kind)
     assert allocs <= ALLOC_BUDGETS[kind], (
         f"{kind}: {allocs:.1f} allocs/step exceeds the "
         f"{ALLOC_BUDGETS[kind]} budget — a step-loop temporary has gone "
@@ -186,7 +203,7 @@ def test_engine_stays_within_alloc_budget(kind):
 @pytest.mark.parametrize("model", JAMMED_MODELS)
 @pytest.mark.parametrize("kind", sorted(JAMMED_BUDGETS))
 def test_jammed_engine_stays_within_budgets(kind, model):
-    ops, allocs, _ = _steady_per_step(kind, JAMMED, model)
+    ops, allocs, *_ = _steady_per_step(kind, JAMMED, model)
     assert ops <= JAMMED_BUDGETS[kind], (
         f"{kind}/{model} jammed: {ops:.1f} ops/step exceeds the "
         f"{JAMMED_BUDGETS[kind]} budget — the select path has been split"
@@ -199,18 +216,19 @@ def test_jammed_engine_stays_within_budgets(kind, model):
 
 @pytest.mark.parametrize("kind", sorted(JAMMED_BUDGETS))
 def test_scenarios_take_the_paths_they_guard(kind):
-    """Free flow never reaches select; the jammed case selects every step
-    in one fused call, so its budgets hold the select path."""
-    assert _steady_per_step(kind)[2] == 0
+    """Free flow never reaches select or a winner draw; the jammed case
+    selects every step in one fused call and draws winners for its
+    contested cells, so its budgets hold both paths."""
+    assert _steady_per_step(kind)[2:] == (0, 0)
     for model in JAMMED_MODELS:
-        assert _steady_per_step(kind, JAMMED, model)[2] == 1
+        assert _steady_per_step(kind, JAMMED, model)[2:] == (1, 1)
 
 
 def test_batched_dispatch_cut_meets_headline_criterion():
     """PR-8 acceptance: batched per-step dispatches down >= 40% vs PR 7,
     in free flow and with every step running select."""
     for n_per_side in (FREE_FLOW, JAMMED):
-        ops, _, _ = _steady_per_step("batched4", n_per_side)
+        ops, *_ = _steady_per_step("batched4", n_per_side)
         assert ops <= 0.6 * PRE_FUSION["batched4"], (
             f"batched engine at {ops:.1f} ops/step ({n_per_side} per side) "
             f"is less than a 40% cut from the pre-fusion "
@@ -221,7 +239,7 @@ def test_batched_dispatch_cut_meets_headline_criterion():
 def test_batched_alloc_cut_meets_headline_criterion():
     """Headline criterion: batched allocs/step down >= 50% vs pre-arena."""
     for n_per_side in (FREE_FLOW, JAMMED):
-        _, allocs, _ = _steady_per_step("batched4", n_per_side)
+        _, allocs, *_ = _steady_per_step("batched4", n_per_side)
         assert allocs <= 0.5 * PRE_ARENA["batched4"], (
             f"batched engine at {allocs:.1f} allocs/step ({n_per_side} per "
             f"side) is less than a 50% cut from the pre-arena "
@@ -238,8 +256,8 @@ def test_batched_dispatch_independent_of_batch_width():
     recording boundary.
     """
     for n_per_side in (FREE_FLOW, JAMMED):
-        ops2, _, _ = _steady_per_step("batched2", n_per_side)
-        ops8, _, _ = _steady_per_step("batched8", n_per_side)
+        ops2, *_ = _steady_per_step("batched2", n_per_side)
+        ops8, *_ = _steady_per_step("batched8", n_per_side)
         assert ops8 <= ops2 + 5, (
             f"ops/step grew from {ops2:.1f} (B=2) to {ops8:.1f} (B=8) with "
             f"{n_per_side} per side: per-lane dispatch is leaking back in"
@@ -249,14 +267,14 @@ def test_batched_dispatch_independent_of_batch_width():
 def test_fused_engines_cheaper_than_pre_fusion_everywhere():
     """No engine regressed past its own pre-fusion dispatch count."""
     for kind, pre in PRE_FUSION.items():
-        ops, _, _ = _steady_per_step(kind)
+        ops, *_ = _steady_per_step(kind)
         assert ops < pre, f"{kind}: {ops:.1f} ops/step >= pre-fusion {pre}"
 
 
 def test_every_engine_allocates_less_than_pre_arena():
     """No engine regressed past its own pre-arena allocation count."""
     for kind, pre in PRE_ARENA.items():
-        _, allocs, _ = _steady_per_step(kind)
+        _, allocs, *_ = _steady_per_step(kind)
         assert allocs < pre, (
             f"{kind}: {allocs:.1f} allocs/step >= pre-arena {pre}"
         )

@@ -1,5 +1,7 @@
 """Conflict-resolution helper tests, and the contested-cell tie-break."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.agents.population import NO_FUTURE
 from repro.engine import DIRECTION_INDEX, BatchedEngine, shift, winner_rank
 from repro.engine.conflict import DIRECTION_TABLE, group_by_cell
 from repro.grid import ABSOLUTE_OFFSETS
+from repro.rng import Stream
 from repro.types import Group
 
 
@@ -148,3 +151,66 @@ class TestContestedCells:
                         batched.lane_pheromone(1, group), vec.pher.field(group)
                     )
         assert sum(hot) > 0
+
+    @staticmethod
+    def _record_winner_draws(engine, width):
+        """Wrap the move stage and the RNG to log, per step, the cells that
+        2+ agents target and the cells that draw a ``MOVE_WINNER``
+        uniform, both as ``(lane, cell lane)`` pairs."""
+        contested, drawn = [], []
+        batched = isinstance(engine, BatchedEngine)
+        stage = engine._stage_move
+        name = "uniform_at" if batched else "uniform"
+        draw = getattr(engine.rng, name)
+
+        def staged(t):
+            if batched:
+                rows, cols = engine.future_rows, engine.future_cols
+            else:
+                rows, cols = engine.pop.future_rows[None], engine.pop.future_cols[None]
+            targets = Counter(
+                (b, r * width + c)
+                for b in range(rows.shape[0])
+                for r, c in zip(rows[b].tolist(), cols[b].tolist())
+                if r != NO_FUTURE
+            )
+            contested.append(sorted(p for p, k in targets.items() if k >= 2))
+            drawn.append([])
+            return stage(t)
+
+        def spy(stream, step, *args):
+            if stream == Stream.MOVE_WINNER:
+                rep, lane = args[:2] if batched else ([0] * len(args[0]), args[0])
+                drawn[-1].extend(
+                    zip(np.asarray(rep).tolist(), np.asarray(lane).tolist())
+                )
+            return draw(stream, step, *args)
+
+        engine._stage_move = staged
+        setattr(engine.rng, name, spy)
+        return contested, drawn
+
+    @pytest.mark.parametrize("forward_priority", [True, False])
+    @pytest.mark.parametrize("model", ["lem", "aco"])
+    def test_only_contested_cells_draw(self, model, forward_priority):
+        """A cell with one candidate takes it without a winner draw: on
+        every step each engine draws once for exactly the cells that 2+
+        agents target (winner_rank(u, 1) is 0, so the draw is dead work)."""
+        cfg = SimulationConfig(
+            height=16, width=16, n_per_side=100, steps=self.STEPS, seed=11,
+            forward_priority=forward_priority,
+        ).with_model(model)
+        engines = (
+            build_engine(cfg, "sequential"),
+            build_engine(cfg, "vectorized"),
+            BatchedEngine([cfg, cfg], seeds=(cfg.seed + 1, cfg.seed)),
+        )
+        logs = [self._record_winner_draws(e, cfg.width) for e in engines]
+        for _ in range(self.STEPS):
+            for engine in engines:
+                engine.step()
+        for contested, drawn in logs:
+            assert len(drawn) == self.STEPS
+            for step, (want, got) in enumerate(zip(contested, drawn)):
+                assert sorted(got) == want, step
+            assert sum(map(len, drawn)) > 0
