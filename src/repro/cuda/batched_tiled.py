@@ -68,11 +68,13 @@ class BatchedTiledEngine(BatchedEngine):
     # ------------------------------------------------------------------
     def _stage_scan(self, t: int):
         xp = self.xp
-        # The tiles write scan rows and forward flags in agent order; the
-        # stage hands select the deciding fused rows and keeps neither.
+        # The tiles write scan rows, forward flags and has-a-candidate
+        # flags in agent order; the stage hands select the deciding fused
+        # rows and keeps none of them.
         size = self.n_agents + 1
         scan = xp.zeros((self.n_lanes, size, 8), dtype=np.float64)
         front = xp.zeros((self.n_lanes, size), dtype=bool)
+        movable = xp.zeros((self.n_lanes, size), dtype=bool)
         for tile in self.tiles:
             shared_mat = tile.load_shared(self.mats, fill=OUT_OF_GRID, xp=xp)
             shared_idx = tile.load_shared(self.index, fill=0, xp=xp)
@@ -109,10 +111,15 @@ class BatchedTiledEngine(BatchedEngine):
             )
             scan[bb, agent, :] = self._scan_values(bb, dist, candidates, tau)
             front[bb, agent] = candidates[:, 0]
-        # Select sees only the rows that decide, as in the whole-array scan.
+            movable[bb, agent] = candidates.any(axis=1)
+        # Select sees only the deciding rows with an empty neighbour, as in
+        # the whole-array scan; the other deciding rows are stuck.
         slot = self._slot_all
         rows = self._deciding_rows(front.reshape(-1).take(slot))
-        return scan.reshape(-1, 8).take(slot.take(rows), axis=0), rows
+        _, rows, stuck = self._split_stuck(
+            rows, movable.reshape(-1).take(slot.take(rows))
+        )
+        return scan.reshape(-1, 8).take(slot.take(rows), axis=0), rows, stuck
 
     # ------------------------------------------------------------------
     # Stage 3: per-tile movement (all lanes per tile)

@@ -41,8 +41,11 @@ agent whose forward cell is empty moves forward without evaluating eq. 1
 / eq. 2, so the scan and select stages run the neighbour gather, the
 model and its random draws only on the fused rows whose forward cell is
 blocked (or whose lane has forward priority off); every other row takes
-slot 0 with no model or RNG work. Philox draws are keyed by (seed,
-stream, step, agent), so skipping rows changes no other row's variates.
+slot 0 with no model or RNG work. Of the deciding rows, only those with an
+empty neighbour go on to the ``dist``/τ gathers and the model; the rest
+take -1 ("no move"), which is what every model returns for them. Philox
+draws are keyed by (seed, stream, step, agent), so skipping rows changes
+no other row's variates.
 
 Batching wins because a small-grid simulation step is dominated by the
 fixed overhead of its few dozen NumPy kernel dispatches (budgeted per
@@ -553,18 +556,37 @@ class BatchedEngine:
             forward = forward & self._forward_rows
         return self.xp.nonzero(~forward)[0]
 
-    def _stage_scan(self, t: int) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Scan values ``(n, 8)`` of the deciding fused rows, and those rows.
+    def _split_stuck(self, rows, has_candidate):
+        """Split deciding rows into those with an empty neighbour and the rest.
+
+        Returns ``(keep, rows[keep], stuck)``. A stuck row has no empty
+        neighbour, so eq. 1 / eq. 2 would give it no move (every model
+        returns -1 on an all-false candidate row); it skips the model and
+        its draws, which are keyed per agent, so no other draw changes.
+        ``keep`` and ``stuck`` are ``None`` when no row is stuck, so a
+        launch without stuck rows pays no compaction.
+        """
+        if bool(has_candidate.all()):
+            return None, rows, None
+        keep = self.xp.nonzero(has_candidate)[0]
+        return keep, rows.take(keep), rows[~has_candidate]
+
+    def _stage_scan(self, t: int):
+        """Scan values ``(n, 8)`` of the deciding fused rows that can move.
 
         One fused launch over every lane's TOP+BOTTOM rows finds each
         row's padded cell and forward-empty flag; only the rows
-        :meth:`_deciding_rows` picks go on to the eight-neighbour gather
-        and eq. 1 / eq. 2. ``(None, None)`` when the batch has no agents,
-        ``(None, rows)`` when no row decides.
+        :meth:`_deciding_rows` picks go on to the eight-neighbour gather,
+        and only those with an empty neighbour to eq. 1 / eq. 2. Returns
+        ``(values, rows, stuck)``: ``rows`` are the fused rows ``values``
+        belong to, ``stuck`` the deciding rows with no empty neighbour
+        (``None`` when there are none). ``values`` is ``None`` when
+        ``rows`` is empty, and all three are ``None`` when the batch has
+        no agents.
         """
         slot = self._slot_all
         if slot.size == 0:
-            return None, None
+            return None, None, None
         rows = self.rows.reshape(-1).take(slot)
         # Each row's padded cell. Halo and padding cells read as
         # obstacles, so no neighbour needs a bounds test.
@@ -574,9 +596,19 @@ class BatchedEngine:
         mats = self._mats_p.reshape(-1)
         deciding = self._deciding_rows(mats.take(cell + self._nbr_lin[:, 0]) == 0)
         if deciding.size == 0:
-            return None, deciding
+            return None, deciding, None
         nbr = cell.take(deciding)[:, None] + self._nbr_lin.take(deciding, axis=0)
         candidates = mats.take(nbr) == 0
+        # A contiguous (n, 8) bool row is one 8-byte word: non-zero iff
+        # the row has a candidate.
+        keep, deciding, stuck = self._split_stuck(
+            deciding, candidates.view(np.uint64).reshape(-1) != 0
+        )
+        if keep is not None:
+            if deciding.size == 0:
+                return None, deciding, stuck
+            nbr = nbr.take(keep, axis=0)
+            candidates = candidates.take(keep, axis=0)
         dist = self._dist_stack.reshape(-1, 8).take(
             self._dist_base_all.take(deciding) + rows.take(deciding), axis=0
         )
@@ -585,7 +617,7 @@ class BatchedEngine:
             nbr += self._tau_base_all.take(deciding)[:, None]
             tau = self.tau.padded.reshape(-1).take(nbr)
         rep = self._rep_all.take(deciding)
-        return self._scan_values(rep, dist, candidates, tau), deciding
+        return self._scan_values(rep, dist, candidates, tau), deciding, stuck
 
     def _scan_values(self, rep, dist, candidates, tau) -> np.ndarray:
         """Eq. 1/2 scan values for rows of lanes ``rep``, per parameter group."""
@@ -610,12 +642,13 @@ class BatchedEngine:
     # ------------------------------------------------------------------
     # Stage 2: tour construction (per-agent decision, all lanes)
     # ------------------------------------------------------------------
-    def _stage_select(self, t: int, values, rows) -> np.ndarray:
+    def _stage_select(self, t: int, values, rows, stuck) -> np.ndarray:
         # Fused tour construction over the whole batch. Every row starts
-        # at slot 0 (forward); one model.select over the scan's deciding
-        # rows overwrites theirs (the ragged RNG subset keys row i with
+        # at slot 0 (forward); one model.select over the scan's rows
+        # overwrites theirs (the ragged RNG subset keys row i with
         # replication rep[i], so each lane's rows see exactly the solo
-        # draws). Then one future-cell write and one per-lane bincount.
+        # draws), and the stuck rows write -1 (no move) without it. Then
+        # one future-cell write and one per-lane bincount.
         xp = self.xp
         rep = self._rep_all
         slot = self._slot_all
@@ -641,6 +674,8 @@ class BatchedEngine:
                     values[sel], self._ragged_rng_all.subset(sub), t,
                     self._agent_all.take(sub),
                 )
+        if stuck is not None:
+            slots[stuck] = -1
         if self._any_slow:
             valid = (slots >= 0) & self._eligible(t).reshape(-1).take(slot)
         else:

@@ -1,7 +1,7 @@
 """Movement models: LEM (eq. 1), modified ACO (eq. 2-5) and baselines."""
 
 from .aco import ACOModel, aco_numerators
-from .base import MovementModel, build_model, tiebreak_slot_keys
+from .base import MovementModel, build_model
 from .lem import LEMModel, lem_scores
 from .mathops import fast_pow
 from .params import (
@@ -21,7 +21,6 @@ from .policies import GreedyModel, RandomModel
 __all__ = [
     "MovementModel",
     "build_model",
-    "tiebreak_slot_keys",
     "LEMModel",
     "lem_scores",
     "ACOModel",

@@ -11,10 +11,15 @@ A movement model answers two questions, mirroring the paper's kernel split:
 Both methods are vectorized over rows and treat every row on its own: a
 row carries its own distances, candidates and RNG lane, so one call may mix
 TOP and BOTTOM agents and agents of different replication lanes (the
-whole-array engine's fused rows). The engines call them only on the rows
-that decide: under forward priority (the paper's modification) an agent
-whose forward cell is empty moves forward without evaluating eq. 1 / eq. 2,
-so it never reaches either method. The sequential engine uses the scalar
+whole-array engine's fused rows). The whole-array engines call them only
+on the rows that decide and can move: under forward priority (the paper's
+modification) an agent whose forward cell is empty moves forward without
+evaluating eq. 1 / eq. 2, and an agent with no empty neighbour stays put,
+so neither reaches either method — ``select`` sees only rows with at least
+one candidate. The engines write -1 for the second kind themselves, so
+``select`` must return -1 on an all-false candidate row (and
+``select_scalar`` on an all-zero scan row), as every built-in model does.
+The sequential engine uses the scalar
 API below instead; because the keyed RNG and every numeric operation are
 order-independent, its results are bit-identical to the whole-array
 engine's row calls (see ``tests/test_engine_equivalence``).
@@ -33,7 +38,10 @@ from ..backend import resolve_backend
 from ..rng import PhiloxKeyedRNG, Stream
 from .params import ModelParams
 
-__all__ = ["MovementModel", "build_model", "tiebreak_slot_keys"]
+__all__ = ["MovementModel", "build_model"]
+
+#: Tie-break ordering key of the slots out of contention.
+_EXCLUDED_KEY = 1 << 30
 
 
 class MovementModel(abc.ABC):
@@ -54,6 +62,8 @@ class MovementModel(abc.ABC):
         self.params = params
         self.backend = resolve_backend(backend)
         self.xp = self.backend.xp
+        #: 1-based slot numbers, the tie-break keys before the flip bit.
+        self._slot_numbers = self.backend.from_host(np.arange(1, 9, dtype=np.int64))
 
     @abc.abstractmethod
     def scan_values(
@@ -91,7 +101,46 @@ class MovementModel(abc.ABC):
 
         ``lanes`` are the agents' 1-based property-matrix indices, used as
         RNG lanes so draws are independent of batch composition.
+        ``rng.subset(rows)`` narrows the draws to some of the rows (see
+        :meth:`tiebreak_slots`).
         """
+
+    def tiebreak_slots(
+        self, tied: np.ndarray, rng: PhiloxKeyedRNG, step: int, lanes: np.ndarray
+    ) -> np.ndarray:
+        """The chosen slot of each row among its ``tied`` slots, ``(n, 8) -> (n,)``.
+
+        Slots tied on score are ordered by ``slot_number XOR b`` (1-based
+        slot numbers) with a random bit ``b`` per agent and step. The only
+        slot sets that can tie on distance are the left/right mirror pairs
+        — 1-based (2, 3), (4, 5) and (7, 8) — each of which differs
+        exactly in the lowest bit of the slot *number*, so flipping ``b``
+        uniformly de-biases the left/right preference while staying
+        deterministic for a given seed.
+
+        A row with one tied slot takes it whatever ``b`` is, so only rows
+        with two or more tied slots draw their ``TIEBREAK`` word, through
+        ``rng.subset``; draws are keyed by lane, so skipping the others
+        changes no drawn bit. A row with no tied slot gets 0, which the
+        caller masks. ``tied`` must be a C-contiguous bool array: each row
+        is then one 8-byte word, which has two or more set bytes exactly
+        when clearing its lowest set bit leaves it non-zero.
+        """
+        xp = self.xp
+        slot = tied.argmax(axis=1)
+        word = tied.view(np.uint64).reshape(-1)
+        multi = xp.nonzero(word & (word - np.uint64(1)))[0]
+        if multi.size:
+            bits = rng.subset(multi).words(
+                Stream.TIEBREAK, step, lanes.take(multi), scratch=True
+            )[0] & np.uint32(1)
+            keys = xp.where(
+                tied.take(multi, axis=0),
+                self._slot_numbers ^ bits.astype(np.int64)[:, None],
+                _EXCLUDED_KEY,
+            )
+            slot[multi] = keys.argmin(axis=1)
+        return slot
 
     # ------------------------------------------------------------------
     # Scalar API for the sequential engine
@@ -121,23 +170,6 @@ class MovementModel(abc.ABC):
         ``scan_row`` is the agent's 8-entry scan row as a Python list;
         returns the 0-based slot or -1.
         """
-
-
-def tiebreak_slot_keys(
-    rng: PhiloxKeyedRNG, step: int, lanes: np.ndarray, n_slots: int = 8, xp=np
-) -> np.ndarray:
-    """Per-agent slot ordering keys that break score ties without bias.
-
-    Slots tied on score are ordered by ``slot_number XOR b`` (1-based slot
-    numbers) with a random bit ``b`` per agent and step. The only slot sets
-    that can tie on distance are the left/right mirror pairs — 1-based
-    (2, 3), (4, 5) and (7, 8) — each of which differs exactly in the lowest
-    bit of the slot *number*, so flipping ``b`` uniformly de-biases the
-    left/right preference while staying deterministic for a given seed.
-    """
-    bits = rng.words(Stream.TIEBREAK, step, lanes, scratch=True)[0] & np.uint32(1)
-    slots = xp.arange(1, n_slots + 1, dtype=np.int64)
-    return slots[None, :] ^ bits.astype(np.int64)[:, None]
 
 
 def build_model(params: ModelParams, backend=None) -> MovementModel:

@@ -32,13 +32,10 @@ import numpy as np
 
 from ..components.models import register_model
 from ..rng import PhiloxKeyedRNG, Stream, clip_lem_draw
-from .base import MovementModel, tiebreak_slot_keys
+from .base import MovementModel, _EXCLUDED_KEY
 from .params import LEMParams
 
 __all__ = ["LEMModel", "lem_scores"]
-
-#: Ordering key assigned to slots that are out of contention.
-_EXCLUDED_KEY = 1 << 30
 
 
 def lem_scores(dist: np.ndarray, candidates: np.ndarray, xp=np) -> np.ndarray:
@@ -110,10 +107,7 @@ class LEMModel(MovementModel):
         # Among cells tied at the selected score, order by the per-agent
         # randomised slot key to avoid a left/right bias.
         tied = eligible & (contended == c_sel[:, None])
-        keys = xp.where(
-            tied, tiebreak_slot_keys(rng, step, lanes, xp=xp), _EXCLUDED_KEY
-        )
-        slot = keys.argmin(axis=1).astype(np.int64)
+        slot = self.tiebreak_slots(tied, rng, step, lanes)
         return xp.where(has_choice, slot, -1)
 
     # ------------------------------------------------------------------

@@ -17,8 +17,8 @@ import numpy as np
 
 from ..components.models import register_model
 from ..rng import PhiloxKeyedRNG, Stream, categorical
-from .base import MovementModel, tiebreak_slot_keys
-from .lem import lem_scores, _EXCLUDED_KEY
+from .base import MovementModel, _EXCLUDED_KEY
+from .lem import lem_scores
 from .params import GreedyParams, RandomParams
 
 __all__ = ["RandomModel", "GreedyModel"]
@@ -109,10 +109,7 @@ class GreedyModel(MovementModel):
         scores = lem_scores(scan, candidates, xp=xp)
         c_max = scores.max(axis=1)
         best = candidates & (scores == c_max[:, None])
-        keys = xp.where(
-            best, tiebreak_slot_keys(rng, step, lanes, xp=xp), _EXCLUDED_KEY
-        )
-        slot = keys.argmin(axis=1).astype(np.int64)
+        slot = self.tiebreak_slots(best, rng, step, lanes)
         has_candidate = candidates.any(axis=1)
         return xp.where(has_candidate, slot, -1)
 

@@ -32,13 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..backend import resolve_backend
-from .philox import (
-    PHILOX_ROUNDS,
-    _philox_rounds,
-    _take_u32,
-    _u32_to_unit_open,
-    irwin_hall_normal12,
-)
+from .philox import _PhiloxGenerator, _u32_to_unit_open, irwin_hall_normal12
 
 __all__ = ["BatchedPhiloxRNG", "RaggedLaneRNG"]
 
@@ -62,15 +56,10 @@ class BatchedPhiloxRNG:
         self.n_reps = len(seeds)
         self.backend = resolve_backend(backend)
         self.xp = self.backend.xp
-        self._key_lo = self.xp.asarray(
-            np.array([s & 0xFFFFFFFF for s in seeds], dtype=np.uint32)
-        )
-        self._key_hi_base = self.xp.asarray(
-            np.array([(s >> 32) & 0xFFFFFFFF for s in seeds], dtype=np.uint32)
-        )
-        # Reusable counter/output word buffers (see philox._take_u32);
-        # shared by the ragged views, whose draws are sequential.
-        self._scratch: dict = {}
+        # One generator keyed by every replication seed; its scratch
+        # buffers are shared by the ragged views, whose draws are
+        # sequential.
+        self._gen = _PhiloxGenerator(self.seeds, self.backend)
 
     # ------------------------------------------------------------------
     # Replication-major grids: lane shape (B, m) -> words (4, B, m)
@@ -83,8 +72,8 @@ class BatchedPhiloxRNG:
         ``lane`` is ``(B, m)`` (one lane vector per replication) or ``(m,)``
         (the same lane vector for every replication — the common case, since
         agent indexing is seed-independent). ``scratch=True`` lands the
-        counter and output words in per-instance reusable buffers (the
-        result is overwritten by the next scratch draw) — only for callers
+        output words in a per-instance reusable buffer (the result is
+        overwritten by the next scratch draw) — only for callers
         that consume the words immediately; the values are identical.
         """
         xp = self.xp
@@ -144,15 +133,14 @@ class BatchedPhiloxRNG:
     # Adapters / internals
     # ------------------------------------------------------------------
     def reserve(self, n: int) -> None:
-        """Size the scratch word buffers for scattered draws of ``n`` lanes.
+        """Size the scratch buffers for scattered draws of ``n`` lanes.
 
         The buffers otherwise grow to each new high-water mark, and a
         regrowth inside the step loop is a fresh allocation. An engine
         whose draws never exceed one per agent reserves that count once
         at build.
         """
-        for role in ("ctr", "out"):
-            _take_u32(self.xp, self._scratch, role, n)
+        self._gen.reserve(n)
 
     def ragged(self, rep) -> "RaggedLaneRNG":
         """A :class:`PhiloxKeyedRNG`-shaped view over ragged member sets.
@@ -173,43 +161,16 @@ class BatchedPhiloxRNG:
     ) -> np.ndarray:
         """Philox words for flattened per-replication lanes; shape ``(4, n)``.
 
-        Counter layout matches :meth:`PhiloxKeyedRNG.words` exactly; the key
-        words are gathered per element from the replication seeds. With
-        ``scratch=True`` the counter and output reuse per-instance buffers
-        (see :func:`~repro.rng.philox._take_u32`); the returned array is
-        overwritten by the next scratch draw.
+        Counter layout matches :meth:`PhiloxKeyedRNG.words` exactly; lane
+        ``i`` takes the key schedule of replication ``rep[i]``, gathered
+        once per draw (one replication keeps a single broadcast schedule).
+        With ``scratch=True`` the output reuses a per-instance buffer; the
+        returned array is overwritten by the next scratch draw.
         """
-        xp = self.xp
-        n = lanes.shape[0]
-        step = int(step)
-        counter = (
-            _take_u32(xp, self._scratch, "ctr", n)
-            if scratch
-            else xp.empty((4, n), dtype=np.uint32)
+        return self._gen.words(
+            stream, step, lanes, slot,
+            rep=rep if self.n_reps > 1 else None, scratch=scratch,
         )
-        counter[0] = np.uint32(step & 0xFFFFFFFF)
-        counter[1] = np.uint32((step >> 32) & 0xFFFFFFFF)
-        counter[2] = (lanes & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        counter[3] = np.uint32(int(slot) & 0xFFFFFFFF)
-        stream_word = np.uint32(int(stream) & 0xFFFFFFFF)
-        # Gather the per-element key words through operator indexing — no
-        # namespace dispatch — and feed the round loop directly; one call
-        # costs two counted launches (``empty``, ``stack``). With one
-        # replication the keys stay scalars, which the round loop
-        # broadcasts bit-identically (see ``_philox_rounds``).
-        if self.n_reps == 1:
-            k0 = np.uint32(self.seeds[0] & 0xFFFFFFFF)
-            k1 = np.uint32((self.seeds[0] >> 32) & 0xFFFFFFFF) ^ stream_word
-        else:
-            k0 = self._key_lo[rep]
-            k1 = self._key_hi_base[rep] ^ stream_word
-        out = _philox_rounds(
-            counter[0], counter[1], counter[2], counter[3],
-            k0, k1, PHILOX_ROUNDS,
-        )
-        if scratch:
-            return xp.stack(out, out=_take_u32(xp, self._scratch, "out", n))
-        return xp.stack(out)
 
 
 class RaggedLaneRNG:

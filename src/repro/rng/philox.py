@@ -30,26 +30,18 @@ __all__ = [
 #: Standard number of rounds for philox4x32-10.
 PHILOX_ROUNDS = 10
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint32(0x9E3779B9)
-_W1 = np.uint32(0xBB67AE85)
+#: Round multipliers as a column: row 0 scales c0, row 1 scales c2.
+_MULTIPLIERS = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
+#: Weyl key increments as a column: row 0 bumps k0, row 1 bumps k1.
+_WEYL = np.array([[0x9E3779B9], [0xBB67AE85]], dtype=np.uint64)
 _U32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
-def _wrap():
-    """Fresh errstate per use (numpy 2.x forbids re-entering an instance).
 
-    numpy deliberately wraps unsigned arithmetic; we silence the overflow
-    warnings locally rather than globally.
-    """
-    return np.errstate(over="ignore")
+def _take_buffer(xp, slots: dict, key: str, rows: int, n: int, dtype) -> np.ndarray:
+    """A reusable ``(rows, n)`` buffer (capacity-grown, sliced down).
 
-
-def _take_u32(xp, slots: dict, key: str, n: int) -> np.ndarray:
-    """A reusable ``(4, n)`` uint32 buffer (capacity-grown, sliced down).
-
-    The counter and output-word buffers of a hot-path draw are fully
+    The word pairs, shift temporary and output words of a draw are fully
     overwritten on every call and consumed before the next draw, so each
     RNG instance parks one buffer per role and hands back leading-slice
     views — after the high-water mark, a draw performs zero allocating
@@ -57,42 +49,127 @@ def _take_u32(xp, slots: dict, key: str, n: int) -> np.ndarray:
     """
     buf = slots.get(key)
     if buf is None or buf.shape[1] < n:
-        buf = xp.empty((4, n), dtype=np.uint32)
+        buf = xp.empty((rows, n), dtype=dtype)
         slots[key] = buf
     return buf if buf.shape[1] == n else buf[:, :n]
 
 
-def _mulhilo(m: np.uint64, b: np.ndarray) -> tuple:
-    """Return the high and low 32-bit halves of ``m * b`` (64-bit product)."""
-    prod = m * b.astype(np.uint64)
-    hi = (prod >> _SHIFT32).astype(np.uint32)
-    lo = (prod & _U32).astype(np.uint32)
-    return hi, lo
+def _round_keys(key, rounds: int = PHILOX_ROUNDS, xp=np) -> np.ndarray:
+    """The Philox key schedule, ``(rounds, 2, m)`` uint64.
 
-
-def _philox_rounds(c0, c1, c2, c3, k0, k1, rounds: int) -> tuple:
-    """The Philox round loop on pre-extracted words.
-
-    The key words may be arrays *or* ``np.uint32`` scalars — the round
-    arithmetic broadcasts either way and the wrapped-add key schedule is
-    bit-identical in both representations, which lets hot call sites skip
-    the per-call ``broadcast_to`` materialisation entirely. Every operation
-    here is an array *operator* (no namespace dispatch), so the round loop
-    itself contributes zero counted launches under the profiling backend.
+    ``key`` is ``(2, m)``: the two key words of ``m`` keys. Round ``r``
+    uses ``(k0 + r * W0, k1 + r * W1) mod 2**32``.
     """
-    with _wrap():
-        for _ in range(rounds):
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
-            # One Philox round: note the crossed wiring of the four words.
-            new0 = hi1 ^ c1 ^ k0
-            new1 = lo1
-            new2 = hi0 ^ c3 ^ k1
-            new3 = lo0
-            c0, c1, c2, c3 = new0, new1, new2, new3
-            k0 = k0 + _W0
-            k1 = k1 + _W1
-    return c0, c1, c2, c3
+    r = xp.arange(rounds, dtype=np.uint64)[:, None, None]
+    return (xp.asarray(key, dtype=np.uint64)[None] + r * xp.asarray(_WEYL)) & _U32
+
+
+def _philox_rounds(a, b, tmp, multipliers, round_keys) -> tuple:
+    """The Philox round loop on the paired counter words, in place.
+
+    ``a`` holds words (c0, c2) and ``b`` words (c1, c3), each a ``(2, n)``
+    uint64 array of 32-bit values; ``tmp`` is a ``(2, n)`` uint64 buffer
+    the loop overwrites. One round of Philox4x32 is
+
+        c0, c1, c2, c3 = hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+                         hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)
+
+    so with ``P = a * (M0, M1)`` the new ``a`` is ``hi(P)`` reversed,
+    xored into ``b`` and the round keys, and the new ``b`` is ``lo(P)``
+    reversed — one multiply by the ``(2, 1)`` ``multipliers`` column, a
+    shift into ``tmp``, a mask, two xors and a swap of views per round,
+    in place of sixteen word-wide operations. Each product fits in 64
+    bits, so nothing wraps. ``round_keys`` is ``(rounds, 2, m)`` with
+    ``m`` 1 (one key, broadcast) or ``n`` (a key per lane); see
+    :func:`_round_keys`. Every operation is an array operator (no
+    namespace dispatch), so the loop contributes zero counted launches
+    under the profiling backend. Returns the final ``(a, b)`` views.
+    """
+    for keys in round_keys:
+        a *= multipliers
+        tmp[...] = a
+        tmp >>= _SHIFT32
+        a &= _U32
+        b ^= tmp[::-1]
+        b ^= keys
+        a, b = b, a[::-1]
+    return a, b
+
+
+class _PhiloxGenerator:
+    """Counter-mode Philox words for one or several master seeds.
+
+    Both keyed front-ends draw through this: :class:`PhiloxKeyedRNG` with
+    one seed, :class:`~repro.rng.batched.BatchedPhiloxRNG` with one seed
+    per replication. The counter of lane ``l`` at ``(step, slot)`` is
+    ``(step_lo, step_hi, l_lo, slot)``; the key of seed ``s`` on stream
+    ``k`` is ``(s_lo, s_hi ^ k)``. Each stream's key schedule is built
+    once on the host and uploaded to the backend, and the word pairs of
+    the round loop live in per-instance scratch buffers.
+    """
+
+    def __init__(self, seeds, backend) -> None:
+        self.backend = backend
+        self.xp = backend.xp
+        self._key_lo = np.array([s & 0xFFFFFFFF for s in seeds], dtype=np.uint32)
+        self._key_hi = np.array(
+            [(s >> 32) & 0xFFFFFFFF for s in seeds], dtype=np.uint32
+        )
+        self._schedules: dict = {}
+        self._multipliers = None
+        self._scratch: dict = {}
+
+    def reserve(self, n: int) -> None:
+        """Size the scratch buffers for draws of up to ``n`` lanes."""
+        for role in ("a", "b", "tmp"):
+            _take_buffer(self.xp, self._scratch, role, 2, n, np.uint64)
+        _take_buffer(self.xp, self._scratch, "out", 4, n, np.uint32)
+
+    def _schedule(self, stream: int):
+        """The device key schedule of ``stream``, ``(rounds, 2, seeds)``."""
+        word = int(stream) & 0xFFFFFFFF
+        keys = self._schedules.get(word)
+        if keys is None:
+            if self._multipliers is None:
+                self._multipliers = self.backend.from_host(_MULTIPLIERS)
+            keys = self._schedules[word] = self.backend.from_host(
+                _round_keys(np.stack([self._key_lo, self._key_hi ^ np.uint32(word)]))
+            )
+        return keys
+
+    def words(
+        self, stream: int, step: int, lanes, slot: int, rep=None, scratch: bool = False
+    ) -> np.ndarray:
+        """Output words ``(4, n)`` for the uint64 lanes ``lanes``.
+
+        ``rep[i]`` picks the seed of lane ``i``; ``None`` keys every lane
+        with the first seed. With ``scratch=True`` the words land in a
+        reusable buffer that the next scratch draw overwrites.
+        """
+        n = lanes.shape[0]
+        take = self._scratch
+        a = _take_buffer(self.xp, take, "a", 2, n, np.uint64)
+        b = _take_buffer(self.xp, take, "b", 2, n, np.uint64)
+        tmp = _take_buffer(self.xp, take, "tmp", 2, n, np.uint64)
+        step = int(step)
+        a[0] = np.uint64(step & 0xFFFFFFFF)
+        lane_words = a[1]
+        lane_words[...] = lanes
+        lane_words &= _U32
+        b[0] = np.uint64((step >> 32) & 0xFFFFFFFF)
+        b[1] = np.uint64(int(slot) & 0xFFFFFFFF)
+        keys = self._schedule(stream)
+        if rep is not None:
+            keys = keys.take(rep, axis=2)
+        a, b = _philox_rounds(a, b, tmp, self._multipliers, keys)
+        out = (
+            _take_buffer(self.xp, take, "out", 4, n, np.uint32)
+            if scratch
+            else self.xp.empty((4, n), dtype=np.uint32)
+        )
+        out[0::2] = a
+        out[1::2] = b
+        return out
 
 
 def philox4x32(
@@ -127,11 +204,16 @@ def philox4x32(
         raise ValueError(f"key must have shape (2, n), got {key.shape}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    return xp.stack(
-        _philox_rounds(
-            counter[0], counter[1], counter[2], counter[3], key[0], key[1], rounds
-        )
+    n = max(counter.shape[1], key.shape[1])
+    counter = xp.broadcast_to(counter, (4, n)).astype(np.uint64)
+    a, b = _philox_rounds(
+        counter[0::2], counter[1::2], xp.empty((2, n), dtype=np.uint64),
+        xp.asarray(_MULTIPLIERS), _round_keys(key, rounds, xp=xp),
     )
+    out = xp.empty((4, n), dtype=np.uint32)
+    out[0::2] = a
+    out[1::2] = b
+    return out
 
 
 def philox4x32_scalar(counter, key, rounds: int = PHILOX_ROUNDS) -> tuple:
@@ -173,9 +255,15 @@ class PhiloxKeyedRNG:
         self.seed = int(seed)
         self.backend = resolve_backend(backend)
         self.xp = self.backend.xp
-        self._key_lo = np.uint32(seed & 0xFFFFFFFF)
-        self._key_hi_base = np.uint32((seed >> 32) & 0xFFFFFFFF)
-        self._scratch: dict = {}
+        self._gen = _PhiloxGenerator((self.seed,), self.backend)
+
+    def subset(self, rows) -> "PhiloxKeyedRNG":
+        """This RNG itself: a draw depends only on the lanes it is given.
+
+        The counterpart of :meth:`repro.rng.batched.RaggedLaneRNG.subset`,
+        so a model can narrow its draws to some rows on either RNG.
+        """
+        return self
 
     # ------------------------------------------------------------------
     # Core word generator
@@ -188,38 +276,17 @@ class PhiloxKeyedRNG:
         ``lane`` may be a scalar or any integer array; it is flattened to
         one dimension of lanes.
 
-        This is the hot path of every step: the key words stay ``np.uint32``
-        scalars (broadcast inside the round loop) and the counter is filled
-        in place, so one call costs three namespace dispatches (``asarray``,
-        ``empty``, ``stack``) regardless of backend. With ``scratch=True``
-        the counter and output land in per-instance reusable buffers —
+        This is the hot path of every step: the round loop runs in
+        per-instance scratch buffers, so one call costs the ``asarray`` of
+        the lanes plus, without ``scratch``, the ``empty`` of the result.
+        With ``scratch=True`` the output lands in a reusable buffer too —
         the returned array is *overwritten by the next scratch draw*, so
         only callers that consume the words immediately (the distribution
         helpers, the tie-break bit) may opt in; the values are identical
         either way.
         """
-        xp = self.xp
-        lanes = xp.asarray(lane, dtype=np.uint64).reshape(-1)
-        n = lanes.shape[0]
-        step = int(step)
-        counter = (
-            _take_u32(xp, self._scratch, "ctr", n)
-            if scratch
-            else xp.empty((4, n), dtype=np.uint32)
-        )
-        counter[0] = np.uint32(step & 0xFFFFFFFF)
-        counter[1] = np.uint32((step >> 32) & 0xFFFFFFFF)
-        counter[2] = (lanes & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        counter[3] = np.uint32(int(slot) & 0xFFFFFFFF)
-        with _wrap():
-            key_hi = self._key_hi_base ^ np.uint32(int(stream) & 0xFFFFFFFF)
-        out = _philox_rounds(
-            counter[0], counter[1], counter[2], counter[3],
-            self._key_lo, key_hi, PHILOX_ROUNDS,
-        )
-        if scratch:
-            return xp.stack(out, out=_take_u32(xp, self._scratch, "out", n))
-        return xp.stack(out)
+        lanes = self.xp.asarray(lane, dtype=np.uint64).reshape(-1)
+        return self._gen.words(stream, step, lanes, slot, scratch=scratch)
 
     # ------------------------------------------------------------------
     # Distribution helpers (all order-independent and engine-agnostic)

@@ -21,16 +21,22 @@ namespace dispatches (``ops``) and *allocating* dispatches (``allocs``
 ``JAMMED_ALLOC_BUDGETS`` carry ~20% headroom over measured counts for
 benign drift; exceeding one means a whole-batch launch was split back
 into per-group or per-lane passes, or a hot step-loop temporary went
-back to fresh heap allocation. The whole-array free-flow budgets and
-the sequential ops budget were last tightened to contested-only winner draws
-(12 ops and 10 allocs per step at any lane count on the whole-array
-engines, 11 ops and 4 allocs on ``sequential``); jammed, the whole-array
-engines measure 39 ops / 20 allocs (LEM) and 32 / 12 (ACO) at any lane
-count, against the 45 / 22 budgets the halo-padded scan set. Those
-jammed counts hold because the engine reserves the RNG's scratch word
-buffers at build: a draw that set a new high-water mark mid-run would
-reallocate them. The tiled budgets date from the fused kernels and the
-``out=``-capable ops.
+back to fresh heap allocation. The whole-array free-flow budgets were
+last tightened to contested-only winner draws (12 ops and 10 allocs per
+step at any lane count). A Philox draw now costs one counted dispatch
+(the ``asarray`` of its lanes) plus an ``empty`` when it returns a fresh
+array, one fewer ``stack`` than before, so ``sequential`` measures 7
+ops and 3 allocs (11 / 4 before) and its ops budget is tightened to 9.
+Jammed, the whole-array engines measure 35 ops / 21 allocs (LEM) and
+31 / 13 (ACO) at any lane count (39 / 20 and 32 / 12 before): the
+candidate-first split adds a ``nonzero`` when some deciding row has no
+empty neighbour, and LEM's tie-only tie-break trades the ``arange`` and
+one ``where`` for a ``nonzero`` over the rows with 2+ tied slots. The
+jammed ops budget is tightened from 45 to 42; the alloc budget stays at
+22. Those jammed counts hold because the engine reserves the RNG's
+scratch buffers at build: a draw that set a new high-water mark mid-run
+would reallocate them. The tiled budgets date from the fused kernels and
+the ``out=``-capable ops.
 
 ``PRE_FUSION`` (per-group TOP/BOTTOM passes, unfused RNG) and
 ``PRE_ARENA`` (before the ``out=``-capable ops) are free-flow-scenario
@@ -66,7 +72,7 @@ PRE_FUSION = {
 
 #: Measured free-flow ops/step plus ~20% headroom.
 BUDGETS = {
-    "sequential": 14,
+    "sequential": 9,
     "vectorized": 15,
     "tiled": 220,
     "batched4": 15,
@@ -93,7 +99,7 @@ ALLOC_BUDGETS = {
 
 #: Jammed-scenario ops/step and allocs/step budgets of the whole-array
 #: engines, per model (every step runs select).
-JAMMED_BUDGETS = {"vectorized": 45, "batched4": 45}
+JAMMED_BUDGETS = {"vectorized": 42, "batched4": 42}
 JAMMED_ALLOC_BUDGETS = {"vectorized": 22, "batched4": 22}
 JAMMED_MODELS = ("lem", "aco")
 

@@ -13,6 +13,7 @@ from repro.agents.population import NO_FUTURE
 from repro.engine import BatchedEngine, build_engine, run_batched
 from repro.errors import EngineError
 from repro.grid import offsets_array
+from repro.models import GreedyParams, LEMParams
 from repro.rng import BatchedPhiloxRNG, PhiloxKeyedRNG, RaggedLaneRNG, Stream
 from repro.types import Group
 
@@ -426,6 +427,23 @@ def _blocked_agents(engine, lane):
     return blocked
 
 
+def _movable_agents(engine, lane):
+    """Agents of ``lane`` with at least one empty neighbour cell, read from
+    the lane's host state."""
+    env = engine.lane_environment(lane)
+    pop = engine.lane_population(lane)
+    h, w = env.shape
+    movable = set()
+    for a in range(1, pop.n_agents + 1):
+        r0, c0 = int(pop.rows[a]), int(pop.cols[a])
+        for dr, dc in offsets_array(Group(int(pop.ids[a]))):
+            r, c = r0 + dr, c0 + dc
+            if 0 <= r < h and 0 <= c < w and env.mat[r, c] == 0:
+                movable.add(a)
+                break
+    return movable
+
+
 def _spy_select(engine):
     """Record each ``model.select`` call as a list of (lane, agent) rows."""
     calls = []
@@ -440,16 +458,23 @@ def _spy_select(engine):
 
 
 class TestForwardFirstSelect:
-    """Only rows that decide reach eq. 1 / eq. 2 and the RNG: a row whose
-    lane has forward priority and whose forward cell is empty takes slot 0
-    with no model call."""
+    """Only rows that decide and can move reach eq. 1 / eq. 2 and the RNG:
+    a row whose lane has forward priority and whose forward cell is empty
+    takes slot 0, and a deciding row with no empty neighbour takes -1,
+    both with no model call."""
 
     def _step_and_check(self, engine, seqs, calls, deciding):
-        """One step of ``engine`` against per-lane sequential runs; returns
-        the rows select saw, checked against ``deciding(lane)``."""
-        expected = sorted(
-            (lane, a) for lane in range(engine.n_lanes) for a in deciding(lane)
-        )
+        """One step of ``engine`` against per-lane sequential runs. The rows
+        select saw must be the ``deciding(lane)`` rows with an empty
+        neighbour; returns them and the number of deciding rows without
+        one (stuck rows)."""
+        expected, stuck = [], 0
+        for lane in range(engine.n_lanes):
+            movable = _movable_agents(engine, lane)
+            rows = list(deciding(lane))
+            expected += [(lane, a) for a in rows if a in movable]
+            stuck += sum(a not in movable for a in rows)
+        expected.sort()
         calls.clear()
         report = engine.step()
         seen = [row for call in calls for row in call]
@@ -458,10 +483,11 @@ class TestForwardFirstSelect:
         engine.validate_state()
         for lane, seq in enumerate(seqs):
             seq_report = seq.step()
+            # Stuck rows must not count as decided: they end at -1.
             assert int(report.decided[lane]) == seq_report.decided
             assert int(report.moved[lane]) == seq_report.moved
             _assert_lane_matches_solo(engine, lane, seq)
-        return expected
+        return expected, stuck
 
     def test_free_flow_step_never_calls_select(self):
         cfg = SimulationConfig(height=32, width=32, n_per_side=24, steps=12, seed=0)
@@ -470,7 +496,7 @@ class TestForwardFirstSelect:
         calls = _spy_select(engine)
         free_steps = 0
         for _ in range(cfg.steps):
-            rows = self._step_and_check(
+            rows, _ = self._step_and_check(
                 engine, [seq], calls, lambda lane: _blocked_agents(engine, lane)
             )
             free_steps += not rows
@@ -484,11 +510,14 @@ class TestForwardFirstSelect:
         engine = BatchedEngine(cfg, (1, 2))
         seqs = [build_engine(cfg, engine="sequential", seed=s) for s in (1, 2)]
         calls = _spy_select(engine)
+        total_stuck = 0
         for _ in range(cfg.steps):
-            rows = self._step_and_check(
+            rows, stuck = self._step_and_check(
                 engine, seqs, calls, lambda lane: _blocked_agents(engine, lane)
             )
             assert rows  # every jammed step selects
+            total_stuck += stuck
+        assert total_stuck > 0  # and some blocked rows are stuck
 
     @pytest.mark.parametrize("model", ["lem", "aco"])
     def test_lane_without_forward_priority_selects_every_row(self, model):
@@ -513,6 +542,134 @@ class TestForwardFirstSelect:
 
         for _ in range(base.steps):
             self._step_and_check(engine, seqs, calls, deciding)
+
+    @pytest.mark.parametrize("model", ["lem", "aco", "greedy", "random"])
+    def test_select_never_sees_a_stuck_row(self, model):
+        """In a dense jam most blocked rows have no empty neighbour. The
+        spy checks, inside every ``model.select`` call, that each row has
+        a candidate in its scan row and an empty neighbour on the grid;
+        the stuck rows end at -1, so the decided counts and states still
+        match the sequential engine's on every step."""
+        cfg = SimulationConfig(
+            height=16, width=16, n_per_side=100, steps=30, seed=3
+        ).with_model(model)
+        engine = BatchedEngine(cfg, (3, 4))
+        seqs = [build_engine(cfg, engine="sequential", seed=s) for s in (3, 4)]
+        movable = {}
+        select = engine.model.select
+
+        def spy(scan, rng, step, lanes):
+            assert scan.shape[0] and bool((scan != 0.0).any(axis=1).all())
+            for lane, agent in zip(rng._rep.tolist(), lanes.tolist()):
+                assert agent in movable[lane]
+            return select(scan, rng, step, lanes)
+
+        engine.model.select = spy
+        stuck = blocked = 0
+        for _ in range(cfg.steps):
+            for lane in range(engine.n_lanes):
+                movable[lane] = _movable_agents(engine, lane)
+                rows = _blocked_agents(engine, lane)
+                blocked += len(rows)
+                stuck += sum(a not in movable[lane] for a in rows)
+            report = engine.step()
+            for lane, seq in enumerate(seqs):
+                seq_report = seq.step()
+                assert int(report.decided[lane]) == seq_report.decided
+                _assert_lane_matches_solo(engine, lane, seq)
+        assert stuck > blocked // 10  # the jam really has stuck rows
+
+
+def _tied_slot_count(model, scan_row, z):
+    """How many slots tie at the score ``model`` selects from ``scan_row``
+    (a host list), given the row's ``LEM_SELECT`` normal ``z`` (ignored by
+    greedy) — a scalar restatement of eq. 1's selection."""
+    cand = [v for v in scan_row if v > 0.0]
+    if not cand:
+        return 0
+    dmin = min(cand)
+    if model.name == "greedy":
+        return cand.count(dmin)
+    x = min(max(model.mu + model.sigma * z, 0.0), 1.0)
+    scores = [dmin / v for v in cand]
+    if model.rule == "floor":
+        eligible = [c for c in scores if c <= x]
+        pick = max(eligible, default=None)
+    else:
+        eligible = [c for c in scores if c >= x]
+        pick = min(eligible, default=None)
+    return eligible.count(pick) if eligible else 0
+
+
+class TestTieOnlyDraws:
+    """A row with one slot at its selected score takes it without a
+    ``TIEBREAK`` draw: the slot-key order only matters among 2+ tied
+    slots, and draws are keyed per (lane, agent), so skipping one changes
+    no other. On every step each engine draws exactly for the rows that
+    reach select with 2+ tied slots."""
+
+    STEPS = 15
+
+    @staticmethod
+    def _record(engine):
+        """Per step, the (lane, agent) rows with 2+ tied slots (from the
+        scan rows select receives) and the rows that draw a ``TIEBREAK``
+        word, plus the number of rows select saw."""
+        expected, drawn, seen = [], [], []
+        model, rng = engine.model, engine.rng
+        select, words = model.select, rng._words_flat
+        solo = [PhiloxKeyedRNG(seed) for seed in engine.seeds]
+
+        def select_spy(scan, sub_rng, step, lanes):
+            want = []
+            for row, lane, agent in zip(
+                scan.tolist(), sub_rng._rep.tolist(), lanes.tolist()
+            ):
+                z = solo[lane].normal12_scalar(Stream.LEM_SELECT, step, agent)
+                if _tied_slot_count(model, row, z) >= 2:
+                    want.append((lane, agent))
+            expected[-1] += want
+            seen[-1] += len(lanes)
+            return select(scan, sub_rng, step, lanes)
+
+        def words_spy(stream, step, rep, lanes, *args, **kwargs):
+            if stream == Stream.TIEBREAK:
+                drawn[-1] += zip(rep.tolist(), lanes.tolist())
+            return words(stream, step, rep, lanes, *args, **kwargs)
+
+        model.select = select_spy
+        rng._words_flat = words_spy
+
+        def step():
+            expected.append([])
+            drawn.append([])
+            seen.append(0)
+            engine.step()
+
+        return step, expected, drawn, seen
+
+    @pytest.mark.parametrize(
+        "params", [LEMParams(), LEMParams(rule="ceil"), GreedyParams()],
+        ids=["lem-floor", "lem-ceil", "greedy"],
+    )
+    def test_only_rows_with_ties_draw(self, params):
+        cfg = SimulationConfig(
+            height=16, width=16, n_per_side=100, steps=self.STEPS, seed=11
+        ).with_model(params)
+        engines = (
+            build_engine(cfg, "vectorized"),
+            BatchedEngine([cfg, cfg], seeds=(cfg.seed + 1, cfg.seed)),
+        )
+        logs = [self._record(e) for e in engines]
+        for _ in range(self.STEPS):
+            for step, *_ in logs:
+                step()
+        for _, expected, drawn, seen in logs:
+            for t, (want, got) in enumerate(zip(expected, drawn)):
+                assert sorted(got) == sorted(want), t
+            n_drawn = sum(map(len, drawn))
+            # Ties occur, and most selecting rows have none.
+            assert 0 < n_drawn < sum(seen)
 
 
 class TestBatchedThroughputMatchesSequential:

@@ -6,9 +6,17 @@ establish consistency of the implementation"), strengthened to exact
 equality via the keyed counter-based RNG.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import SimulationConfig, build_engine
+from repro.backend import resolve_backend
+from repro.engine import BatchedEngine
+from repro.grid import offsets_array
+from repro.io import engine_state_digest
+from repro.models import LEMParams
+from repro.types import Group
 
 MODELS = ["lem", "aco", "random", "greedy"]
 
@@ -115,3 +123,77 @@ class TestSeedSensitivity:
             b = build_engine(cfg, engine)
             assert [b.step() for _ in range(20)] == reports
             assert a.state_equals(b)
+
+
+def _stuck_share(engine):
+    """(blocked, stuck) agents of a sequential engine: blocked agents have
+    no empty forward cell; stuck ones have no empty neighbour at all."""
+    env, pop = engine.env, engine.pop
+    h, w = env.shape
+    blocked = stuck = 0
+    for a in range(1, pop.n_agents + 1):
+        r0, c0 = int(pop.rows[a]), int(pop.cols[a])
+        empty = [
+            0 <= r0 + dr < h and 0 <= c0 + dc < w and env.mat[r0 + dr, c0 + dc] == 0
+            for dr, dc in offsets_array(Group(int(pop.ids[a])))
+        ]
+        if not empty[0]:
+            blocked += 1
+            stuck += not any(empty)
+    return blocked, stuck
+
+
+def _lane_digest(batched, lane):
+    """``engine_state_digest`` of one lane of a batched engine."""
+    return engine_state_digest(SimpleNamespace(
+        pop=batched.lane_population(lane),
+        env=batched.lane_environment(lane),
+        backend=resolve_backend("numpy"),
+    ))
+
+
+class TestJammedDifferential:
+    """The jammed regime: dense small grids run until many deciding rows
+    have no empty neighbour (the rows the whole-array engines send to -1
+    without a model call) and rows with tied scores abound. On every step
+    the sequential engine, the solo vectorized engine and both lanes of a
+    padded 2-lane batch (the second lane a smaller, different jam) share
+    one ``engine_state_digest``, and every state invariant holds."""
+
+    STEPS = 40
+    #: (params, agents per side, fill fraction, least stuck share of the
+    #: blocked rows over the second half of the run).
+    PROFILES = {
+        "lem": (LEMParams(), 100, 0.8, 0.5),
+        "lem-ceil": (LEMParams(rule="ceil"), 110, 0.95, 0.05),
+        "greedy": ("greedy", 110, 0.95, 0.3),
+        "aco": ("aco", 110, 0.95, 0.15),
+    }
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_engines_agree_every_step_in_a_jam(self, profile):
+        params, n, fill, least_share = self.PROFILES[profile]
+        cfg = SimulationConfig(
+            height=16, width=16, n_per_side=n, fill_fraction=fill,
+            steps=self.STEPS, seed=5,
+        ).with_model(params)
+        small = cfg.replace(height=12, width=12, n_per_side=50, fill_fraction=0.9)
+        seq = build_engine(cfg, "sequential")
+        small_seq = build_engine(small, "sequential")
+        vec = build_engine(cfg, "vectorized")
+        batch = BatchedEngine([cfg, small], seeds=(cfg.seed, cfg.seed))
+        blocked = stuck = 0
+        for t in range(self.STEPS):
+            for engine in (seq, small_seq, vec, batch):
+                engine.step()
+            for engine in (seq, small_seq, vec, batch):
+                engine.validate_state()
+            digest = engine_state_digest(seq)
+            assert engine_state_digest(vec) == digest, t
+            assert _lane_digest(batch, 0) == digest, t
+            assert _lane_digest(batch, 1) == engine_state_digest(small_seq), t
+            if t >= self.STEPS // 2:
+                b, s = _stuck_share(seq)
+                blocked += b
+                stuck += s
+        assert stuck >= least_share * blocked

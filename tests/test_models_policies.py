@@ -70,3 +70,54 @@ class TestGreedyModel:
         variates = model.scalar_prepare(rng, 2, 40)
         for i in range(40):
             assert model.select_scalar(list(scan[i]), i + 1, variates) == vec[i]
+
+
+def _registered_models():
+    from repro.components.models import MODEL_CLASSES
+
+    return sorted(MODEL_CLASSES.names())
+
+
+class TestNoCandidateContract:
+    """Every registered model returns -1 ("no move") on a row with no
+    candidate. The whole-array engines rely on it: a deciding row with no
+    empty neighbour writes -1 without calling ``select`` at all, which is
+    exact only if ``select`` would have returned -1 for it."""
+
+    def test_registry_holds_the_built_ins(self):
+        assert {"lem", "aco", "random", "greedy"} <= set(_registered_models())
+
+    @pytest.mark.parametrize("name", _registered_models())
+    def test_select_returns_minus_one_on_all_false_rows(self, name):
+        from repro.models import build_model, params_from_name
+        from repro.rng import BatchedPhiloxRNG
+
+        model = build_model(params_from_name(name))
+        n = 64
+        candidates = np.zeros((n, 8), dtype=bool)
+        # Every other row has candidates, so -1 is per row, not per call.
+        candidates[1::2, 1:6] = True
+        dist = np.tile(np.linspace(1.0, 3.0, 8), (n, 1))
+        tau = np.ones((n, 8))
+        scan = model.scan_values(dist, candidates, tau)
+        lanes = np.arange(1, n + 1)
+        ragged = BatchedPhiloxRNG((7, 8)).ragged(np.arange(n) % 2)
+        for rng in (PhiloxKeyedRNG(7), ragged):
+            for step in range(5):
+                slots = model.select(scan, rng, step, lanes)
+                assert np.all(slots[0::2] == -1)
+                # Rows with candidates take one of them (the LEM may wait).
+                live = slots[1::2]
+                took = candidates[1::2][np.arange(n // 2), live]
+                assert np.all((live == -1) | took)
+
+    @pytest.mark.parametrize("name", _registered_models())
+    def test_select_scalar_returns_minus_one_on_all_zero_rows(self, name):
+        from repro.models import build_model, params_from_name
+
+        model = build_model(params_from_name(name))
+        rng = PhiloxKeyedRNG(7)
+        for step in range(5):
+            variates = model.scalar_prepare(rng, step, 4)
+            for agent in range(1, 5):
+                assert model.select_scalar([0.0] * 8, agent, variates) == -1

@@ -3,7 +3,30 @@
 import numpy as np
 import pytest
 
-from repro.rng import PHILOX_ROUNDS, PhiloxKeyedRNG, Stream, philox4x32, philox4x32_scalar
+from repro.rng import (
+    PHILOX_ROUNDS,
+    BatchedPhiloxRNG,
+    PhiloxKeyedRNG,
+    Stream,
+    philox4x32,
+    philox4x32_scalar,
+)
+
+
+def _reference_philox(counter, key, rounds=PHILOX_ROUNDS):
+    """Philox4x32 on Python ints, one round at a time (Salmon et al.)."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    mask = 0xFFFFFFFF
+    for _ in range(rounds):
+        p0 = 0xD2511F53 * c0
+        p1 = 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (
+            (p1 >> 32) ^ c1 ^ k0, p1 & mask, (p0 >> 32) ^ c3 ^ k1, p0 & mask
+        )
+        k0 = (k0 + 0x9E3779B9) & mask
+        k1 = (k1 + 0xBB67AE85) & mask
+    return c0, c1, c2, c3
 
 
 class TestKnownAnswers:
@@ -36,6 +59,41 @@ class TestBijection:
         for i in range(10):
             single = philox4x32_scalar(tuple(counters[:, i]), (7, 9))
             assert tuple(int(batch[j, i]) for j in range(4)) == single
+
+    @pytest.mark.parametrize("rounds", [1, 7, PHILOX_ROUNDS])
+    def test_matches_the_reference_loop(self, rounds):
+        """Per-lane keys, any round count: word for word the scalar loop."""
+        gen = np.random.default_rng(rounds)
+        counters = gen.integers(0, 2**32, size=(4, 16), dtype=np.uint32)
+        keys = gen.integers(0, 2**32, size=(2, 16), dtype=np.uint32)
+        out = philox4x32(counters, keys, rounds)
+        for i in range(16):
+            want = _reference_philox(
+                [int(w) for w in counters[:, i]], [int(w) for w in keys[:, i]],
+                rounds,
+            )
+            assert tuple(int(w) for w in out[:, i]) == want
+
+    def test_keyed_draws_match_the_reference_loop(self):
+        """Solo and per-replication keyed words against the scalar loop,
+        with 64-bit steps and lanes (only the low lane word counts)."""
+        seeds = (3, 2**40 + 5)
+        step, slot = 2**33 + 9, 2
+        lanes = np.array([1, 2**32 + 7, 2**63 + 11], dtype=np.uint64)
+        rep = np.array([1, 0, 1])
+        ragged = BatchedPhiloxRNG(seeds).ragged(rep)
+        got = {
+            "solo": PhiloxKeyedRNG(seeds[1]).words(Stream.TIEBREAK, step, lanes, slot),
+            "ragged": ragged.words(Stream.TIEBREAK, step, lanes, slot),
+        }
+        for name, words in got.items():
+            for i, lane in enumerate(lanes.tolist()):
+                seed = seeds[1] if name == "solo" else seeds[rep[i]]
+                want = _reference_philox(
+                    [step & 0xFFFFFFFF, step >> 32, lane & 0xFFFFFFFF, slot],
+                    [seed & 0xFFFFFFFF, (seed >> 32) ^ int(Stream.TIEBREAK)],
+                )
+                assert tuple(int(w) for w in words[:, i]) == want, (name, i)
 
     def test_key_broadcast(self):
         counters = np.zeros((4, 5), dtype=np.uint32)
