@@ -102,14 +102,16 @@ class BatchedTiledEngine(BatchedEngine):
             # Halo sentinels and padding cells both read non-zero, so the
             # emptiness test is the only bounds check needed.
             candidates = shared_mat[bb[:, None], nr, nc] == 0
-            rows = self.rows[bb, agent]
-            dist = self._dist_stack[gslot, bb, rows]  # (n, 8)
+            # Each agent's (group slot, lane, row) entry of the slot tables.
+            table_rows = (gslot * self.n_lanes + bb) * self.h_max + self.rows[
+                bb, agent
+            ]
             tau = (
                 shared_tau[gslot[:, None], bb[:, None], nr, nc]
                 if shared_tau is not None
                 else None
             )
-            scan[bb, agent, :] = self._scan_values(bb, dist, candidates, tau)
+            scan[bb, agent, :] = self._scan_values(bb, table_rows, candidates, tau)
             front[bb, agent] = candidates[:, 0]
             movable[bb, agent] = candidates.any(axis=1)
         # Select sees only the deciding rows with an empty neighbour, as in

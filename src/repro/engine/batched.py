@@ -42,10 +42,13 @@ agent whose forward cell is empty moves forward without evaluating eq. 1
 model and its random draws only on the fused rows whose forward cell is
 blocked (or whose lane has forward priority off); every other row takes
 slot 0 with no model or RNG work. Of the deciding rows, only those with an
-empty neighbour go on to the ``dist``/τ gathers and the model; the rest
+empty neighbour go on to the slot-table/τ gathers and the model; the rest
 take -1 ("no move"), which is what every model returns for them. Philox
 draws are keyed by (seed, stream, step, agent), so skipping rows changes
-no other row's variates.
+no other row's variates. The scan gathers each row's entry of its
+parameter group's slot table (:meth:`~repro.models.MovementModel.slot_table`
+of the distance stack, built at construction and on every lane swap),
+so eq. 2 needs no division or power per row.
 
 Batching wins because a small-grid simulation step is dominated by the
 fixed overhead of its few dozen NumPy kernel dispatches (budgeted per
@@ -315,7 +318,7 @@ class BatchedEngine:
         self._tau_base_all = self.backend.from_host(
             gslot_host * (self.n_lanes * self._hp * self._wp)
         )
-        #: ... and of its (group slot, lane) rows into the distance stack.
+        #: ... and of its (group slot, lane) rows into the slot tables.
         self._dist_base_all = self.backend.from_host(
             (gslot_host * self.n_lanes + rep_host) * self.h_max
         )
@@ -417,7 +420,8 @@ class BatchedEngine:
         Group slot leading, matching the pheromone stack; rows beyond a
         lane's height carry inf (never candidates). Tables are pure
         functions of (height, scan_range), so duplicate heights share one
-        host build; the stack uploads once.
+        host build; the stack uploads once. The scan reads each parameter
+        group's slot table built from it (:meth:`_refresh_param_groups`).
         """
         heights = self._heights_host
         by_height = {
@@ -434,7 +438,13 @@ class BatchedEngine:
         self._scan_range = int(scan_range)
 
     def _refresh_param_groups(self) -> None:
-        """Rebuild the params → lanes partition after a lane swap."""
+        """Rebuild the params → lanes partition and each group's slot table.
+
+        A group's table is its model's :meth:`~repro.models.MovementModel.slot_table`
+        of the distance stack, ``(2, B, Hmax, 8)``, rebuilt here after a
+        lane swap or a distance-stack rebuild so a new bundle's scan never
+        reads another bundle's terms.
+        """
         groups: List[Tuple] = []  # (params, model, host lane list)
         order: Dict = {}
         lane_gid = np.zeros(self.n_lanes, dtype=np.int64)
@@ -445,8 +455,14 @@ class BatchedEngine:
                 groups.append((params, self._models[params], []))
             groups[gid][2].append(lane)
             lane_gid[lane] = gid
+        #: ``(params, model, slot table as (rows, 8), device lane list)``.
         self._param_groups = [
-            (params, model, self.backend.from_host(np.array(lanes, dtype=np.intp)))
+            (
+                params,
+                model,
+                model.slot_table(self._dist_stack).reshape(-1, 8),
+                self.backend.from_host(np.array(lanes, dtype=np.intp)),
+            )
             for params, model, lanes in groups
         ]
         self._lane_pg = self.backend.from_host(lane_gid)
@@ -455,7 +471,7 @@ class BatchedEngine:
             # All lanes share one bundle again (possibly after every lane
             # swapped to the same variant): restore the single-model fast
             # path exactly as the constructor set it up.
-            params, model, _ = self._param_groups[0]
+            params, model, self._table, _ = self._param_groups[0]
             self.model = model
             if self.tau is not None:
                 self.tau.params = params
@@ -483,7 +499,8 @@ class BatchedEngine:
         use it — the pheromone field carry over. When every lane ends on
         the same bundle (always, with one lane), the shared state follows
         the new bundle: the distance stack is rebuilt for a new
-        ``scan_range``, and a pheromone-free model drops the pheromone
+        ``scan_range`` (every bundle's slot table is rebuilt on each
+        swap), and a pheromone-free model drops the pheromone
         stack (a later switch back starts from tau0). Otherwise the lanes
         would disagree on that shared state, so a swap that changes
         ``scan_range`` or pheromone use raises. The default
@@ -609,31 +626,35 @@ class BatchedEngine:
                 return None, deciding, stuck
             nbr = nbr.take(keep, axis=0)
             candidates = candidates.take(keep, axis=0)
-        dist = self._dist_stack.reshape(-1, 8).take(
-            self._dist_base_all.take(deciding) + rows.take(deciding), axis=0
-        )
+        table_rows = self._dist_base_all.take(deciding) + rows.take(deciding)
         tau = None
         if self.tau is not None:
             nbr += self._tau_base_all.take(deciding)[:, None]
             tau = self.tau.padded.reshape(-1).take(nbr)
         rep = self._rep_all.take(deciding)
-        return self._scan_values(rep, dist, candidates, tau), deciding, stuck
+        values = self._scan_values(rep, table_rows, candidates, tau)
+        return values, deciding, stuck
 
-    def _scan_values(self, rep, dist, candidates, tau) -> np.ndarray:
-        """Eq. 1/2 scan values for rows of lanes ``rep``, per parameter group."""
+    def _scan_values(self, rep, table_rows, candidates, tau) -> np.ndarray:
+        """Eq. 1/2 scan values for rows of lanes ``rep``, per parameter group.
+
+        ``table_rows`` index each row's ``(group slot, lane, row)`` entry
+        of the slot tables; every parameter group reads its own.
+        """
         if self._homogeneous:
-            return self.model.scan_values(dist, candidates, tau)
+            term = self._table.take(table_rows, axis=0)
+            return self.model.scan_values(term, candidates, tau)
         # scan_values is row-independent, so per-group calls over row
         # subsets are bit-identical to one shared call.
         xp = self.xp
-        values = xp.empty(dist.shape, dtype=np.float64)
+        values = xp.empty(candidates.shape, dtype=np.float64)
         pg = self._lane_pg[rep]
-        for gid, (_params, model, _lanes) in enumerate(self._param_groups):
+        for gid, (_params, model, table, _lanes) in enumerate(self._param_groups):
             sel = pg == gid
             if not bool(xp.any(sel)):
                 continue
             values[sel] = model.scan_values(
-                dist[sel],
+                table.take(table_rows[sel], axis=0),
                 candidates[sel],
                 tau[sel] if tau is not None else None,
             )
@@ -665,7 +686,9 @@ class BatchedEngine:
             # still keys row i by rep[i], so every agent draws the
             # same variates as in the shared call (and the solo run).
             pg = self._lane_pg[rep.take(rows)]
-            for gid, (_params, model, _lanes) in enumerate(self._param_groups):
+            for gid, (_params, model, _table, _lanes) in enumerate(
+                self._param_groups
+            ):
                 sel = pg == gid
                 if not bool(xp.any(sel)):
                     continue
@@ -756,7 +779,7 @@ class BatchedEngine:
         # Element-wise, so evaporating a fancy-indexed copy of a group's
         # lane block and writing it back equals evaporating in place.
         stack = self.tau.padded
-        for params, _model, lanes in self._param_groups:
+        for params, _model, _table, lanes in self._param_groups:
             sub = stack[:, lanes]
             evaporate_field(sub, params, xp=self.xp)
             stack[:, lanes] = sub
@@ -806,7 +829,7 @@ class BatchedEngine:
                 self.backend.scatter_add(
                     stack.reshape(-1), cells, self._deposit_q.take(lane) / new_tour
                 )
-                for params, _model, lanes in self._param_groups:
+                for params, _model, _table, lanes in self._param_groups:
                     sub = stack[:, lanes]
                     self.xp.minimum(sub, params.tau_max, out=sub)
                     stack[:, lanes] = sub

@@ -68,7 +68,8 @@ class SequentialEngine(SoloEngine):
             if self.model.uses_pheromone
             else None
         )
-        self._set_scan_range(getattr(config.params, "scan_range", 1))
+        self.dist = None
+        self._build_tables(getattr(config.params, "scan_range", 1))
         self.t = 0
 
         # Neighbour offsets per group as Python tuples, cheap to index from
@@ -100,15 +101,24 @@ class SequentialEngine(SoloEngine):
             key=lambda entry: entry[:2],
         )
 
-    def _set_scan_range(self, scan_range: int) -> None:
-        """Build the distance tables and their Python-list lookup."""
-        self.dist = build_distance_tables(
-            self.config.height, scan_range, backend=self.backend
-        )
+    def _build_tables(self, scan_range: int) -> None:
+        """The distance tables (built again only for a new ``scan_range``)
+        and the model's slot tables as Python lists.
+
+        The scan reads the model's per-slot term
+        (:meth:`~repro.models.MovementModel.slot_table`) — the same table
+        the whole-array engines gather from — so the scalar and vector
+        paths share one evaluation of it.
+        """
+        if self.dist is None or self.dist[Group.TOP].scan_range != scan_range:
+            self.dist = build_distance_tables(
+                self.config.height, scan_range, backend=self.backend
+            )
         # tolist is exact: identical float values, cheaper to index from
         # the scalar loops.
-        self._dist_list = {
-            g: self.dist[g].table.tolist() for g in (Group.TOP, Group.BOTTOM)
+        self._slot_list = {
+            g: self.model.slot_table(self.dist[g].table).tolist()
+            for g in (Group.TOP, Group.BOTTOM)
         }
 
     def _apply_due_hooks(self, t: int) -> None:
@@ -139,6 +149,7 @@ class SequentialEngine(SoloEngine):
         The environment, populations and — when both models use it — the
         pheromone field carry over; switching to a pheromone-free model
         discards the field (a subsequent switch back starts from tau0).
+        The scan's slot tables are rebuilt for the new bundle.
         """
         params.validate()
         model = build_model(params, backend=self.backend)
@@ -152,9 +163,7 @@ class SequentialEngine(SoloEngine):
         else:
             self.pher = None
         self.model = model
-        new_range = getattr(params, "scan_range", 1)
-        if new_range != self.dist[Group.TOP].scan_range:
-            self._set_scan_range(new_range)
+        self._build_tables(getattr(params, "scan_range", 1))
 
     # ------------------------------------------------------------------
     # Step
@@ -213,7 +222,7 @@ class SequentialEngine(SoloEngine):
             row = rows_l[a]
             col = cols_l[a]
             offsets = self._off_list[group]
-            dist_row = self._dist_list[group][row]
+            term_row = self._slot_list[group][row]
             tau_field = tau_l[group] if tau_l is not None else None
             scan_row = scan[a]
             for s in range(8):
@@ -222,7 +231,7 @@ class SequentialEngine(SoloEngine):
                 c = col + dc
                 if 0 <= r < h and 0 <= c < w and mat_l[r][c] == 0:
                     tau = tau_field[r][c] if tau_field is not None else 0.0
-                    scan_row[s] = model.scan_value_scalar(dist_row[s], tau)
+                    scan_row[s] = model.scan_value_scalar(term_row[s], tau)
                     if s == 0:
                         front[a] = True
         return scan, front

@@ -23,6 +23,14 @@ then 4/5, then 6, then 7/8. Slots whose row falls outside the grid get
 ``inf`` (never candidates). A forward cell sitting exactly on the target
 row has D = 0; eq. 1 requires D != 0, so distances are floored at
 ``MIN_DISTANCE`` which makes a target-row cell maximally attractive.
+
+The engines' scans read the term each model derives from this table,
+built once per parameter bundle
+(:meth:`repro.models.MovementModel.slot_table`): the distances
+themselves for the LEM, greedy and random models, and the eq. 2
+heuristic ``(1/D)^beta`` for the ACO. So the static per-(row, slot)
+table holds what the paper keeps in constant memory — the model's
+per-slot term — and no power or division of it runs per step.
 """
 
 from __future__ import annotations

@@ -11,6 +11,14 @@ numerator per slot; the tour-construction kernel performs the row reduction
 (the denominator) and samples the slot. Pheromone evaporation/deposition
 live in :class:`repro.models.pheromone.PheromoneField` and are driven by the
 engines' movement stage.
+
+``eta^beta`` depends only on the agent's row and the slot, so it is a
+static table like the distance matrix itself (:func:`heuristic_table`):
+the engines build it once per parameter bundle through
+:meth:`ACOModel.slot_table`, and the scan multiplies it by ``tau^alpha``
+with no division or power on the agent rows. Every engine reads the same
+table, so a fractional ``beta`` goes through one ``np.power`` evaluation
+on every engine.
 """
 
 from __future__ import annotations
@@ -20,12 +28,36 @@ from typing import Optional
 import numpy as np
 
 from ..components.models import register_model
-from ..rng import PhiloxKeyedRNG, Stream, categorical_from_cumsum
+from ..rng import PhiloxKeyedRNG, Stream
 from .base import MovementModel
 from .mathops import fast_pow, fast_pow_scalar
 from .params import ACOParams
 
-__all__ = ["ACOModel", "aco_numerators"]
+__all__ = ["ACOModel", "aco_numerators", "heuristic_table"]
+
+
+def heuristic_table(dist: np.ndarray, beta: float, xp=np) -> np.ndarray:
+    """Per-slot heuristic ``(1/D)^beta`` of distance rows, same shape.
+
+    Out-of-grid slots carry ``D = inf`` and get ``0`` (for ``beta > 0``);
+    they are never candidates either way.
+    """
+    with np.errstate(divide="ignore"):
+        eta = 1.0 / xp.asarray(dist, dtype=np.float64)
+    return fast_pow(eta, beta, xp=xp)
+
+
+def _numerators(eta_beta, candidates, tau, alpha: float, xp) -> np.ndarray:
+    """``eta_beta * tau^alpha``, zeroed at non-candidate slots, written
+    into ``eta_beta`` (a float64 array the caller gives up).
+
+    The mask is a multiply: exact because every factor is finite
+    (``ACOParams.validate`` bounds the largest numerator), so a
+    candidate keeps its value and every other slot becomes ``+0.0``.
+    """
+    eta_beta *= fast_pow(xp.asarray(tau, dtype=np.float64), alpha, xp=xp)
+    eta_beta *= candidates
+    return eta_beta
 
 
 def aco_numerators(
@@ -39,14 +71,11 @@ def aco_numerators(
     """Eq. 2 numerators ``tau^alpha * (1/D)^beta`` for a batch: ``(n, 8)``.
 
     Non-candidate slots are exactly 0. Out-of-bounds slots carry
-    ``D = inf`` so their heuristic vanishes even before masking.
+    ``D = inf`` so their heuristic vanishes even before masking. The
+    engines compute the same values from the static
+    :func:`heuristic_table` rows instead of ``dist``.
     """
-    with np.errstate(divide="ignore"):
-        eta = 1.0 / xp.asarray(dist, dtype=np.float64)
-    value = fast_pow(xp.asarray(tau, dtype=np.float64), alpha, xp=xp) * fast_pow(
-        eta, beta, xp=xp
-    )
-    return xp.where(candidates, value, 0.0)
+    return _numerators(heuristic_table(dist, beta, xp=xp), candidates, tau, alpha, xp)
 
 
 @register_model("aco")
@@ -61,16 +90,25 @@ class ACOModel(MovementModel):
         self.alpha = float(params.alpha)
         self.beta = float(params.beta)
 
+    def slot_table(self, dist: np.ndarray) -> np.ndarray:
+        """The static eq. 2 heuristic ``(1/D)^beta`` of this bundle's beta."""
+        return heuristic_table(dist, self.beta, xp=self.xp)
+
     def scan_values(
         self,
         dist: np.ndarray,
         candidates: np.ndarray,
         tau: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """The ACO scan matrix stores the eq. 2 numerator per slot."""
+        """The eq. 2 numerator per slot, written into ``dist``.
+
+        ``dist`` holds :meth:`slot_table` rows, a fresh gather the caller
+        gives up (see :meth:`MovementModel.scan_values`), so eq. 2 costs
+        no ``(n, 8)`` allocation.
+        """
         if tau is None:
             raise ValueError("ACO scan requires the pheromone gather (tau)")
-        return aco_numerators(dist, candidates, tau, self.alpha, self.beta, xp=self.xp)
+        return _numerators(dist, candidates, tau, self.alpha, self.xp)
 
     def select(
         self,
@@ -83,11 +121,10 @@ class ACOModel(MovementModel):
 
         The cumulative sum along the slot axis is the kernel's reduction
         (the eq. 2 denominator is its last element); the keyed uniform picks
-        the slot by inverse CDF.
+        the slot by inverse CDF. Only rows with two or more positive
+        numerators draw (:meth:`~MovementModel.proportional_slots`).
         """
-        cumsum = self.xp.cumsum(scan, axis=1)
-        u = rng.uniform(Stream.ACO_SELECT, step, lanes)
-        return categorical_from_cumsum(cumsum, u, xp=self.xp)
+        return self.proportional_slots(scan, rng, Stream.ACO_SELECT, step, lanes)
 
     # ------------------------------------------------------------------
     # Scalar path (sequential engine)
@@ -97,8 +134,8 @@ class ACOModel(MovementModel):
         return {"u": rng.uniform(Stream.ACO_SELECT, step, lanes).tolist()}
 
     def scan_value_scalar(self, dist: float, tau: float) -> float:
-        eta = 1.0 / dist
-        return fast_pow_scalar(tau, self.alpha) * fast_pow_scalar(eta, self.beta)
+        # ``dist`` is this slot's slot_table entry, eta^beta.
+        return fast_pow_scalar(tau, self.alpha) * dist
 
     def select_scalar(self, scan_row, agent: int, variates: dict) -> int:
         # Same left-to-right accumulation as np.cumsum along the slot axis.

@@ -4,7 +4,9 @@ A movement model answers two questions, mirroring the paper's kernel split:
 
 * :meth:`MovementModel.scan_values` — the *initial calculation phase*: what
   goes into each agent's row of the scan matrix (eq. 1 inputs for the LEM,
-  the eq. 2 numerator for the ACO);
+  the eq. 2 numerator for the ACO), from the rows of the model's per-slot
+  table (:meth:`MovementModel.slot_table`), which the engines build once
+  from the distance tables;
 * :meth:`MovementModel.select` — the *tour construction phase*: given the
   scan row and keyed randomness, which neighbour slot the agent targets.
 
@@ -35,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from ..backend import resolve_backend
-from ..rng import PhiloxKeyedRNG, Stream
+from ..rng import PhiloxKeyedRNG, Stream, categorical_from_cumsum
 from .params import ModelParams
 
 __all__ = ["MovementModel", "build_model"]
@@ -65,6 +67,18 @@ class MovementModel(abc.ABC):
         #: 1-based slot numbers, the tie-break keys before the flip bit.
         self._slot_numbers = self.backend.from_host(np.arange(1, 9, dtype=np.int64))
 
+    def slot_table(self, dist: np.ndarray) -> np.ndarray:
+        """The per-slot term :meth:`scan_values` reads, from distance tables.
+
+        ``dist`` is any stack of :class:`repro.grid.DistanceTable` rows
+        (``inf`` outside the grid); the result has its shape. The engines
+        build it once, like the paper's constant-memory distance matrix,
+        and again when a hook swaps the model, so the scan does no
+        per-step work that depends only on (row, slot). The default is
+        the distances themselves — the same array, so no extra memory.
+        """
+        return dist
+
     @abc.abstractmethod
     def scan_values(
         self,
@@ -77,8 +91,8 @@ class MovementModel(abc.ABC):
         Parameters
         ----------
         dist:
-            ``(n, 8)`` distances of each slot from the target
-            (:class:`repro.grid.DistanceTable` rows).
+            ``(n, 8)`` rows of :meth:`slot_table` (for the built-in LEM,
+            greedy and random models, the slot distances from the target).
         candidates:
             ``(n, 8)`` bool — slot is in bounds *and* empty.
         tau:
@@ -86,7 +100,10 @@ class MovementModel(abc.ABC):
 
         Returns
         -------
-        ``(n, 8)`` float64, zero at non-candidate slots.
+        ``(n, 8)`` float64, zero at non-candidate slots. The engines pass
+        a fresh float64 gather as ``dist`` and never read it again, so a
+        model may write its result into it (the ACO does); a caller that
+        still needs its array passes a copy.
         """
 
     @abc.abstractmethod
@@ -140,6 +157,48 @@ class MovementModel(abc.ABC):
                 _EXCLUDED_KEY,
             )
             slot[multi] = keys.argmin(axis=1)
+        return slot
+
+    def proportional_slots(
+        self,
+        weights: np.ndarray,
+        rng: PhiloxKeyedRNG,
+        stream: int,
+        step: int,
+        lanes: np.ndarray,
+    ) -> np.ndarray:
+        """Random-proportional pick over non-negative finite ``(n, 8)`` weights.
+
+        Slot ``j`` wins with probability ``weights[j] / sum(weights)``,
+        sampled by inverse CDF (:func:`~repro.rng.categorical_from_cumsum`)
+        with one keyed uniform of ``stream`` per row. A row with no
+        positive weight gets -1, and a row with exactly one takes that
+        slot whatever the uniform is, so only rows with two or more
+        positive weights draw, through ``rng.subset``; draws are keyed by
+        lane, so skipping the others changes no drawn value. ``weights``
+        must be C-contiguous: each row's ``weights > 0`` flags are then
+        one 8-byte word, zero for no positive weight, ``1 << 8 * j`` for
+        slot ``j`` alone (whose float64 exponent is ``8 * j + 1023``), and
+        non-zero after clearing its lowest set bit when two or more bytes
+        are set.
+        """
+        xp = self.xp
+        word = (weights > 0.0).view(np.uint64).reshape(-1)
+        multi = xp.nonzero(word & (word - np.uint64(1)))[0]
+        if multi.size == word.size:
+            # Every row draws: no compaction.
+            u = rng.uniform(stream, step, lanes)
+            return categorical_from_cumsum(xp.cumsum(weights, axis=1), u, xp=xp)
+        # (8 * j + 1023) >> 3 == j + 127; a zero word gives -127 -> -1.
+        slot = word.astype(np.float64).view(np.int64)
+        slot >>= 55
+        slot -= 127
+        xp.maximum(slot, -1, out=slot)
+        if multi.size:
+            u = rng.subset(multi).uniform(stream, step, lanes.take(multi))
+            cumsum = weights.take(multi, axis=0)
+            xp.cumsum(cumsum, axis=1, out=cumsum)
+            slot[multi] = categorical_from_cumsum(cumsum, u, xp=xp)
         return slot
 
     # ------------------------------------------------------------------

@@ -9,6 +9,13 @@ scalar ones. ``fast_pow`` therefore evaluates integer exponents (the common
 case: the paper's α and β) by binary exponentiation using only
 multiplications, falling back to ``np.power`` for genuinely fractional
 exponents (documented as a potential — never observed — equivalence risk).
+
+For a fractional β that risk is gone: ``(1/D)^β`` is evaluated once, by
+:func:`fast_pow`, into the static slot table every engine reads
+(:func:`repro.models.aco.heuristic_table`), so the scalar and vector
+``np.power`` never both enter eq. 2. A fractional α still goes through
+:func:`fast_pow_scalar` on the sequential engine and :func:`fast_pow` on
+the whole-array engines, because ``τ`` changes every step.
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 from ..components.models import MODEL_PARAMS, register_model_params
 from ..errors import ConfigurationError
+from ..grid.distance import MIN_DISTANCE
+from ..types import N_NEIGHBOR_SLOTS
 
 __all__ = [
     "ModelParams",
@@ -163,6 +165,20 @@ class ACOParams(ModelParams):
         if not (1 <= int(self.scan_range) <= 32):
             raise ConfigurationError(
                 f"ACO scan_range must be in [1, 32], got {self.scan_range}"
+            )
+        # No numerator exceeds tau_max^alpha * (1/MIN_DISTANCE)^beta. The
+        # engines mask numerators by multiplying with the candidate flags,
+        # exact only while every numerator (and a row's sum) is finite.
+        try:
+            peak = self.tau_max**self.alpha * (1.0 / MIN_DISTANCE) ** self.beta
+        except OverflowError:
+            peak = math.inf
+        if not math.isfinite(N_NEIGHBOR_SLOTS * peak):
+            raise ConfigurationError(
+                "ACO eq. 2 numerators overflow float64: "
+                f"tau_max^alpha * (1/MIN_DISTANCE)^beta with tau_max={self.tau_max}, "
+                f"alpha={self.alpha}, beta={self.beta} exceeds "
+                f"1/{N_NEIGHBOR_SLOTS} of the float64 maximum"
             )
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..components.models import register_model
-from ..rng import PhiloxKeyedRNG, Stream, categorical
+from ..rng import PhiloxKeyedRNG, Stream
 from .base import MovementModel, _EXCLUDED_KEY
 from .lem import lem_scores
 from .params import GreedyParams, RandomParams
@@ -50,8 +50,8 @@ class RandomModel(MovementModel):
         step: int,
         lanes: np.ndarray,
     ) -> np.ndarray:
-        u = rng.uniform(Stream.RANDOM_POLICY, step, lanes)
-        return categorical(scan, u, xp=self.xp)
+        """Uniform pick among the candidates; a lone candidate draws nothing."""
+        return self.proportional_slots(scan, rng, Stream.RANDOM_POLICY, step, lanes)
 
     # Scalar path -------------------------------------------------------
     def scalar_prepare(self, rng: PhiloxKeyedRNG, step: int, n_agents: int) -> dict:

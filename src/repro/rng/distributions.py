@@ -44,6 +44,13 @@ def clip_lem_draw(z, mu: float, sigma: float, c_max, xp=np) -> np.ndarray:
     return xp.clip(x, 0.0, c_max, out=x)
 
 
+#: The smallest positive double (subnormal): ``cs >= _TINY`` iff ``cs > 0``.
+_TINY = 5e-324
+
+#: Multiplying a word of 0/1 bytes by this puts their sum in the top byte.
+_BYTE_SUM = np.uint64(0x0101010101010101)
+
+
 def categorical_from_cumsum(cumsum: np.ndarray, u: np.ndarray, xp=np) -> np.ndarray:
     """Sample indices from per-lane cumulative weights.
 
@@ -51,8 +58,8 @@ def categorical_from_cumsum(cumsum: np.ndarray, u: np.ndarray, xp=np) -> np.ndar
     ----------
     cumsum:
         ``(n, k)`` cumulative weights along axis 1 (strictly the output of
-        a left-to-right ``cumsum`` so the FP evaluation order matches the
-        scalar engine's accumulation loop).
+        a left-to-right ``cumsum`` of non-negative weights, so the FP
+        evaluation order matches the scalar engine's accumulation loop).
     u:
         ``(n,)`` uniforms in (0, 1).
 
@@ -70,14 +77,25 @@ def categorical_from_cumsum(cumsum: np.ndarray, u: np.ndarray, xp=np) -> np.ndar
     (cumsum 0.0) would win; with it the first positive-cumsum slot does,
     which is always a positive-weight slot because cumsum is
     non-decreasing.
+
+    Both tests are one compare: ``cs >= max(u * total, 5e-324)``, since
+    5e-324 is the smallest positive double. A non-decreasing row meets it
+    on a suffix, so the first hit is the number of slots that miss it. On
+    8-wide C-ordered rows each row's miss flags are one 8-byte word, and
+    the count is the word's byte sum.
     """
     cumsum = xp.asarray(cumsum, dtype=np.float64)
     if cumsum.ndim != 2:
         raise ValueError(f"cumsum must be 2-D, got shape {cumsum.shape}")
     total = cumsum[:, -1]
     thresholds = xp.asarray(u, dtype=np.float64) * total
-    hit = (cumsum >= thresholds[:, None]) & (cumsum > 0.0)
-    idx = hit.argmax(axis=1).astype(np.int64)
+    xp.maximum(thresholds, _TINY, out=thresholds)
+    miss = cumsum < thresholds[:, None]
+    if miss.shape[1] == 8 and miss.flags.c_contiguous:
+        idx = (miss.view(np.uint64).reshape(-1) * _BYTE_SUM) >> np.uint64(56)
+        idx = idx.astype(np.int64)
+    else:
+        idx = xp.count_nonzero(miss, axis=1).astype(np.int64)
     idx[total <= 0.0] = -1
     return idx
 

@@ -35,8 +35,13 @@ one ``where`` for a ``nonzero`` over the rows with 2+ tied slots. The
 jammed ops budget is tightened from 45 to 42; the alloc budget stays at
 22. Those jammed counts hold because the engine reserves the RNG's
 scratch buffers at build: a draw that set a new high-water mark mid-run
-would reallocate them. The tiled budgets date from the fused kernels and
-the ``out=``-capable ops.
+would reallocate them. Since eq. 2 reads a static ``(1/D)^beta`` slot
+table and ACO draws only for rows with two or more positive numerators,
+jammed ACO still measures 31 / 13: the scan lost two ``asarray`` calls
+and the ``where`` mask, and select gained the ``nonzero`` of its
+2+-positive rows and two ``out=`` ``maximum`` calls (the sole-slot pick
+and the inverse CDF's threshold floor). The tiled budgets date from the
+fused kernels and the ``out=``-capable ops.
 
 ``PRE_FUSION`` (per-group TOP/BOTTOM passes, unfused RNG) and
 ``PRE_ARENA`` (before the ``out=``-capable ops) are free-flow-scenario

@@ -12,8 +12,8 @@ from repro import SimulationConfig
 from repro.agents.population import NO_FUTURE
 from repro.engine import BatchedEngine, build_engine, run_batched
 from repro.errors import EngineError
-from repro.grid import offsets_array
-from repro.models import GreedyParams, LEMParams
+from repro.grid import build_distance_tables, offsets_array
+from repro.models import GreedyParams, LEMParams, aco_numerators
 from repro.rng import BatchedPhiloxRNG, PhiloxKeyedRNG, RaggedLaneRNG, Stream
 from repro.types import Group
 
@@ -669,6 +669,108 @@ class TestTieOnlyDraws:
                 assert sorted(got) == sorted(want), t
             n_drawn = sum(map(len, drawn))
             # Ties occur, and most selecting rows have none.
+            assert 0 < n_drawn < sum(seen)
+
+
+def _positive_weights(engine, lane):
+    """Per agent of ``lane``, how many eq. 2 numerators (ACO, recomputed
+    through :func:`aco_numerators` from the raw distance tables) or empty
+    neighbours (random) are positive, read from the lane's host state."""
+    cfg = engine.lane_config(lane)
+    env = engine.lane_environment(lane)
+    pop = engine.lane_population(lane)
+    dist = build_distance_tables(cfg.height)
+    model = engine.model
+    h, w = env.shape
+    counts = {}
+    for a in range(1, pop.n_agents + 1):
+        group = Group(int(pop.ids[a]))
+        r0, c0 = int(pop.rows[a]), int(pop.cols[a])
+        cand = np.zeros(8, dtype=bool)
+        tau = np.zeros(8)
+        for s, (dr, dc) in enumerate(offsets_array(group)):
+            r, c = r0 + dr, c0 + dc
+            if 0 <= r < h and 0 <= c < w and env.mat[r, c] == 0:
+                cand[s] = True
+                if model.uses_pheromone:
+                    tau[s] = engine.lane_pheromone(lane, group)[r, c]
+        if model.name == "aco":
+            num = aco_numerators(
+                dist[group].table[r0][None], cand[None], tau[None],
+                model.alpha, model.beta,
+            )[0]
+            counts[a] = int(np.count_nonzero(num > 0.0))
+        else:
+            counts[a] = int(np.count_nonzero(cand))
+    return counts
+
+
+class TestSoleNumeratorDraws:
+    """A row with one positive eq. 2 weight takes that slot without an
+    ``ACO_SELECT`` (or ``RANDOM_POLICY``) draw: the inverse CDF picks it
+    for every uniform, and draws are keyed per (lane, agent), so skipping
+    one changes no other. On every step each engine draws exactly for the
+    rows that reach select with two or more positive weights."""
+
+    STEPS = 15
+    STREAMS = {"aco": Stream.ACO_SELECT, "random": Stream.RANDOM_POLICY}
+
+    @classmethod
+    def _record(cls, engine):
+        """Per step, the (lane, agent) rows select saw with 2+ positive
+        weights and the rows that drew from the model's stream, plus the
+        number of rows select saw."""
+        expected, drawn, seen = [], [], []
+        model, rng = engine.model, engine.rng
+        select, words = model.select, rng._words_flat
+        stream = cls.STREAMS[model.name]
+
+        def select_spy(scan, sub_rng, step, lanes):
+            positive = {}
+            for lane, agent in zip(sub_rng._rep.tolist(), lanes.tolist()):
+                if lane not in positive:
+                    positive[lane] = _positive_weights(engine, lane)
+                if positive[lane][agent] >= 2:
+                    expected[-1].append((lane, agent))
+            seen[-1] += len(lanes)
+            return select(scan, sub_rng, step, lanes)
+
+        def words_spy(stream_, step, rep, lanes, *args, **kwargs):
+            if stream_ == stream:
+                drawn[-1] += zip(rep.tolist(), lanes.tolist())
+            return words(stream_, step, rep, lanes, *args, **kwargs)
+
+        model.select = select_spy
+        rng._words_flat = words_spy
+
+        def step():
+            expected.append([])
+            drawn.append([])
+            seen.append(0)
+            engine.step()
+
+        return step, expected, drawn, seen
+
+    @pytest.mark.parametrize("model", ["aco", "random"])
+    def test_only_rows_with_two_positive_weights_draw(self, model):
+        cfg = SimulationConfig(
+            height=16, width=16, n_per_side=100, steps=self.STEPS, seed=11
+        ).with_model(model)
+        small = cfg.replace(height=12, width=20, n_per_side=60)
+        engines = (
+            build_engine(cfg, "vectorized"),
+            BatchedEngine([cfg, small], seeds=(cfg.seed, cfg.seed + 1)),
+        )
+        logs = [self._record(e) for e in engines]
+        for _ in range(self.STEPS):
+            for step, *_ in logs:
+                step()
+        for _, expected, drawn, seen in logs:
+            for t, (want, got) in enumerate(zip(expected, drawn)):
+                assert sorted(got) == sorted(want), t
+            n_drawn = sum(map(len, drawn))
+            # Both kinds of row occur: some draw, and some take their one
+            # positive weight without a draw.
             assert 0 < n_drawn < sum(seen)
 
 

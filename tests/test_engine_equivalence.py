@@ -8,14 +8,15 @@ equality via the keyed counter-based RNG.
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from repro import SimulationConfig, build_engine
+from repro import PanicHook, SimulationConfig, build_engine
 from repro.backend import resolve_backend
 from repro.engine import BatchedEngine
 from repro.grid import offsets_array
 from repro.io import engine_state_digest
-from repro.models import LEMParams
+from repro.models import ACOParams, LEMParams, fast_pow
 from repro.types import Group
 
 MODELS = ["lem", "aco", "random", "greedy"]
@@ -197,3 +198,66 @@ class TestJammedDifferential:
                 blocked += b
                 stuck += s
         assert stuck >= least_share * blocked
+
+
+class TestSlotTables:
+    """Every engine's scan reads one per-slot table per parameter bundle,
+    built once from the distance tables: ``(1/D)^beta`` for the ACO, the
+    distances themselves for the other models. A hook that swaps a lane's
+    bundle gives that lane its own table."""
+
+    @staticmethod
+    def _eta_beta(dist, beta):
+        with np.errstate(divide="ignore"):
+            return fast_pow(1.0 / dist, beta)
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 1.5])
+    def test_aco_table_is_eta_beta(self, beta):
+        cfg = SimulationConfig(height=16, width=16, n_per_side=20).with_model(
+            ACOParams(beta=beta)
+        )
+        batch = BatchedEngine([cfg, cfg.replace(height=24)], seeds=(1, 2))
+        (_params, _model, table, _lanes), = batch._param_groups
+        want = self._eta_beta(batch._dist_stack, beta).reshape(-1, 8)
+        assert np.array_equal(table, want)
+        seq = build_engine(cfg, "sequential")
+        for g in (Group.TOP, Group.BOTTOM):
+            want = self._eta_beta(np.asarray(seq.dist[g].table), beta)
+            assert seq._slot_list[g] == want.tolist()
+
+    @pytest.mark.parametrize("model", ["lem", "greedy", "random"])
+    def test_other_tables_are_the_distance_stack(self, model):
+        cfg = SimulationConfig(height=16, width=16, n_per_side=20).with_model(model)
+        batch = BatchedEngine(cfg, seeds=(1, 2))
+        (_params, _model, table, _lanes), = batch._param_groups
+        # The same memory: no copy for a model whose term is D.
+        assert np.shares_memory(table, batch._dist_stack)
+        assert np.array_equal(table, batch._dist_stack.reshape(-1, 8))
+        seq = build_engine(cfg, "sequential")
+        for g in (Group.TOP, Group.BOTTOM):
+            assert seq._slot_list[g] == seq.dist[g].table.tolist()
+
+    def test_panic_on_one_lane_reads_its_own_table(self):
+        """Lane 1 panics at step 10 (beta 2 -> 3) and lane 0 does not, so
+        from then on the batch holds two bundles with two tables. Each
+        lane stays on its solo sequential run, digest for digest."""
+        calm = SimulationConfig(
+            height=16, width=16, n_per_side=60, steps=30, seed=4
+        ).with_model("aco")
+        panicked = calm.replace(hooks=(PanicHook(trigger_step=10),))
+        batch = BatchedEngine([calm, panicked], seeds=(4, 4))
+        solos = [build_engine(c, "sequential") for c in (calm, panicked)]
+        for t in range(calm.steps):
+            batch.step()
+            batch.validate_state()
+            for lane, solo in enumerate(solos):
+                solo.step()
+                solo.validate_state()
+                assert _lane_digest(batch, lane) == engine_state_digest(solo), (t, lane)
+            if t >= 10:
+                betas = {p.beta: table for p, _m, table, _l in batch._param_groups}
+                assert sorted(betas) == [2.0, 3.0]
+                for beta, table in betas.items():
+                    want = self._eta_beta(batch._dist_stack, beta).reshape(-1, 8)
+                    assert np.array_equal(table, want)
+        assert solos[1].model.params.beta == 3.0

@@ -1,9 +1,14 @@
 """ACO decision kernel tests (eq. 2 semantics)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.models import ACOModel, ACOParams, aco_numerators
+from repro.components.hooks import panic_variant
+from repro.errors import ConfigurationError
+from repro.experiments.ablations import sweep_alpha_beta
+from repro.models import ACOModel, ACOParams, aco_numerators, params_from_name
 from repro.rng import PhiloxKeyedRNG
 
 
@@ -86,7 +91,7 @@ class TestSelect:
         tau = np.zeros((50000, 8))
         tau[:, 1] = 0.9
         tau[:, 2] = 0.1
-        scan = model.scan_values(dist, cand, tau)
+        scan = model.scan_values(model.slot_table(dist), cand, tau)
         slots = model.select(scan, rng, 0, np.arange(1, 50001))
         assert np.mean(slots == 1) == pytest.approx(0.9, abs=0.01)
 
@@ -118,7 +123,55 @@ class TestScalarEquivalence:
         dist = np.array([[2.5, np.inf, 3.0, 1.0, 4.0, 5.0, 6.0, 7.0]])
         cand = np.array([[True, False, True, True, True, True, True, True]])
         tau = np.array([[0.3, 0.0, 0.2, 0.8, 0.1, 0.5, 0.4, 0.9]])
-        vec = model.scan_values(dist, cand, tau)
+        table = model.slot_table(dist)
+        vec = model.scan_values(table.copy(), cand, tau)
+        assert np.array_equal(vec, aco_numerators(dist, cand, tau, 1.0, 2.0))
         for s in range(8):
             if cand[0, s]:
-                assert model.scan_value_scalar(dist[0, s], tau[0, s]) == vec[0, s]
+                assert model.scan_value_scalar(table[0, s], tau[0, s]) == vec[0, s]
+
+
+class TestNumeratorOverflow:
+    """The engines mask eq. 2 numerators by multiplying with the candidate
+    flags, exact only while every numerator is finite, so a bundle whose
+    largest numerator ``tau_max^alpha * (1/MIN_DISTANCE)^beta`` overflows
+    float64 is refused up front."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [ACOParams(), panic_variant(ACOParams()), ACOParams(beta=1.5)]
+        + [
+            ACOParams(alpha=a, beta=b)
+            for a, b in inspect.signature(sweep_alpha_beta).parameters[
+                "pairs"
+            ].default
+        ],
+        ids=repr,
+    )
+    def test_shipped_bundles_pass(self, params):
+        params.validate()
+
+    def test_overflowing_beta_raises(self):
+        with pytest.raises(ConfigurationError, match="overflow"):
+            ACOParams(beta=60).validate()
+
+    def test_overflowing_alpha_raises_without_overflow_error(self):
+        # 1e3 ** 200 raises OverflowError in Python float arithmetic.
+        with pytest.raises(ConfigurationError, match="overflow"):
+            ACOParams(alpha=200.0).validate()
+
+    def test_cli_run_exits_2(self, monkeypatch, capsys):
+        import repro.config
+        from repro.cli import main
+
+        def steep(name):
+            return ACOParams(beta=60) if name == "aco" else params_from_name(name)
+
+        monkeypatch.setattr(repro.config, "params_from_name", steep)
+        code = main(
+            ["run", "--height", "16", "--width", "16", "--agents", "10",
+             "--steps", "5", "--model", "aco"]
+        )
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "error:" in out and "overflow" in out

@@ -99,7 +99,7 @@ class TestNoCandidateContract:
         candidates[1::2, 1:6] = True
         dist = np.tile(np.linspace(1.0, 3.0, 8), (n, 1))
         tau = np.ones((n, 8))
-        scan = model.scan_values(dist, candidates, tau)
+        scan = model.scan_values(model.slot_table(dist), candidates, tau)
         lanes = np.arange(1, n + 1)
         ragged = BatchedPhiloxRNG((7, 8)).ragged(np.arange(n) % 2)
         for rng in (PhiloxKeyedRNG(7), ragged):

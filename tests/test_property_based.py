@@ -1,15 +1,21 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationConfig, build_engine
 from repro.engine import BatchedEngine, shift, winner_rank
 from repro.grid import DistanceTable, ObstacleSpec
-from repro.models import ACOParams, LEMParams, fast_pow
+from repro.models import ACOParams, LEMParams, build_model, fast_pow
 from repro.models.mathops import fast_pow_scalar
-from repro.rng import PhiloxKeyedRNG, Stream, categorical, philox4x32
+from repro.rng import (
+    PhiloxKeyedRNG,
+    Stream,
+    categorical,
+    categorical_from_cumsum,
+    philox4x32,
+)
 from repro.types import Group
 
 # Engine runs are comparatively slow; keep example counts tight and silence
@@ -57,6 +63,111 @@ class TestPhiloxProperties:
             assert idx == -1
         else:
             assert weights[idx] > 0.0
+
+
+class _FixedUniforms:
+    """RNG stand-in: the uniform of lane ``i`` is ``u[i]``, and a subset
+    keeps the lane addressing, so a draw sees the same ``u`` whichever
+    rows draw."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def subset(self, rows):
+        return self
+
+    def uniform(self, stream, step, lanes):
+        return self.u[lanes]
+
+
+#: Weights that exercise the helper's row classes: zeros (all-zero and
+#: single-positive rows), the smallest subnormal, and ordinary values.
+_WEIGHT = st.one_of(
+    st.just(0.0),
+    st.just(5e-324),
+    st.sampled_from([1e-300, 0.25, 1.0, 3.0, 1e6]),
+    st.floats(0.0, 1e6, allow_nan=False),
+)
+#: The extreme uniforms a Philox word maps to, and anything between.
+_UNIFORM = st.one_of(
+    st.sampled_from([0.5 / 2**32, 1.0 - 0.5 / 2**32]),
+    st.floats(0.5 / 2**32, 1.0 - 0.5 / 2**32),
+)
+
+
+def _first_hit(weights, u):
+    """Scalar inverse CDF, as the sequential engine's ``select_scalar``
+    runs it: the first slot whose running sum reaches ``u * total`` and
+    is positive; -1 when the total is not positive."""
+    total = 0.0
+    for v in weights:
+        total = total + v
+    if total <= 0.0:
+        return -1
+    threshold = u * total
+    acc = 0.0
+    for j, v in enumerate(weights):
+        acc = acc + v
+        if acc >= threshold and acc > 0.0:
+            return j
+    raise AssertionError("unreachable: the final sum is the total")
+
+
+class TestProportionalSlots:
+    """The random-proportional helper (draws only for rows with 2+
+    positive weights) picks what the plain inverse CDF over every row
+    picks."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(_WEIGHT, min_size=8, max_size=8),
+                st.integers(-1, 7),
+                _UNIFORM,
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_categorical_from_cumsum(self, rows):
+        """``keep`` >= 0 zeroes every weight but that slot's, so rows with
+        one positive weight (or none, when that weight is 0) are common."""
+        w = np.array([weights for weights, _, _ in rows])
+        for i, (_, keep, _) in enumerate(rows):
+            if keep >= 0:
+                w[i, np.arange(8) != keep] = 0.0
+        u = np.array([uniform for _, _, uniform in rows])
+        model = build_model(ACOParams())
+        got = model.proportional_slots(
+            w, _FixedUniforms(u), Stream.ACO_SELECT, 0, np.arange(len(rows))
+        )
+        want = categorical_from_cumsum(np.cumsum(w, axis=1), u)
+        assert np.array_equal(got, want)
+        assert want.tolist() == [_first_hit(row, x) for row, x in zip(w.tolist(), u)]
+        positive = w > 0.0
+        assert np.all((got == -1) == ~positive.any(axis=1))
+        live = got >= 0
+        assert np.all(positive[live, got[live]])
+
+
+    @given(
+        weights=st.lists(
+            st.lists(_WEIGHT, min_size=1, max_size=10).map(tuple),
+            min_size=1, max_size=6,
+        ).filter(lambda rows: len({len(r) for r in rows}) == 1),
+        u=_UNIFORM,
+    )
+    # u * total underflows to 0.0: the leading zero-weight slot must lose.
+    @example(weights=[(0.0, 5e-324, 0.0)], u=0.5 / 2**32)
+    @settings(max_examples=200, deadline=None)
+    def test_one_compare_rule_is_the_first_hit(self, weights, u):
+        """``categorical_from_cumsum`` counts the slots below
+        ``max(u * total, 5e-324)``; at every row width (the TSP baseline
+        uses widths other than 8) that is the scalar first-hit rule."""
+        w = np.array(weights)
+        got = categorical_from_cumsum(np.cumsum(w, axis=1), np.full(len(w), u))
+        assert got.tolist() == [_first_hit(row, u) for row in weights]
 
 
 class TestNumericProperties:
