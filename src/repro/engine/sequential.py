@@ -71,6 +71,8 @@ class SequentialEngine(SoloEngine):
         self.dist = None
         self._build_tables(getattr(config.params, "scan_range", 1))
         self.t = 0
+        # A step draws at most one value per agent lane (sentinel included).
+        self.rng.reserve(self.pop.n_agents + 1)
 
         # Neighbour offsets per group as Python tuples, cheap to index from
         # interpreted loops.

@@ -46,6 +46,34 @@ __all__ = ["MovementModel", "build_model"]
 _EXCLUDED_KEY = 1 << 30
 
 
+def _byte_index(word: np.ndarray, xp) -> np.ndarray:
+    """``j`` for each uint64 word ``1 << 8 * j``, -1 for a zero word.
+
+    Bit ``8 * j`` converts exactly to the float64 ``2 ** (8 * j)``, whose
+    exponent field is ``8 * j + 1023``; shifted right by 55 that is
+    ``j + 127``, and a zero word gives ``-127``, clamped to -1. Words
+    with several set bits give meaningless values, which the callers
+    overwrite.
+    """
+    slot = word.astype(np.float64).view(np.int64)
+    slot >>= 55
+    slot -= 127
+    xp.maximum(slot, -1, out=slot)
+    return slot
+
+
+def _row_cumsum(w: np.ndarray) -> np.ndarray:
+    """Running sums along the rows of ``w``, in place: ``w[:, j] += w[:, j - 1]``.
+
+    Each add has the two operands ``cumsum(axis=1)`` adds and IEEE
+    addition commutes, so the sums are bit-identical; a few whole-column
+    adds replace ``add.accumulate``'s loop over every 8-wide row.
+    """
+    for j in range(1, w.shape[1]):
+        w[:, j] += w[:, j - 1]
+    return w
+
+
 class MovementModel(abc.ABC):
     """Abstract movement decision model for one agent group.
 
@@ -138,15 +166,16 @@ class MovementModel(abc.ABC):
         A row with one tied slot takes it whatever ``b`` is, so only rows
         with two or more tied slots draw their ``TIEBREAK`` word, through
         ``rng.subset``; draws are keyed by lane, so skipping the others
-        changes no drawn bit. A row with no tied slot gets 0, which the
-        caller masks. ``tied`` must be a C-contiguous bool array: each row
-        is then one 8-byte word, which has two or more set bytes exactly
-        when clearing its lowest set bit leaves it non-zero.
+        changes no drawn bit. A row with no tied slot gets -1. ``tied``
+        must be a C-contiguous bool array: each row is then one 8-byte
+        word, zero for no tied slot, ``1 << 8 * j`` for slot ``j`` alone,
+        and non-zero after clearing its lowest set bit when two or more
+        bytes are set.
         """
         xp = self.xp
-        slot = tied.argmax(axis=1)
         word = tied.view(np.uint64).reshape(-1)
         multi = xp.nonzero(word & (word - np.uint64(1)))[0]
+        slot = _byte_index(word, xp)
         if multi.size:
             bits = rng.subset(multi).words(
                 Stream.TIEBREAK, step, lanes.take(multi), scratch=True
@@ -178,9 +207,8 @@ class MovementModel(abc.ABC):
         lane, so skipping the others changes no drawn value. ``weights``
         must be C-contiguous: each row's ``weights > 0`` flags are then
         one 8-byte word, zero for no positive weight, ``1 << 8 * j`` for
-        slot ``j`` alone (whose float64 exponent is ``8 * j + 1023``), and
-        non-zero after clearing its lowest set bit when two or more bytes
-        are set.
+        slot ``j`` alone, and non-zero after clearing its lowest set bit
+        when two or more bytes are set.
         """
         xp = self.xp
         word = (weights > 0.0).view(np.uint64).reshape(-1)
@@ -188,16 +216,11 @@ class MovementModel(abc.ABC):
         if multi.size == word.size:
             # Every row draws: no compaction.
             u = rng.uniform(stream, step, lanes)
-            return categorical_from_cumsum(xp.cumsum(weights, axis=1), u, xp=xp)
-        # (8 * j + 1023) >> 3 == j + 127; a zero word gives -127 -> -1.
-        slot = word.astype(np.float64).view(np.int64)
-        slot >>= 55
-        slot -= 127
-        xp.maximum(slot, -1, out=slot)
+            return categorical_from_cumsum(_row_cumsum(weights.copy()), u, xp=xp)
+        slot = _byte_index(word, xp)
         if multi.size:
             u = rng.subset(multi).uniform(stream, step, lanes.take(multi))
-            cumsum = weights.take(multi, axis=0)
-            xp.cumsum(cumsum, axis=1, out=cumsum)
+            cumsum = _row_cumsum(weights.take(multi, axis=0))
             slot[multi] = categorical_from_cumsum(cumsum, u, xp=xp)
         return slot
 

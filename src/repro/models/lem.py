@@ -43,6 +43,7 @@ def lem_scores(dist: np.ndarray, candidates: np.ndarray, xp=np) -> np.ndarray:
 
     Non-candidate slots score 0; rows with no candidate are all-zero.
     The best candidate of each row scores exactly 1.0 (D_min / D_min).
+    :meth:`LEMModel.select` computes the same quotients slot-major.
     """
     d = xp.where(candidates, dist, np.inf)
     dmin = d.min(axis=1)
@@ -50,6 +51,19 @@ def lem_scores(dist: np.ndarray, candidates: np.ndarray, xp=np) -> np.ndarray:
     safe_dmin = xp.where(has_candidate, dmin, 1.0)
     scores = xp.where(candidates, safe_dmin[:, None] / d, 0.0)
     return scores
+
+
+def _slot_major_distances(scan: np.ndarray, xp=np) -> np.ndarray:
+    """The scan's candidate distances slot-major, ``(n, 8) -> (8, n)``.
+
+    Non-candidate slots (``scan <= 0``) are NaN: ``fmin``/``fmax``
+    reductions skip them and every comparison is false on them. The
+    result is C-ordered, so a per-row reduction runs along axis 0, a
+    few whole-array operations over ``n`` values, where a reduction
+    along the 8-wide rows of ``(n, 8)`` loops row by row.
+    """
+    d = scan.T.copy()
+    return xp.where(d > 0.0, d, np.nan)
 
 
 @register_model("lem")
@@ -81,34 +95,40 @@ class LEMModel(MovementModel):
         step: int,
         lanes: np.ndarray,
     ) -> np.ndarray:
-        """Clipped-normal rank selection over the scanned distances."""
-        xp = self.xp
-        candidates = scan > 0.0
-        scores = lem_scores(scan, candidates, xp=xp)
-        c_max = scores.max(axis=1)  # 1.0 where any candidate, else 0.0
+        """Clipped-normal rank selection over the scanned distances.
 
+        Eq. 1 runs slot-major (:func:`_slot_major_distances`): D_min and
+        the selected score are reductions along axis 0, and the NaN
+        scores of non-candidate slots are never eligible.
+        """
+        xp = self.xp
+        d = _slot_major_distances(scan, xp)
+        dmin = xp.fmin.reduce(d, axis=0)
+        has_candidate = dmin < np.inf
+        scores = xp.where(has_candidate, dmin, 1.0) / d
+
+        # The best candidate scores D_min / D_min == 1.0, so the highest
+        # C_i is the has-candidate flag.
         z = rng.normal12(Stream.LEM_SELECT, step, lanes)
-        x = clip_lem_draw(z, self.mu, self.sigma, c_max, xp=xp)
+        x = clip_lem_draw(
+            z, self.mu, self.sigma, has_candidate.astype(np.float64), xp=xp
+        )
 
         if self.rule == "floor":
             # Largest score not exceeding the draw; stay when none qualify.
-            eligible = candidates & (scores <= x[:, None])
-            contended = xp.where(eligible, scores, -np.inf)
-            c_sel = contended.max(axis=1)
-            has_choice = xp.isfinite(c_sel) & candidates.any(axis=1)
+            contended = xp.where(scores <= x, scores, np.nan)
+            c_sel = xp.fmax.reduce(contended, axis=0)
         else:
             # Smallest score at or above the draw; the best cell (score
             # exactly c_max) always qualifies because x <= c_max.
-            eligible = candidates & (scores >= x[:, None])
-            contended = xp.where(eligible, scores, np.inf)
-            c_sel = contended.min(axis=1)
-            has_choice = candidates.any(axis=1)
+            contended = xp.where(scores >= x, scores, np.nan)
+            c_sel = xp.fmin.reduce(contended, axis=0)
 
         # Among cells tied at the selected score, order by the per-agent
-        # randomised slot key to avoid a left/right bias.
-        tied = eligible & (contended == c_sel[:, None])
-        slot = self.tiebreak_slots(tied, rng, step, lanes)
-        return xp.where(has_choice, slot, -1)
+        # randomised slot key to avoid a left/right bias. A row with no
+        # eligible cell has a NaN c_sel, ties no slot and gets -1.
+        tied = (contended == c_sel).T.copy()
+        return self.tiebreak_slots(tied, rng, step, lanes)
 
     # ------------------------------------------------------------------
     # Scalar path (sequential engine)

@@ -18,7 +18,7 @@ import numpy as np
 from ..components.models import register_model
 from ..rng import PhiloxKeyedRNG, Stream
 from .base import MovementModel, _EXCLUDED_KEY
-from .lem import lem_scores
+from .lem import _slot_major_distances
 from .params import GreedyParams, RandomParams
 
 __all__ = ["RandomModel", "GreedyModel"]
@@ -104,14 +104,17 @@ class GreedyModel(MovementModel):
         step: int,
         lanes: np.ndarray,
     ) -> np.ndarray:
-        xp = self.xp
-        candidates = scan > 0.0
-        scores = lem_scores(scan, candidates, xp=xp)
-        c_max = scores.max(axis=1)
-        best = candidates & (scores == c_max[:, None])
-        slot = self.tiebreak_slots(best, rng, step, lanes)
-        has_candidate = candidates.any(axis=1)
-        return xp.where(has_candidate, slot, -1)
+        """The nearest candidates, tie-broken; -1 for a row with none.
+
+        Slot-major (:func:`~repro.models.lem._slot_major_distances`),
+        like :meth:`LEMModel.select`. The best eq. 1 score
+        ``D_min / D_i == 1.0`` holds exactly when ``D_i == D_min``
+        (IEEE division rounds a quotient below 1 to at most
+        ``1 - 2**-53``), so the nearest slots are compared directly.
+        """
+        d = _slot_major_distances(scan, self.xp)
+        best = (d == self.xp.fmin.reduce(d, axis=0)).T.copy()
+        return self.tiebreak_slots(best, rng, step, lanes)
 
     # Scalar path -------------------------------------------------------
     def scalar_prepare(self, rng: PhiloxKeyedRNG, step: int, n_agents: int) -> dict:

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..backend import resolve_backend
-from .philox import _PhiloxGenerator, _u32_to_unit_open, irwin_hall_normal12
+from .philox import _PhiloxGenerator, _u32_to_unit_open
 
 __all__ = ["BatchedPhiloxRNG", "RaggedLaneRNG"]
 
@@ -76,20 +76,9 @@ class BatchedPhiloxRNG:
         overwritten by the next scratch draw) — only for callers
         that consume the words immediately; the values are identical.
         """
-        xp = self.xp
-        lanes = xp.asarray(lane, dtype=np.uint64)
-        if lanes.ndim == 0:
-            lanes = lanes.reshape(1)
-        if lanes.ndim == 1:
-            lanes = xp.broadcast_to(lanes, (self.n_reps, lanes.shape[0]))
-        if lanes.ndim != 2 or lanes.shape[0] != self.n_reps:
-            raise ValueError(
-                f"lane must have shape (m,) or ({self.n_reps}, m), got {lanes.shape}"
-            )
-        m = lanes.shape[1]
-        rep = xp.repeat(xp.arange(self.n_reps, dtype=np.intp), m)
-        out = self._words_flat(stream, step, rep, lanes.ravel(), slot, scratch)
-        return out.reshape(4, self.n_reps, m)
+        rep, lanes = self._grid(lane)
+        out = self._words_flat(stream, step, rep, lanes, slot, scratch)
+        return out.reshape(4, self.n_reps, -1)
 
     def uniform(self, stream: int, step: int, lane, slot: int = 0) -> np.ndarray:
         """Uniforms in (0, 1), shape ``(B, m)`` (word 0)."""
@@ -102,11 +91,13 @@ class BatchedPhiloxRNG:
     def normal12(self, stream: int, step: int, lane, slot_base: int = 0) -> np.ndarray:
         """Irwin-Hall standard normal, shape ``(B, m)``.
 
-        Routes through the same accumulation as
+        Routes through the same fused pass as
         :meth:`~repro.rng.philox.PhiloxKeyedRNG.normal12`, so each element
         is bit-identical to the solo draw under the same seed.
         """
-        return irwin_hall_normal12(self.uniform4, stream, step, lane, slot_base)
+        rep, lanes = self._grid(lane)
+        z = self._normal12_flat(stream, step, rep, lanes, slot_base)
+        return z.reshape(self.n_reps, -1)
 
     # ------------------------------------------------------------------
     # Scattered draws: parallel (rep, lane) index vectors
@@ -149,6 +140,30 @@ class BatchedPhiloxRNG:
         the per-replication member counts may differ.
         """
         return RaggedLaneRNG(self, rep)
+
+    def _grid(self, lane) -> tuple:
+        """``(rep, lanes)`` flattened from a replication-major lane grid."""
+        xp = self.xp
+        lanes = xp.asarray(lane, dtype=np.uint64)
+        if lanes.ndim == 0:
+            lanes = lanes.reshape(1)
+        if lanes.ndim == 1:
+            lanes = xp.broadcast_to(lanes, (self.n_reps, lanes.shape[0]))
+        if lanes.ndim != 2 or lanes.shape[0] != self.n_reps:
+            raise ValueError(
+                f"lane must have shape (m,) or ({self.n_reps}, m), got {lanes.shape}"
+            )
+        m = lanes.shape[1]
+        rep = xp.repeat(xp.arange(self.n_reps, dtype=np.intp), m)
+        return rep, lanes.ravel()
+
+    def _normal12_flat(
+        self, stream: int, step: int, rep: np.ndarray, lanes: np.ndarray, slot_base: int
+    ) -> np.ndarray:
+        """Irwin-Hall normals for flattened per-replication lanes; ``(n,)``."""
+        return self._gen.normal12(
+            stream, step, lanes, slot_base, rep=rep if self.n_reps > 1 else None
+        )
 
     def _words_flat(
         self,
@@ -232,4 +247,7 @@ class RaggedLaneRNG:
         return _u32_to_unit_open(self.words(stream, step, lane, slot, scratch=True))
 
     def normal12(self, stream: int, step: int, lane, slot_base: int = 0) -> np.ndarray:
-        return irwin_hall_normal12(self.uniform4, stream, step, lane, slot_base)
+        lanes = self._batched.xp.asarray(lane, dtype=np.uint64).reshape(-1)
+        return self._batched._normal12_flat(
+            stream, step, self._check(lanes), lanes, slot_base
+        )

@@ -11,6 +11,16 @@ trajectory equality.
 The implementation follows Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3" (SC'11) and is validated against the Random123 known-answer
 vectors in the test suite.
+
+The LEM's normal draw is an Irwin-Hall sum of the twelve words of three
+successive counter slots, ``sum((w + 0.5) / 2**32) - 6``. Each term is a
+multiple of ``2**-33`` and every partial sum of the left-to-right float
+accumulation stays below 12, so each needs at most 37 significant bits
+and every addition is exact: the float sum equals ``(S + 6) * 2**-32``
+with ``S`` the integer sum of the words. :meth:`_PhiloxGenerator.normal12`
+therefore evaluates the three counter blocks in one round loop, sums the
+words as uint64 and applies the one rounding step (the final ``- 6``),
+bit-identical to the float sum on every backend.
 """
 
 from __future__ import annotations
@@ -24,7 +34,6 @@ __all__ = [
     "philox4x32_scalar",
     "PHILOX_ROUNDS",
     "PhiloxKeyedRNG",
-    "irwin_hall_normal12",
 ]
 
 #: Standard number of rounds for philox4x32-10.
@@ -36,6 +45,13 @@ _MULTIPLIERS = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
 _WEYL = np.array([[0x9E3779B9], [0xBB67AE85]], dtype=np.uint64)
 _U32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+
+#: Counter slots (blocks of four words) per Irwin-Hall normal.
+_NORMAL_BLOCKS = 3
+#: Lanes per pass of :meth:`_PhiloxGenerator.normal12`: its word pairs and
+#: shift temporary, three ``(2, 3, c)`` uint64 arrays, then take ~1.2 MB,
+#: small enough to stay in a 2 MB L2 cache through the ten rounds.
+NORMAL_CHUNK = 8192
 
 
 def _take_buffer(xp, slots: dict, key: str, rows: int, n: int, dtype) -> np.ndarray:
@@ -118,12 +134,39 @@ class _PhiloxGenerator:
         self._schedules: dict = {}
         self._multipliers = None
         self._scratch: dict = {}
+        self._reserved = 0
 
     def reserve(self, n: int) -> None:
-        """Size the scratch buffers for draws of up to ``n`` lanes."""
+        """Size the scratch buffers for draws of up to ``n`` lanes.
+
+        The :meth:`normal12` buffers are sized for ``n`` lanes too, but
+        only at the first normal draw, so a generator that never draws
+        one (an ACO engine's) holds no memory for them.
+        """
         for role in ("a", "b", "tmp"):
             _take_buffer(self.xp, self._scratch, role, 2, n, np.uint64)
         _take_buffer(self.xp, self._scratch, "out", 4, n, np.uint32)
+        self._reserved = max(self._reserved, n)
+
+    def _normal_buffers(self, n: int) -> tuple:
+        """:meth:`normal12` scratch for at least ``n`` lanes, as flat
+        uint64 buffers: the word pairs and shift temporary of one chunk,
+        and the word sums.
+
+        A chunk reshapes leading slices of the flat buffers, which stay
+        contiguous views; a slice of a wider multi-row buffer would not
+        be contiguous, and reshaping it would copy.
+        """
+        n = max(n, self._reserved)
+        c = min(n, NORMAL_CHUNK)
+        return tuple(
+            _take_buffer(self.xp, self._scratch, role, 1, size, np.uint64)[0]
+            for role, size in (
+                ("pairs", 4 * _NORMAL_BLOCKS * c),
+                ("pairs_tmp", 2 * _NORMAL_BLOCKS * c),
+                ("sums", n),
+            )
+        )
 
     def _schedule(self, stream: int):
         """The device key schedule of ``stream``, ``(rounds, 2, seeds)``."""
@@ -170,6 +213,40 @@ class _PhiloxGenerator:
         out[0::2] = a
         out[1::2] = b
         return out
+
+    def normal12(self, stream: int, step: int, lanes, slot_base: int, rep=None):
+        """Irwin-Hall normals ``(n,)`` for the uint64 lanes ``lanes``.
+
+        Lane ``i`` sums the twelve words of counter slots ``slot_base``,
+        ``slot_base + 1`` and ``slot_base + 2``, keyed like :meth:`words`,
+        and returns ``(S + 6) * 2**-32 - 6``; see the module docstring for
+        why that equals the float sum of the twelve uniforms bit for bit.
+        The three blocks run through one round loop as ``(2, 3, c)`` word
+        pairs, the key schedule broadcast over the block axis (and, keyed
+        by several seeds, gathered once per lane), in chunks of
+        :data:`NORMAL_CHUNK` lanes.
+        """
+        n = lanes.shape[0]
+        keys = self._schedule(stream)[:, :, None]
+        multipliers = self._multipliers[:, :, None]
+        step = int(step)
+        pairs_flat, tmp_flat, sums = self._normal_buffers(n)
+        sums = sums[:n]
+        for lo in range(0, n, NORMAL_CHUNK):
+            c = min(NORMAL_CHUNK, n - lo)
+            pairs = pairs_flat[: 4 * _NORMAL_BLOCKS * c].reshape(2, 2, _NORMAL_BLOCKS, c)
+            tmp = tmp_flat[: 2 * _NORMAL_BLOCKS * c].reshape(2, _NORMAL_BLOCKS, c)
+            a, b = pairs
+            a[0] = np.uint64(step & 0xFFFFFFFF)
+            a[1] = lanes[lo : lo + c]
+            a[1] &= _U32
+            b[0] = np.uint64((step >> 32) & 0xFFFFFFFF)
+            for k in range(_NORMAL_BLOCKS):
+                b[1, k] = np.uint64((int(slot_base) + k) & 0xFFFFFFFF)
+            chunk_keys = keys if rep is None else keys.take(rep[lo : lo + c], axis=3)
+            _philox_rounds(a, b, tmp, multipliers, chunk_keys)
+            pairs.reshape(-1, c).sum(axis=0, out=sums[lo : lo + c])
+        return _irwin_hall(sums)
 
 
 def philox4x32(
@@ -257,6 +334,11 @@ class PhiloxKeyedRNG:
         self.xp = self.backend.xp
         self._gen = _PhiloxGenerator((self.seed,), self.backend)
 
+    def reserve(self, n: int) -> None:
+        """Size the scratch buffers for draws of up to ``n`` lanes, once,
+        so no draw in a step loop regrows them (a fresh allocation)."""
+        self._gen.reserve(n)
+
     def subset(self, rows) -> "PhiloxKeyedRNG":
         """This RNG itself: a draw depends only on the lanes it is given.
 
@@ -304,13 +386,17 @@ class PhiloxKeyedRNG:
     def normal12(self, stream: int, step: int, lane, slot_base: int = 0) -> np.ndarray:
         """Standard normal via the 12-uniform Irwin-Hall sum, one per lane.
 
-        The sum of 12 U(0,1) minus 6 has zero mean, unit variance and is an
-        excellent normal approximation on [-6, 6]. Crucially it uses only
-        additions of exactly-derived values — no transcendental functions —
-        so it is bit-identical across scalar and vectorized execution, which
-        keeps the engine-equivalence invariant airtight.
+        The sum of the 12 uniforms of slots ``slot_base`` to
+        ``slot_base + 2`` minus 6 has zero mean, unit variance and is an
+        excellent normal approximation on [-6, 6]. Crucially it uses no
+        transcendental function: the uniforms' float sum is exact, so it
+        is computed as an integer sum of the words with one rounding step
+        (see the module docstring), bit-identical across scalar and
+        vectorized execution, which keeps the engine-equivalence
+        invariant airtight.
         """
-        return irwin_hall_normal12(self.uniform4, stream, step, lane, slot_base)
+        lanes = self.xp.asarray(lane, dtype=np.uint64).reshape(-1)
+        return self._gen.normal12(stream, step, lanes, slot_base)
 
     def uniform_scalar(self, stream: int, step: int, lane: int, slot: int = 0) -> float:
         """Scalar uniform in (0, 1) for loop-based (sequential) call sites."""
@@ -321,21 +407,19 @@ class PhiloxKeyedRNG:
         return float(self.normal12(stream, step, np.uint64(lane), slot_base)[0])
 
 
-def irwin_hall_normal12(uniform4, stream: int, step: int, lane, slot_base: int = 0):
-    """Irwin-Hall sum over three ``uniform4`` draws: 12 uniforms minus 6.
+def _irwin_hall(sums: np.ndarray) -> np.ndarray:
+    """Irwin-Hall normals from uint64 sums ``S`` of twelve words each.
 
-    The accumulation order (left-to-right over the 4 words of 3 successive
-    slots) fixes the FP evaluation order; every RNG front-end — solo,
-    batched grid, flattened lane view — routes through this one function so
-    the bit-identity invariant has a single source of truth.
+    ``(S + 6) * 2**-32`` is the exact float sum of the twelve uniforms
+    ``(w + 0.5) * 2**-32`` (``S + 6 < 2**36`` converts and scales
+    exactly), and subtracting 6 rounds once, as the float sum's last
+    step does.
     """
-    total = None
-    for k in range(3):  # 3 philox calls x 4 words = 12 uniforms
-        u = uniform4(stream, step, lane, slot_base + k)
-        # Left-to-right accumulation: same FP order in all engines.
-        for j in range(4):
-            total = u[j] if total is None else total + u[j]
-    return total - 6.0
+    z = sums.astype(np.float64)
+    z += 6.0
+    z *= 1.0 / 4294967296.0
+    z -= 6.0
+    return z
 
 
 def _u32_to_unit_open(words: np.ndarray) -> np.ndarray:

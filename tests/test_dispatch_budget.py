@@ -37,11 +37,25 @@ jammed ops budget is tightened from 45 to 42; the alloc budget stays at
 scratch buffers at build: a draw that set a new high-water mark mid-run
 would reallocate them. Since eq. 2 reads a static ``(1/D)^beta`` slot
 table and ACO draws only for rows with two or more positive numerators,
-jammed ACO still measures 31 / 13: the scan lost two ``asarray`` calls
-and the ``where`` mask, and select gained the ``nonzero`` of its
+jammed ACO measured 31 / 12: the scan lost two ``asarray`` calls and
+the ``where`` mask, and select gained the ``nonzero`` of its
 2+-positive rows and two ``out=`` ``maximum`` calls (the sole-slot pick
-and the inverse CDF's threshold floor). The tiled budgets date from the
-fused kernels and the ``out=``-capable ops.
+and the inverse CDF's threshold floor).
+
+The LEM normal is now one fused Philox pass (one ``asarray`` where it
+was three), eq. 1 and the greedy rule reduce slot-major, and a tie-break
+row with no tied slot gets -1 from ``tiebreak_slots`` itself, so the
+final ``where`` is gone: jammed, the whole-array engines measure 32 ops
+/ 19 allocs (LEM; 31.6 / 18.8 on ``vectorized``) and 26 / 16 (greedy),
+and ACO, whose running sums are now in-place column adds instead of a
+``cumsum(out=)``, 30 / 12. The jammed ops budget is tightened from 42
+to 38; the alloc budget stays at 22. ``sequential`` measures 5 ops and
+3 allocs in free flow (7 / 3 before) and its ops budget is tightened
+from 9 to 6. Jammed, it measures 6 / 3 (LEM), 5 / 3 (greedy) and 5 / 2
+(ACO); ``SEQUENTIAL_JAMMED_BUDGETS`` holds its allocs at 3, which holds
+only because the solo RNG reserves its scratch buffers at build, as the
+batched one does. The tiled budgets date from the fused kernels and the
+``out=``-capable ops.
 
 ``PRE_FUSION`` (per-group TOP/BOTTOM passes, unfused RNG) and
 ``PRE_ARENA`` (before the ``out=``-capable ops) are free-flow-scenario
@@ -77,7 +91,7 @@ PRE_FUSION = {
 
 #: Measured free-flow ops/step plus ~20% headroom.
 BUDGETS = {
-    "sequential": 9,
+    "sequential": 6,
     "vectorized": 15,
     "tiled": 220,
     "batched4": 15,
@@ -104,9 +118,12 @@ ALLOC_BUDGETS = {
 
 #: Jammed-scenario ops/step and allocs/step budgets of the whole-array
 #: engines, per model (every step runs select).
-JAMMED_BUDGETS = {"vectorized": 42, "batched4": 42}
+JAMMED_BUDGETS = {"vectorized": 38, "batched4": 38}
 JAMMED_ALLOC_BUDGETS = {"vectorized": 22, "batched4": 22}
 JAMMED_MODELS = ("lem", "aco")
+#: Jammed (ops, allocs) per step of the ``sequential`` engine, which
+#: pre-draws every agent's variates each step whether it decides or not.
+SEQUENTIAL_JAMMED_BUDGETS = (7, 3)
 
 #: Agents per side of each scenario.
 FREE_FLOW = 24
@@ -222,6 +239,18 @@ def test_jammed_engine_stays_within_budgets(kind, model):
     assert allocs <= JAMMED_ALLOC_BUDGETS[kind], (
         f"{kind}/{model} jammed: {allocs:.1f} allocs/step exceeds the "
         f"{JAMMED_ALLOC_BUDGETS[kind]} budget"
+    )
+
+
+@pytest.mark.parametrize("model", ("lem", "greedy", "aco"))
+def test_jammed_sequential_stays_within_budgets(model):
+    """The scalar path's per-step draws reuse scratch sized at build: a
+    draw that grew a buffer mid-run would show here as an extra alloc."""
+    ops, allocs, *_ = _steady_per_step("sequential", JAMMED, model)
+    max_ops, max_allocs = SEQUENTIAL_JAMMED_BUDGETS
+    assert ops <= max_ops and allocs <= max_allocs, (
+        f"sequential/{model} jammed: {ops:.1f} ops, {allocs:.1f} allocs/step "
+        f"over the {max_ops} / {max_allocs} budget"
     )
 
 

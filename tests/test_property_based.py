@@ -7,13 +7,22 @@ from hypothesis import strategies as st
 from repro import SimulationConfig, build_engine
 from repro.engine import BatchedEngine, shift, winner_rank
 from repro.grid import DistanceTable, ObstacleSpec
-from repro.models import ACOParams, LEMParams, build_model, fast_pow
+from repro.models import (
+    ACOParams,
+    GreedyParams,
+    LEMParams,
+    build_model,
+    fast_pow,
+    lem_scores,
+)
+from repro.models.base import _row_cumsum
 from repro.models.mathops import fast_pow_scalar
 from repro.rng import (
     PhiloxKeyedRNG,
     Stream,
     categorical,
     categorical_from_cumsum,
+    clip_lem_draw,
     philox4x32,
 )
 from repro.types import Group
@@ -168,6 +177,116 @@ class TestProportionalSlots:
         w = np.array(weights)
         got = categorical_from_cumsum(np.cumsum(w, axis=1), np.full(len(w), u))
         assert got.tolist() == [_first_hit(row, u) for row in weights]
+
+
+class TestRowCumsum:
+    @given(rows=st.lists(st.lists(_WEIGHT, min_size=8, max_size=8), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_column_adds_are_cumsum(self, rows):
+        """The in-place column adds of ``proportional_slots`` give
+        ``np.cumsum``'s running sums bit for bit."""
+        w = np.array(rows)
+        want = np.cumsum(w, axis=1)
+        assert np.array_equal(_row_cumsum(w.copy()).view(np.uint64), want.view(np.uint64))
+
+
+def _row_major_tiebreak(tied, rng, step, lanes):
+    """The first-tied-slot rule on ``(n, 8)`` rows: the lowest
+    ``slot_number ^ b`` among the tied slots (0 on a row with none)."""
+    bits = (rng.words(Stream.TIEBREAK, step, lanes)[0] & np.uint32(1)).astype(np.int64)
+    keys = np.where(tied, np.arange(1, 9) ^ bits[:, None], 1 << 30)
+    return keys.argmin(axis=1)
+
+
+def _row_major_lem(scan, params, rng, step, lanes):
+    """Eq. 1 and the clipped-normal rank rule with row-wise reductions
+    over ``(n, 8)``, as the LEM ran before its slot-major rewrite."""
+    candidates = scan > 0.0
+    scores = lem_scores(scan, candidates)
+    c_max = scores.max(axis=1)
+    z = rng.normal12(Stream.LEM_SELECT, step, lanes)
+    x = clip_lem_draw(z, params.mu, params.sigma, c_max)
+    if params.rule == "floor":
+        eligible = candidates & (scores <= x[:, None])
+        contended = np.where(eligible, scores, -np.inf)
+        c_sel = contended.max(axis=1)
+        has_choice = np.isfinite(c_sel) & candidates.any(axis=1)
+    else:
+        eligible = candidates & (scores >= x[:, None])
+        contended = np.where(eligible, scores, np.inf)
+        c_sel = contended.min(axis=1)
+        has_choice = candidates.any(axis=1)
+    tied = eligible & (contended == c_sel[:, None])
+    return np.where(has_choice, _row_major_tiebreak(tied, rng, step, lanes), -1)
+
+
+def _row_major_greedy(scan, rng, step, lanes):
+    candidates = scan > 0.0
+    scores = lem_scores(scan, candidates)
+    best = candidates & (scores == scores.max(axis=1)[:, None])
+    slot = _row_major_tiebreak(best, rng, step, lanes)
+    return np.where(candidates.any(axis=1), slot, -1)
+
+
+#: Scan entries: non-candidates (0 and a negative), repeated distances
+#: (ties), the distance extremes and anything between.
+_SCAN_VALUE = st.one_of(
+    st.sampled_from([0.0, -1.0]),
+    st.sampled_from([1.0, 2.0 ** 0.5, 2.0, 5.0 ** 0.5, 3.0]),
+    st.sampled_from([5e-324, 1e-300, 1e308, np.inf]),
+    st.floats(0.5, 500.0),
+)
+
+
+@st.composite
+def _scan(draw):
+    """``(n, 8)`` scans; a row may mirror its left/right pairs (0-based
+    slots (1, 2), (3, 4), (6, 7), the pairs that tie on distance) or be
+    all zero."""
+    rows = draw(st.lists(
+        st.tuples(
+            st.lists(_SCAN_VALUE, min_size=8, max_size=8),
+            st.sampled_from(["plain", "mirror", "zero"]),
+        ),
+        min_size=1, max_size=16,
+    ))
+    scan = np.array([values for values, _ in rows])
+    for i, (_, kind) in enumerate(rows):
+        if kind == "mirror":
+            scan[i, [2, 4, 7]] = scan[i, [1, 3, 6]]
+        elif kind == "zero":
+            scan[i] = 0.0
+    return scan
+
+
+class TestSlotMajorSelect:
+    """The slot-major LEM and greedy selects pick what the row-major
+    rules pick, draw for draw."""
+
+    @given(
+        scan=_scan(),
+        rule=st.sampled_from(["floor", "ceil"]),
+        mu=st.floats(0.0, 1.5),
+        sigma=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        step=st.integers(0, 2**40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lem_matches_row_major(self, scan, rule, mu, sigma, seed, step):
+        params = LEMParams(mu=mu, sigma=sigma, rule=rule)
+        rng = PhiloxKeyedRNG(seed)
+        lanes = np.arange(1, len(scan) + 1, dtype=np.uint64)
+        got = build_model(params).select(scan.copy(), rng, step, lanes)
+        want = _row_major_lem(scan, params, rng, step, lanes)
+        assert np.array_equal(got, want)
+
+    @given(scan=_scan(), seed=st.integers(0, 2**64 - 1), step=st.integers(0, 2**40))
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_matches_row_major(self, scan, seed, step):
+        rng = PhiloxKeyedRNG(seed)
+        lanes = np.arange(1, len(scan) + 1, dtype=np.uint64)
+        got = build_model(GreedyParams()).select(scan.copy(), rng, step, lanes)
+        assert np.array_equal(got, _row_major_greedy(scan, rng, step, lanes))
 
 
 class TestNumericProperties:

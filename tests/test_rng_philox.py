@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rng import (
     PHILOX_ROUNDS,
@@ -11,6 +13,7 @@ from repro.rng import (
     philox4x32,
     philox4x32_scalar,
 )
+from repro.rng.philox import NORMAL_CHUNK, _irwin_hall
 
 
 def _reference_philox(counter, key, rounds=PHILOX_ROUNDS):
@@ -207,3 +210,85 @@ class TestKeyedRNG:
         u = rng.uniform(Stream.MOVE_WINNER, 0, lanes)
         assert np.all((u > 0) & (u < 1))
         assert len(np.unique(u)) == 3
+
+
+def _float_normal12(draw_words, stream, step, lanes, slot_base):
+    """The Irwin-Hall normal as a float sum: the twelve uniforms
+    ``(w + 0.5) / 2**32`` of three successive counter slots, added left
+    to right, minus 6."""
+    total = None
+    for k in range(3):
+        u = (draw_words(stream, step, lanes, slot_base + k).astype(np.float64) + 0.5)
+        u /= 4294967296.0
+        for j in range(4):
+            total = u[j] if total is None else total + u[j]
+    return total - 6.0
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestFusedNormal12:
+    """``normal12`` sums the twelve words as integers in one Philox pass;
+    it must equal the three-block float sum bit for bit."""
+
+    #: Enough lanes for three chunks of the fused pass, the last partial.
+    N = 2 * NORMAL_CHUNK + 37
+
+    @pytest.mark.parametrize("slot_base", [0, 5])
+    def test_solo_matches_float_sum(self, slot_base):
+        rng = PhiloxKeyedRNG(2**40 + 17)
+        lanes = np.arange(self.N, dtype=np.uint64) * 977 + 3
+        got = rng.normal12(Stream.LEM_SELECT, 2**33 + 4, lanes, slot_base)
+        want = _float_normal12(rng.words, Stream.LEM_SELECT, 2**33 + 4, lanes, slot_base)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("slot_base", [0, 5])
+    def test_ragged_four_seeds_match_float_sum(self, slot_base):
+        batched = BatchedPhiloxRNG((1, 2**63 + 9, 77, 2**32))
+        rep = np.random.default_rng(3).integers(0, 4, self.N)
+        lanes = np.arange(self.N, dtype=np.uint64)
+        ragged = batched.ragged(rep)
+        got = ragged.normal12(Stream.LEM_SELECT, 11, lanes, slot_base)
+        want = _float_normal12(ragged.words, Stream.LEM_SELECT, 11, lanes, slot_base)
+        assert np.array_equal(_bits(got), _bits(want))
+        # Each element is also the solo draw of its seed.
+        for b, seed in enumerate(batched.seeds):
+            mine = rep == b
+            solo = PhiloxKeyedRNG(seed).normal12(
+                Stream.LEM_SELECT, 11, lanes[mine], slot_base
+            )
+            assert np.array_equal(_bits(got[mine]), _bits(solo))
+
+    def test_grid_draw_matches_float_sum(self):
+        batched = BatchedPhiloxRNG((4, 5, 6))
+        lanes = np.arange(40, dtype=np.uint64)
+        got = batched.normal12(Stream.LEM_SELECT, 3, lanes, 2)
+        assert got.shape == (3, 40)
+        want = _float_normal12(
+            lambda *a: batched.words(*a).reshape(4, -1), Stream.LEM_SELECT, 3, lanes, 2
+        )
+        assert np.array_equal(_bits(got.ravel()), _bits(want))
+
+    @pytest.mark.parametrize("word", [0, 2**32 - 1])
+    def test_extreme_words(self, word):
+        """All twelve words 0 (the lowest normal) or 2**32 - 1 (the
+        highest): the sum stays exact at both ends."""
+        want = _float_normal12(
+            lambda *a: np.full((4, 1), word, dtype=np.uint32), 0, 0, None, 0
+        )
+        got = _irwin_hall(np.array([12 * word], dtype=np.uint64))
+        assert np.array_equal(_bits(got), _bits(want))
+        assert -6.0 < got[0] < 6.0
+
+    @given(words=st.lists(st.integers(0, 2**32 - 1), min_size=12, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_sum_is_the_float_sum(self, words):
+        blocks = np.array(words, dtype=np.uint32).reshape(3, 4, 1)
+        want = _float_normal12(lambda s, t, l, k: blocks[k], 0, 0, None, 0)
+        got = _irwin_hall(np.array([sum(words)], dtype=np.uint64))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_empty_draw(self):
+        assert PhiloxKeyedRNG(1).normal12(Stream.LEM_SELECT, 0, np.arange(0)).shape == (0,)
