@@ -2,15 +2,13 @@
 
 * forward priority (the paper's stated modification of [18]) on vs off,
 * the LEM selection rule reading ("floor" = may wait, "ceil" = always move),
-* pheromone evaporation rate sweep (eq. 3's rho),
-* tiled vs global execution of the same kernels (shared-memory emulation
-  overhead), and
+* pheromone evaporation rate sweep (eq. 3's rho), and
 * the engine equivalence guard run as a benchmark.
 """
 
 import pytest
 
-from repro import SimulationConfig, build_engine, run_simulation
+from repro import SimulationConfig, run_simulation
 from repro.models import ACOParams, LEMParams
 
 
@@ -59,26 +57,6 @@ class TestEvaporationSweep:
         )
         # The knee scenario must stay mostly flowing for any sane rho.
         assert throughput >= 0.5 * cfg.total_agents
-
-
-class TestTiledOverhead:
-    def test_bench_tiled_engine(self, benchmark):
-        """Per-tile execution with halo loads, same results as global."""
-        cfg = SimulationConfig(
-            height=48, width=48, n_per_side=200, steps=25, seed=3
-        ).with_model("aco")
-
-        def run():
-            eng = build_engine(cfg, "tiled")
-            for _ in range(25):
-                eng.step()
-            return eng
-
-        eng = benchmark.pedantic(run, rounds=2, iterations=1)
-        ref = build_engine(cfg, "vectorized")
-        for _ in range(25):
-            ref.step()
-        assert eng.state_equals(ref)
 
 
 class TestBottleneckGap:

@@ -4,7 +4,7 @@ Full reproduction of Dutta, McLeod & Friesen, "GPU Accelerated Nature
 Inspired Methods for Modelling Large Scale Bi-Directional Pedestrian
 Movement" (IPPS 2014 workshops): the Least Effort Model and the modified
 Ant Colony Optimization pedestrian models, the four-stage data-driven
-kernel pipeline (sequential, vectorized and tiled engines), a Fermi
+kernel pipeline (sequential and vectorized engines), a Fermi
 execution-model cost simulator, and the full Figure 5 / Figure 6
 experiment harness.
 

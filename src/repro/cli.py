@@ -27,6 +27,7 @@ from typing import List, Optional
 
 from . import __version__
 from .config import SimulationConfig
+from .engine import available_engines
 from .experiments import SCALES, occupancy_table, run_all, table1_hardware
 from .io import render_engine
 from .metrics import efficiency_report, lane_order_parameter
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one simulation")
     run_p.add_argument("--model", default="lem", choices=["lem", "aco", "random", "greedy"])
     run_p.add_argument("--engine", default="vectorized",
-                       choices=["sequential", "vectorized", "tiled"])
+                       choices=sorted(available_engines()))
     run_p.add_argument(
         "--backend",
         default="numpy",
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sbm_p.add_argument("--model", default="lem",
                        choices=["lem", "aco", "random", "greedy"])
     sbm_p.add_argument("--engine", default="vectorized",
-                       choices=["sequential", "vectorized", "tiled"])
+                       choices=sorted(available_engines()))
     sbm_p.add_argument(
         "--backend",
         default="numpy",

@@ -14,7 +14,7 @@ Determinism contract: a hook fires exactly once, *before* the engine
 executes step ``fire_step()`` (equivalently: after step
 ``fire_step() - 1`` completes). Because that is a pure function of the
 step counter, a hooked run is bit-identical across the sequential,
-vectorized, tiled and batched engines — including padded batches that
+vectorized and batched engines — including padded batches that
 mix hooked and unhooked lanes (see ``swap_lane_model`` on
 :class:`~repro.engine.batched.BatchedEngine`).
 
@@ -90,7 +90,7 @@ class StepHook:
     Subclasses implement the firing step and the mutation, twice: once
     against the :class:`~repro.engine.sequential.SequentialEngine` and
     once against one lane of a :class:`~repro.engine.batched.BatchedEngine`
-    (the solo ``vectorized`` and ``tiled`` engines are one-lane batches).
+    (the solo ``vectorized`` engine is a one-lane batch).
     Both must express the *same* mutation so every engine stays
     bit-identical.
     """

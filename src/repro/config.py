@@ -36,8 +36,7 @@ class SimulationConfig:
     height, width:
         Grid dimensions in cells. The paper fixes 480x480 and requires
         multiples of the 16-cell tile edge for its shared-memory kernels;
-        we validate the multiple-of-16 constraint only when the tiled
-        engine is used (see :class:`repro.cuda.batched_tiled.TiledEngine`).
+        the engines here run whole-array stages and accept any size.
     n_per_side:
         Number of agents in each group (total agents = 2x this).
     steps:

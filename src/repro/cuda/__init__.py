@@ -5,10 +5,10 @@ hardware: it models the GTX 560 Ti / i7-930 pair of Table I (device specs,
 CC 2.0 occupancy rules, 16x16 tiles with 18x18 halos, warp divergence and
 memory-transaction accounting) and prices the paper's exact experimental
 configurations through a calibrated analytic cost model to regenerate
-Figures 5a-5c. :class:`BatchedTiledEngine` (and its one-lane solo form
-:class:`TiledEngine`) additionally *executes* the simulation through the
-tiled shared-memory data flow to prove it computes the same result as the
-global data-parallel engine.
+Figures 5a-5c. Nothing here steps a simulation: the engines run the
+whole-array stages, and a test (``tests/test_cuda_tiling_halo.py``)
+checks that each tile's 18x18 shared image of a live state gives its
+agents the same neighbours and scan values as the whole grid.
 """
 
 from .costmodel import (
@@ -55,7 +55,6 @@ from .memory import (
 )
 from .occupancy import OccupancyResult, occupancy
 from .report import KernelNote, implementation_notes, implementation_report
-from .batched_tiled import BatchedTiledEngine, TiledEngine
 from .tiling import DEFAULT_TILE, OUT_OF_GRID, Tile, TileDecomposition
 from .timers import CudaEvent, Stopwatch, event_elapsed_ms
 
@@ -102,8 +101,6 @@ __all__ = [
     "KernelNote",
     "implementation_notes",
     "implementation_report",
-    "TiledEngine",
-    "BatchedTiledEngine",
     "CudaEvent",
     "event_elapsed_ms",
     "Stopwatch",

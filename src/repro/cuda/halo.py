@@ -8,10 +8,9 @@ mapping, thread ``t`` of the warp loads halo elements ``t``, ``t + 32`` and
 ``t + 64`` — three coalesced-ish passes with no divergent branching inside
 a pass (a single uniform bounds check per pass).
 
-This module reproduces that mapping so the tiled engine can emulate it and
-the cost model can count its transactions; the tests verify that the 68
-halo cells are covered exactly once and that only the final pass has
-inactive lanes.
+This module reproduces that mapping so the cost model can count its
+transactions; the tests verify that the 68 halo cells are covered
+exactly once and that only the final pass has inactive lanes.
 """
 
 from __future__ import annotations

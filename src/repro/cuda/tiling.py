@@ -5,9 +5,8 @@ an 18x18 shared-memory array: the 16x16 *internal* elements plus one ring of
 *halo* elements from the neighbouring tiles, so that every internal thread
 can inspect its full Moore neighbourhood without touching global memory
 again. This module provides the index arithmetic; the halo-load warp
-mapping lives in :mod:`repro.cuda.halo`, and
-:class:`repro.cuda.batched_tiled.BatchedTiledEngine` executes the simulation
-tile-by-tile through these decompositions.
+mapping lives in :mod:`repro.cuda.halo`, and the cost model prices the
+per-cell kernels over these tiles.
 """
 
 from __future__ import annotations
@@ -69,21 +68,19 @@ class Tile:
             self.col0 + self.tile_size + 1,
         )
 
-    def load_shared(self, arr: np.ndarray, fill, xp=np) -> np.ndarray:
+    def load_shared(self, arr: np.ndarray, fill) -> np.ndarray:
         """Materialise the (tile+2)x(tile+2) shared array with halos.
 
-        Out-of-grid halo cells get ``fill`` (the engines use an "occupied"
-        sentinel so border agents see the outside world as unavailable,
-        exactly like the bounds checks of the global engine). ``xp`` is the
-        array namespace of ``arr`` (the shared image stays on its device).
+        Out-of-grid halo cells get ``fill`` (an "occupied" sentinel for the
+        grid matrices, so border agents see the outside world as
+        unavailable, exactly like the whole-array engine's halo).
 
         ``arr`` may carry leading axes (``(..., H, W)``): the tile cut
         applies to the trailing two, so one call loads e.g. the fused
-        ``(2, H, W)`` pheromone stack — or a batched ``(2, B, H, W)``
-        stack — as a single shared image per tile.
+        ``(2, H, W)`` pheromone stack as a single shared image per tile.
         """
         ts = self.tile_size
-        shared = xp.full(arr.shape[:-2] + (ts + 2, ts + 2), fill, dtype=arr.dtype)
+        shared = np.full(arr.shape[:-2] + (ts + 2, ts + 2), fill, dtype=arr.dtype)
         r_lo, r_hi, c_lo, c_hi = self.halo_bounds
         gr_lo, gr_hi = max(r_lo, 0), min(r_hi, self.grid_height)
         gc_lo, gc_hi = max(c_lo, 0), min(c_hi, self.grid_width)

@@ -13,9 +13,9 @@ Every engine executes the paper's kernel sequence each step:
    moves, update tours, pheromones and crossing bookkeeping;
 4. **support**: reset the future coordinates.
 
-Engines differ only in *how* the stages execute (Python loops, whole-array
-NumPy, or per-tile NumPy with halos); the keyed RNG makes their outputs
-bit-identical. The sequential reference engine
+Engines differ only in *how* the stages execute (Python loops or
+whole-array NumPy); the keyed RNG makes their outputs bit-identical.
+The sequential reference engine
 (:class:`~repro.engine.sequential.SequentialEngine`) runs the stages as
 scalar loops; the whole-array engines run them as one-lane batched
 engines (:mod:`repro.engine.vectorized`). Both share the solo surface of

@@ -327,9 +327,8 @@ class BatchedEngine:
         )
         # Select and winner draws are at most one per fused row.
         self.rng.reserve(rep_host.size)
+        # Neighbour offsets ``(2, 8, 2)`` by group slot.
         offsets_host = np.stack([offsets_array(g) for g in (Group.TOP, Group.BOTTOM)])
-        #: Neighbour offsets ``(2, 8, 2)`` by group slot.
-        self._offsets_stack = self.backend.from_host(offsets_host)
         #: Each fused row's neighbour offsets as padded linear offsets
         #: ``dr * Wp + dc``, ``(N, 8)`` (int16 keeps the static table small;
         #: the sums with int64 positions are int64).
@@ -1029,29 +1028,14 @@ def run_batched(
     steps: Optional[int] = None,
     record_timeline: bool = True,
     callback=None,
-    engine: str = "batched",
 ) -> BatchedTimedResult:
-    """Build a batched engine, run it, and time the whole batch.
+    """Build a :class:`BatchedEngine`, run it, and time the whole batch.
 
     ``config`` may be one shared config or a per-lane sequence aligned with
     ``seeds`` (padded heterogeneous batching). ``callback`` is forwarded
-    to :meth:`BatchedEngine.run` (per-step metrics hooks). ``engine``
-    picks the execution strategy: ``"batched"`` (whole-array, the default)
-    or ``"tiled"`` (the shared-memory-faithful
-    :class:`~repro.cuda.batched_tiled.BatchedTiledEngine`); both produce
-    bit-identical per-lane trajectories.
+    to :meth:`BatchedEngine.run` (per-step metrics hooks).
     """
-    if engine == "batched":
-        eng = BatchedEngine(config, seeds)
-    elif engine == "tiled":
-        # Deferred import: repro.cuda.batched_tiled subclasses this module.
-        from ..cuda.batched_tiled import BatchedTiledEngine  # noqa: PLC0415
-
-        eng = BatchedTiledEngine(config, seeds)
-    else:
-        raise EngineError(
-            f"unknown batched engine {engine!r}; choose 'batched' or 'tiled'"
-        )
+    eng = BatchedEngine(config, seeds)
     if isinstance(eng.backend, ProfilingBackend):
         # Counting backend: start the measured region at the run loop so
         # the metric sink's per-step dispatch deltas are exact from step 0.

@@ -11,10 +11,8 @@ whole-array engines draw only for contested cells (2+ candidates); draws
 are keyed by cell, so skipping a draw changes no other. The whole-array
 engines reach the same per-cell choice agent-keyed:
 :func:`group_by_cell` sorts the deciding agents by target cell, replacing
-the per-cell gather. The tiled engines keep the per-cell gather (they
-mirror the paper's CUDA kernel) and read neighbours through their
-shared-memory tiles; :func:`shift` is that neighbour read over a whole
-grid, kept for the tests.
+the paper's per-cell gather. :func:`shift` is that gather's neighbour
+read over a whole grid, kept for the tests.
 """
 
 from __future__ import annotations

@@ -36,33 +36,17 @@ __all__ = [
 ]
 
 
-def _registry() -> Dict[str, Type[SoloEngine]]:
-    reg: Dict[str, Type[SoloEngine]] = {
-        "sequential": SequentialEngine,
-        "vectorized": VectorizedEngine,
-    }
-    # The tiled engine lives in repro.cuda (it needs the tiling substrate);
-    # import lazily so repro.engine has no dependency on repro.cuda.
-    try:
-        from ..cuda.batched_tiled import TiledEngine
-
-        reg["tiled"] = TiledEngine
-    except ImportError:  # pragma: no cover - only during partial installs
-        pass
-    return reg
-
-
-#: Engine name -> class. "sequential" is the CPU stand-in; "vectorized"
-#: (the GPU stand-in) and "tiled" (the shared-memory-faithful GPU
-#: emulation) are one-lane batched engines over the whole-array and the
-#: tiled stages.
-ENGINE_REGISTRY: Dict[str, Type[SoloEngine]] = {}
+#: Engine name -> class. "sequential" is the CPU stand-in and
+#: "vectorized" the GPU stand-in, a one-lane batched engine over the
+#: whole-array stages.
+ENGINE_REGISTRY: Dict[str, Type[SoloEngine]] = {
+    "sequential": SequentialEngine,
+    "vectorized": VectorizedEngine,
+}
 
 
 def available_engines() -> Dict[str, Type[SoloEngine]]:
-    """Return the engine registry, populating it on first use."""
-    if not ENGINE_REGISTRY:
-        ENGINE_REGISTRY.update(_registry())
+    """Return the engine registry (name -> solo engine class)."""
     return ENGINE_REGISTRY
 
 

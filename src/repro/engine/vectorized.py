@@ -2,11 +2,9 @@
 
 A solo run is the B=1 case of :class:`~repro.engine.batched.BatchedEngine`:
 its stages already run as one whole-array launch over every agent, the
-paper's kernel sequence. :class:`OneLane` puts the solo-engine surface
-on top (``env``/``pop``/``pher`` views, int step reports, ``run()``,
-``swap_model``), and :class:`VectorizedEngine` is that surface over the
-whole-array stages; :class:`~repro.cuda.batched_tiled.TiledEngine` is the
-same surface over the tiled stages.
+paper's kernel sequence. :class:`VectorizedEngine` puts the solo-engine
+surface on top (``env``/``pop``/``pher`` views, int step reports,
+``run()``, ``swap_model``).
 """
 
 from __future__ import annotations
@@ -22,21 +20,23 @@ from .batched import BatchedEngine
 # Traced benchmark runs patch both names on this module (perfbench/paper.py).
 from .conflict import shift, winner_rank  # noqa: F401
 
-__all__ = ["OneLane", "VectorizedEngine"]
+__all__ = ["VectorizedEngine"]
 
 
-class OneLane(SoloEngine):
-    """The solo surface of a one-lane batched engine.
+class VectorizedEngine(SoloEngine, BatchedEngine):
+    """The solo whole-array engine: a one-lane :class:`BatchedEngine`.
 
     ``env``, ``pop`` and ``pher`` are an :class:`Environment`, a
     :class:`Population` and a ``(2, H, W)`` pheromone field whose arrays
     are views of lane 0, so they always show the engine's live state with
-    no per-step copies. Mix in before a batched engine class.
+    no per-step copies.
     """
 
-    def __init__(self, config, seed: Optional[int] = None, **kwargs) -> None:
+    platform = "vectorized"
+
+    def __init__(self, config, seed: Optional[int] = None) -> None:
         seed = int(config.seed if seed is None else seed)
-        super().__init__(config, (seed,), **kwargs)
+        super().__init__(config, (seed,))
         self.seed = seed
         self.env = Environment.over(self.mats[0], self.index[0], self.backend)
         self.pop = Population.over(
@@ -70,9 +70,3 @@ class OneLane(SoloEngine):
     def swap_model(self, params) -> None:
         """Swap the movement model mid-run (panic-alarm extension)."""
         self.swap_lane_model(0, params)
-
-
-class VectorizedEngine(OneLane, BatchedEngine):
-    """The solo whole-array engine: a one-lane :class:`BatchedEngine`."""
-
-    platform = "vectorized"

@@ -1,7 +1,7 @@
 """Deterministic numeric helpers for the decision kernels.
 
-The engine-equivalence invariant (sequential == vectorized == tiled, bit for
-bit) requires every floating-point operation on the decision path to produce
+The engine-equivalence invariant (sequential == vectorized, bit for bit)
+requires every floating-point operation on the decision path to produce
 identical results in scalar and SIMD execution. IEEE-754 guarantees that for
 +, -, *, /, sqrt and comparisons — but *not* for ``pow`` and other libm
 functions, whose vectorized implementations may differ by ULPs from the

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Engines whose runs can share a batched launch. The sequential engine is
-#: scalar by construction and the tiled engine carries per-run tile state.
+#: scalar by construction.
 BATCHABLE_ENGINES = ("vectorized",)
 
 #: Clamp bounds on the derived padded-slot ceiling: never pack so tightly
@@ -146,7 +146,6 @@ def plan_lanes(
     max_lanes: int,
     pad_lanes: bool = False,
     max_pad_waste: Optional[float] = None,
-    batchable_engines: Tuple[str, ...] = BATCHABLE_ENGINES,
 ) -> List[PlannedBatch]:
     """Group requests into batched / padded / solo launches.
 
@@ -174,7 +173,7 @@ def plan_lanes(
 
     for key in order:
         members = groups[key]
-        eligible = members[0].engine in batchable_engines and max_lanes > 1
+        eligible = members[0].engine in BATCHABLE_ENGINES and max_lanes > 1
         if not eligible:
             batches.extend(solo(m) for m in members)
             continue

@@ -3,7 +3,7 @@
 This is the reproduction's stand-in for CURAND: a stateless, keyed generator
 whose output depends only on ``(key, counter)``. Each random decision in the
 simulation derives its counter from ``(step, lane, slot)`` and its key from
-``(seed, stream)``, so the sequential, vectorized and tiled engines consume
+``(seed, stream)``, so the sequential and vectorized engines consume
 *bit-identical* randomness regardless of iteration order — the property that
 lets us strengthen the paper's CPU-vs-GPU consistency check into exact
 trajectory equality.

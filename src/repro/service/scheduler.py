@@ -12,7 +12,7 @@ rules allow:
   step budget, array backend, engine — fuse into *padded* heterogeneous
   batches under the cost-model waste ceiling, populations and grid
   shapes padded to the largest lane;
-* everything else (sequential/tiled engines, waste-bound overflow) falls
+* everything else (the sequential engine, waste-bound overflow) falls
   back to solo :func:`~repro.engine.run_simulation` calls.
 
 Execution goes through the shared :class:`repro.exec.LaunchWork` payload

@@ -357,9 +357,10 @@ class SimulationService:
                 # Coalescing keys on (digest, engine), not digest alone:
                 # sharing a *success* across engines is sound (bit
                 # identity) and the disk cache does it, but a failure is
-                # engine-specific (e.g. the tiled engine rejecting a
-                # grid), so a job must never inherit a failure from a
-                # rep that ran a different engine.
+                # engine-specific (e.g. the host-only sequential engine
+                # rejecting a device backend), so a job must never
+                # inherit a failure from a rep that ran a different
+                # engine.
                 by_key: Dict[tuple, Job] = {}
                 dirty: List[Job] = []
                 done = 0

@@ -3,7 +3,8 @@
 The mock ``cupy`` delegates every namespace call to NumPy (plus the
 ``asnumpy``/``asarray`` transfer surface) and the mock ``cupyx`` provides
 ``scatter_add``; injected through :class:`CupyBackend`'s constructor hooks
-and registered as the ``"cupy"`` factory, it drives the *entire* dispatch
+and registered as the ``"cupy"`` factory (the ``mock_cupy_backend``
+fixture in ``conftest.py``), it drives the *entire* dispatch
 plumbing — engine construction, device "transfers", scatter-adds,
 recording round-trips, the sequential-engine guard — without a GPU, and
 checks the trajectories stay bit-identical to the NumPy backend.
@@ -19,41 +20,10 @@ follow-up) could catch bypasses mechanically.
 import numpy as np
 import pytest
 
-import repro.backend.core as backend_core
 from repro import SimulationConfig, build_engine, run_batched
-from repro.backend import CupyBackend, register_backend, resolve_backend
+from repro.backend import CupyBackend, resolve_backend
 from repro.errors import EngineError
 from repro.experiments.sweep import SweepRunner, sweep_grid
-
-
-class _FakeCupy:
-    """Mock ``cupy`` module: NumPy namespace + the transfer surface."""
-
-    asnumpy = staticmethod(np.asarray)
-    asarray = staticmethod(np.asarray)
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-class _FakeCupyx:
-    """Mock ``cupyx`` module: the unbuffered scatter-add."""
-
-    scatter_add = staticmethod(np.add.at)
-
-
-@pytest.fixture
-def mock_cupy_backend():
-    """Register a mocked CuPy backend as "cupy"; restore the registry after."""
-    factories = dict(backend_core._FACTORIES)
-    instances = dict(backend_core._INSTANCES)
-    backend = CupyBackend(cupy_module=_FakeCupy(), cupyx_module=_FakeCupyx())
-    register_backend("cupy", lambda: backend, replace=True)
-    yield backend
-    backend_core._FACTORIES.clear()
-    backend_core._FACTORIES.update(factories)
-    backend_core._INSTANCES.clear()
-    backend_core._INSTANCES.update(instances)
 
 
 def _config(model: str, seed: int = 0) -> SimulationConfig:
@@ -84,7 +54,7 @@ class TestMockBackendSurface:
 
 class TestMockBackendEngines:
     @pytest.mark.parametrize("model", ["lem", "aco"])
-    @pytest.mark.parametrize("engine", ["vectorized", "tiled"])
+    @pytest.mark.parametrize("engine", ["vectorized"])
     def test_engines_bit_identical_to_numpy(self, mock_cupy_backend, model, engine):
         cfg = _config(model)
         via_mock = build_engine(cfg, engine=engine, backend="cupy")
@@ -181,15 +151,21 @@ class _FakeCuda:
     Stream = _FakeStream
 
 
-class _FakeCupyStreams(_FakeCupy):
+class _FakeCupyStreams:
     """Mock ``cupy`` whose runtime exposes the CUDA stream surface."""
 
+    asnumpy = staticmethod(np.asarray)
+    asarray = staticmethod(np.asarray)
     cuda = _FakeCuda()
 
+    def __getattr__(self, name):
+        return getattr(np, name)
 
-class _FakeCupyxPinned(_FakeCupyx):
+
+class _FakeCupyxPinned:
     """Mock ``cupyx`` with pinned host allocation."""
 
+    scatter_add = staticmethod(np.add.at)
     empty_pinned = staticmethod(np.empty)
 
 
@@ -201,12 +177,14 @@ class TestPinnedStreamTransfers:
             cupy_module=_FakeCupyStreams(), cupyx_module=_FakeCupyxPinned()
         )
 
-    def test_capabilities_reflect_probed_support(self, stream_backend):
+    def test_capabilities_reflect_probed_support(
+        self, stream_backend, mock_cupy_backend
+    ):
         caps = stream_backend.capabilities
         assert caps.pinned_memory
         assert caps.supports_streams
         # The plain mock (no cuda submodule, no empty_pinned) degrades.
-        plain = CupyBackend(cupy_module=_FakeCupy(), cupyx_module=_FakeCupyx())
+        plain = mock_cupy_backend
         assert not plain.capabilities.pinned_memory
         assert not plain.capabilities.supports_streams
 
@@ -227,8 +205,8 @@ class TestPinnedStreamTransfers:
         assert stream.sync_count == 1
         assert all(a.got_on_stream is stream for a in arrs)
 
-    def test_to_host_many_falls_back_without_stream_support(self):
-        plain = CupyBackend(cupy_module=_FakeCupy(), cupyx_module=_FakeCupyx())
+    def test_to_host_many_falls_back_without_stream_support(self, mock_cupy_backend):
+        plain = mock_cupy_backend
         arrs = [np.arange(3), np.arange(5)]
         outs = plain.to_host_many(arrs)
         for got, want in zip(outs, arrs):

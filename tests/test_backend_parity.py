@@ -21,26 +21,18 @@ GOLDEN = {
     ("lem", "sequential", 3): (49, "5aa1382ab347b70b"),
     ("lem", "vectorized", 0): (55, "452e0d5c8ab1868d"),
     ("lem", "vectorized", 3): (49, "5aa1382ab347b70b"),
-    ("lem", "tiled", 0): (55, "452e0d5c8ab1868d"),
-    ("lem", "tiled", 3): (49, "5aa1382ab347b70b"),
     ("aco", "sequential", 0): (44, "1b09357ff652a574"),
     ("aco", "sequential", 3): (40, "8740d52a2dbf04cb"),
     ("aco", "vectorized", 0): (44, "1b09357ff652a574"),
     ("aco", "vectorized", 3): (40, "8740d52a2dbf04cb"),
-    ("aco", "tiled", 0): (44, "1b09357ff652a574"),
-    ("aco", "tiled", 3): (40, "8740d52a2dbf04cb"),
     ("random", "sequential", 0): (46, "7f5f9b4d2644b435"),
     ("random", "sequential", 3): (46, "caa148911059cfbe"),
     ("random", "vectorized", 0): (46, "7f5f9b4d2644b435"),
     ("random", "vectorized", 3): (46, "caa148911059cfbe"),
-    ("random", "tiled", 0): (46, "7f5f9b4d2644b435"),
-    ("random", "tiled", 3): (46, "caa148911059cfbe"),
     ("greedy", "sequential", 0): (80, "e331fadb01297bac"),
     ("greedy", "sequential", 3): (85, "5aa2e412ba995ed9"),
     ("greedy", "vectorized", 0): (80, "e331fadb01297bac"),
     ("greedy", "vectorized", 3): (85, "5aa2e412ba995ed9"),
-    ("greedy", "tiled", 0): (80, "e331fadb01297bac"),
-    ("greedy", "tiled", 3): (85, "5aa2e412ba995ed9"),
 }
 
 

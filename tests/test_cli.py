@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import available_engines
 
 
 class TestParser:
@@ -17,9 +18,19 @@ class TestParser:
 
     def test_run_options(self):
         args = build_parser().parse_args(
-            ["run", "--model", "aco", "--engine", "tiled", "--steps", "5"]
+            ["run", "--model", "aco", "--engine", "sequential", "--steps", "5"]
         )
-        assert args.model == "aco" and args.engine == "tiled" and args.steps == 5
+        assert args.model == "aco" and args.engine == "sequential" and args.steps == 5
+
+    @pytest.mark.parametrize("command", ["run", "submit"])
+    def test_engine_choices_are_the_registry(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--engine", "tiled"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'tiled'" in err
+        for name in available_engines():
+            assert name in err
 
     def test_sweep_options(self):
         args = build_parser().parse_args(

@@ -54,8 +54,7 @@ to 38; the alloc budget stays at 22. ``sequential`` measures 5 ops and
 from 9 to 6. Jammed, it measures 6 / 3 (LEM), 5 / 3 (greedy) and 5 / 2
 (ACO); ``SEQUENTIAL_JAMMED_BUDGETS`` holds its allocs at 3, which holds
 only because the solo RNG reserves its scratch buffers at build, as the
-batched one does. The tiled budgets date from the fused kernels and the
-``out=``-capable ops.
+batched one does.
 
 ``PRE_FUSION`` (per-group TOP/BOTTOM passes, unfused RNG) and
 ``PRE_ARENA`` (before the ``out=``-capable ops) are free-flow-scenario
@@ -84,7 +83,6 @@ from repro.rng import Stream
 PRE_FUSION = {
     "sequential": 47.2,
     "vectorized": 155.0,
-    "tiled": 262.0,
     "batched4": 171.0,
     "padded4": 171.6,
 }
@@ -93,7 +91,6 @@ PRE_FUSION = {
 BUDGETS = {
     "sequential": 6,
     "vectorized": 15,
-    "tiled": 220,
     "batched4": 15,
     "padded4": 15,
 }
@@ -102,7 +99,6 @@ BUDGETS = {
 PRE_ARENA = {
     "sequential": 12.0,
     "vectorized": 58.0,
-    "tiled": 157.0,
     "batched4": 60.0,
     "padded4": 60.0,
 }
@@ -111,7 +107,6 @@ PRE_ARENA = {
 ALLOC_BUDGETS = {
     "sequential": 8,
     "vectorized": 12,
-    "tiled": 155,
     "batched4": 12,
     "padded4": 12,
 }

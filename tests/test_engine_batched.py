@@ -326,12 +326,10 @@ class TestPaddedHeterogeneousLanes:
             ("_mats_p", (0, 9, 17), 0, "batched"),  # lane 0's right halo column
             ("_index_p", (2, 25, 3), 7, "batched"),  # lane 2's bottom halo row
             ("_index_p", (1, 4, 0), 1, "batched"),  # lane 1's left halo column
-            # The solo whole-array engines are one-lane batches with the
+            # The solo whole-array engine is a one-lane batch with the
             # same halo (16x16 grid: padded rows and columns 0 and 17).
             ("_mats_p", (0, 0, 5), 0, "vectorized"),  # top halo row
             ("_index_p", (0, 9, 17), 1, "vectorized"),  # right halo column
-            ("_mats_p", (0, 17, 3), 0, "tiled"),  # bottom halo row
-            ("_index_p", (0, 4, 0), 1, "tiled"),  # left halo column
         ],
     )
     def test_validate_state_guards_the_halo(self, grid, cell, value, engine):

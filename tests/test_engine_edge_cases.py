@@ -1,16 +1,13 @@
 """Engine edge cases: extreme densities, tiny populations, odd geometry."""
 
-import pytest
-
 from repro import SimulationConfig, build_engine
-from repro.errors import LaunchConfigError
 from repro.types import Group
 
 
 class TestTinyPopulations:
     def test_single_agent_per_side(self):
         cfg = SimulationConfig(height=16, width=16, n_per_side=1, steps=40, seed=0)
-        for engine in ("sequential", "vectorized", "tiled"):
+        for engine in ("sequential", "vectorized"):
             eng = build_engine(cfg, engine)
             eng.run(record_timeline=False)
             assert eng.throughput() == 2, engine
@@ -63,11 +60,6 @@ class TestGeometry:
         eng = build_engine(cfg, "vectorized")
         eng.run(record_timeline=False)
         eng.validate_state()
-
-    def test_tiled_rejects_non_multiple_grid(self):
-        cfg = SimulationConfig(height=20, width=20, n_per_side=10, steps=5)
-        with pytest.raises(LaunchConfigError, match="multiple"):
-            build_engine(cfg, "tiled")
 
     def test_minimum_grid(self):
         cfg = SimulationConfig(height=4, width=4, n_per_side=2, steps=10, seed=5)

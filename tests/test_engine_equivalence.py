@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import PanicHook, SimulationConfig, build_engine
+from repro import PanicHook, SimulationConfig, available_engines, build_engine
 from repro.backend import resolve_backend
 from repro.engine import BatchedEngine
 from repro.grid import offsets_array
@@ -75,32 +75,18 @@ class TestSequentialVsVectorized:
         run_pair(cfg, "sequential", "vectorized", 20)
 
 
-class TestTiledVsVectorized:
-    @pytest.mark.parametrize("model", MODELS)
-    def test_bit_identical(self, model):
-        cfg = SimulationConfig(
-            height=32, width=32, n_per_side=80, steps=40, seed=77
-        ).with_model(model)
-        run_pair(cfg, "tiled", "vectorized", 40)
-
-    def test_multi_tile_grid(self):
-        cfg = SimulationConfig(
-            height=48, width=32, n_per_side=120, steps=25, seed=3
-        ).with_model("aco")
-        run_pair(cfg, "tiled", "vectorized", 25)
-
-
-class TestAllThree:
-    def test_three_way_aco(self):
+class TestEveryEngine:
+    def test_registry_engines_agree_aco(self):
         cfg = SimulationConfig(
             height=32, width=32, n_per_side=100, steps=30, seed=55
         ).with_model("aco")
-        engines = [build_engine(cfg, n) for n in ("sequential", "vectorized", "tiled")]
-        for i in range(30):
-            reports = [e.step() for e in engines]
-            assert reports[0] == reports[1] == reports[2]
-        assert engines[0].state_equals(engines[1])
-        assert engines[1].state_equals(engines[2])
+        engines = [build_engine(cfg, n) for n in sorted(available_engines())]
+        assert len(engines) >= 2
+        first, *others = engines
+        for _ in range(30):
+            report = first.step()
+            assert all(e.step() == report for e in others)
+        assert all(first.state_equals(e) for e in others)
 
 
 class TestSeedSensitivity:

@@ -8,7 +8,7 @@ from repro.agents.population import NO_FUTURE
 from repro.types import Group
 
 
-@pytest.fixture(params=["sequential", "vectorized", "tiled"])
+@pytest.fixture(params=["sequential", "vectorized"])
 def engine_name(request):
     return request.param
 

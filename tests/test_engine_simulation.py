@@ -9,7 +9,7 @@ from repro.engine import available_engines
 
 class TestRegistry:
     def test_all_engines_registered(self):
-        assert set(available_engines()) == {"sequential", "vectorized", "tiled"}
+        assert set(available_engines()) == {"sequential", "vectorized"}
 
     def test_unknown_engine(self, small_config):
         with pytest.raises(EngineError, match="unknown engine"):

@@ -93,9 +93,7 @@ class TestPanicAlarm:
         """Every engine takes the same swap, across model families too."""
         hook = PanicHook(trigger_step=15, panic_params=panic_params)
         cfg = self._cfg(model).replace(n_per_side=60, steps=40, hooks=(hook,))
-        engines = [
-            build_engine(cfg, name) for name in ("sequential", "vectorized", "tiled")
-        ]
+        engines = [build_engine(cfg, name) for name in ("sequential", "vectorized")]
         for _ in range(40):
             seq_report, *others = [eng.step() for eng in engines]
             assert all(report == seq_report for report in others)
@@ -169,11 +167,9 @@ class TestHeterogeneousSpeeds:
         for model in ("lem", "aco"):
             seq = build_engine(cfg.with_model(model), "sequential")
             vec = build_engine(cfg.with_model(model), "vectorized")
-            til = build_engine(cfg.with_model(model), "tiled")
             for _ in range(40):
-                rs, rv, rt = seq.step(), vec.step(), til.step()
-                assert rs == rv == rt
-            assert seq.state_equals(vec) and vec.state_equals(til)
+                assert seq.step() == vec.step()
+            assert seq.state_equals(vec)
 
     def test_slow_agents_move_less(self):
         cfg = self._cfg(slow=0.5, period=2).replace(steps=60)

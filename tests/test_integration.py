@@ -87,11 +87,10 @@ class TestRunnerEndToEnd:
 
 class TestPaperScaleSmoke:
     def test_one_step_at_paper_scale(self):
-        """A single 480x480 step with 2,560 agents on every engine family
-        (vectorized + tiled); guards against scaling regressions."""
+        """A single 480x480 step with 2,560 agents on the whole-array
+        engine; guards against scaling regressions."""
         cfg = paper_config(2560, "aco").replace(steps=1)
-        for engine in ("vectorized", "tiled"):
-            eng = build_engine(cfg, engine)
-            report = eng.step()
-            assert report.moved > 0
-            eng.validate_state()
+        eng = build_engine(cfg, "vectorized")
+        report = eng.step()
+        assert report.moved > 0
+        eng.validate_state()

@@ -74,11 +74,9 @@ class TestObstacleSimulation:
         cfg = self._cfg().with_model("aco")
         seq = build_engine(cfg, "sequential")
         vec = build_engine(cfg, "vectorized")
-        til = build_engine(cfg, "tiled")
         for _ in range(40):
-            rs, rv, rt = seq.step(), vec.step(), til.step()
-            assert rs == rv == rt
-        assert seq.state_equals(vec) and vec.state_equals(til)
+            assert seq.step() == vec.step()
+        assert seq.state_equals(vec)
 
     def test_bottleneck_reduces_throughput(self):
         open_cfg = self._cfg(obstacles=None)

@@ -239,13 +239,16 @@ class TestCacheSemantics:
         assert job.cache_hit and job.state is JobState.DONE
         assert job.result == svc.job(first.job_id).result
 
-    def test_coalescing_is_engine_aware_for_failures(self, tmp_path):
-        # Same config digest, different engines, one tick: the tiled
-        # job's engine-specific failure (grid not a multiple of 16) must
-        # not leak onto the vectorized job, which runs fine.
+    def test_coalescing_is_engine_aware_for_failures(
+        self, tmp_path, mock_cupy_backend
+    ):
+        # Same config digest, different engines, one tick: the sequential
+        # job's engine-specific failure (it is host-only and the config
+        # asks for a device backend) must not leak onto the vectorized
+        # job, which runs fine there.
         svc = SimulationService(str(tmp_path))
-        cfg = _cfg(seed=13)
-        bad = svc.submit(cfg, engine="tiled")
+        cfg = _cfg(seed=13, backend="cupy")
+        bad = svc.submit(cfg, engine="sequential")
         good = svc.submit(cfg, engine="vectorized")
         svc.run_until_idle()
         assert svc.job(bad.job_id).state is JobState.FAILED
@@ -310,15 +313,15 @@ class TestRestartResume:
 
 
 class TestFailurePaths:
-    def test_engine_failure_marks_job_failed(self, tmp_path):
+    def test_engine_failure_marks_job_failed(self, tmp_path, mock_cupy_backend):
         svc = SimulationService(str(tmp_path))
-        # The tiled engine requires multiple-of-16 grid edges; 24x24 is a
+        # The sequential engine is host-only; on a device backend it is a
         # clean per-job failure, not a service crash.
-        bad = svc.submit(_cfg(), engine="tiled")
+        bad = svc.submit(_cfg(backend="cupy"), engine="sequential")
         good = svc.submit(_cfg(seed=1))
         svc.run_until_idle()
         assert svc.job(bad.job_id).state is JobState.FAILED
-        assert svc.job(bad.job_id).error
+        assert "host-only" in svc.job(bad.job_id).error
         assert svc.job(good.job_id).state is JobState.DONE
         assert svc.stats_dict()["failed"] == 1
 
