@@ -1,5 +1,5 @@
 """Agent state: the property matrix as a structure of arrays."""
 
-from .population import NO_FUTURE, Population
+from .population import Population
 
-__all__ = ["Population", "NO_FUTURE"]
+__all__ = ["Population"]

@@ -8,10 +8,12 @@ is the cache/coalescing-friendly layout the data-driven kernels want, and
 retain the sentinel row: every array has length ``n_agents + 1`` and agent
 ``i`` lives at index ``i`` (1-based, matching the index matrix).
 
-FRONT CELL is not stored. The paper keeps it in global memory only because
-its scan and tour-construction kernels are separate launches; here the
-scan stage computes each agent's forward-cell flag and hands it straight
-to tour construction with the scan values, so nothing outlives the step.
+FRONT CELL, FUTURE ROW and FUTURE COLUMN are not stored. The paper keeps
+them in global memory only because its scan, tour-construction and
+movement kernels are separate launches that can talk to each other no
+other way. Here the scan hands each agent's forward-cell flag straight to
+tour construction with the scan values, and tour construction hands each
+decided move straight to the movement stage, so nothing outlives the step.
 """
 
 from __future__ import annotations
@@ -22,10 +24,7 @@ from ..backend import resolve_backend
 from ..types import Group
 from ..grid.environment import Environment
 
-__all__ = ["Population", "NO_FUTURE"]
-
-#: Sentinel for "no move decided" in the future-coordinate fields.
-NO_FUTURE = -1
+__all__ = ["Population"]
 
 
 class Population:
@@ -42,8 +41,6 @@ class Population:
         "ids",
         "rows",
         "cols",
-        "future_rows",
-        "future_cols",
         "tour",
         "crossed",
         "crossed_step",
@@ -62,9 +59,6 @@ class Population:
         #: Current row / column (ROW, COLUMN fields).
         self.rows = xp.zeros(size, dtype=np.int64)
         self.cols = xp.zeros(size, dtype=np.int64)
-        #: Decided next cell (FUTURE ROW / FUTURE COLUMN), NO_FUTURE if none.
-        self.future_rows = xp.full(size, NO_FUTURE, dtype=np.int64)
-        self.future_cols = xp.full(size, NO_FUTURE, dtype=np.int64)
         #: Tour length accumulated so far (tour matrix; eq. 5 denominator).
         self.tour = xp.zeros(size, dtype=np.float64)
         #: Crossing bookkeeping for the throughput metric.
@@ -133,9 +127,10 @@ class Population:
     # Step bookkeeping
     # ------------------------------------------------------------------
     def reset_futures(self) -> None:
-        """Support-kernel work: clear decided moves before the next scan."""
-        self.future_rows.fill(NO_FUTURE)
-        self.future_cols.fill(NO_FUTURE)
+        """No-op: no decided move is stored (see the module docstring).
+
+        Nothing calls it; traced ``perfbench`` runs wrap it by name.
+        """
 
     def record_crossings(self, height: int, cross_band: int, step: int) -> int:
         """Mark agents that have entered the opposite band; return new count.

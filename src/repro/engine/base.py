@@ -1,4 +1,4 @@
-"""Shared engine surface: the four-stage synchronous step pipeline.
+"""Shared engine surface: the paper's synchronous step pipeline.
 
 Every engine executes the paper's kernel sequence each step:
 
@@ -8,10 +8,15 @@ Every engine executes the paper's kernel sequence each step:
    and are not kept between steps;
 2. **tour construction** (select): per agent, decide the future cell —
    forward if the front cell is empty, else the model's probabilistic rule;
+   the decided moves pass straight to agent movement;
 3. **agent movement**: per *empty cell*, gather the agents that target it,
    pick one winner uniformly (the scatter-to-gather transform), execute the
-   moves, update tours, pheromones and crossing bookkeeping;
-4. **support**: reset the future coordinates.
+   moves, update tours, pheromones and crossing bookkeeping.
+
+The paper's fourth kernel, **support**, has no counterpart: its
+separate GPU launches pass decisions only through the global-memory
+FUTURE ROW / COLUMN fields, which support resets; here each stage
+returns its result to the next, so there is nothing to reset.
 
 Engines differ only in *how* the stages execute (Python loops or
 whole-array NumPy); the keyed RNG makes their outputs bit-identical.

@@ -67,19 +67,26 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..agents.population import NO_FUTURE, Population
+from ..agents.population import Population
 from ..backend import resolve_backend
 from ..backend.profiling import ProfilingBackend
 from ..config import SimulationConfig
 from ..errors import EngineError
-from ..grid import absolute_offsets_array, build_distance_tables, offsets_array
+from ..grid import absolute_offsets_array, build_distance_tables
 from ..grid.environment import Environment
 from ..models import PheromoneField, build_model
-from ..models.pheromone import evaporate_field, group_slot
+from ..models.pheromone import deposit_at, evaporate_field, group_slot
 from ..rng import BatchedPhiloxRNG, RaggedLaneRNG, Stream
 from ..types import CellState, Group
 from .base import ABS_STEP_COSTS, RunResult, place_config, require_float64
-from .conflict import DIRECTION_TABLE, group_by_cell, winner_rank
+from .conflict import (
+    NTH_BIT,
+    POPCOUNT,
+    SLOT_DIRECTION16,
+    SLOT_OFFSETS16,
+    claim_heads,
+    winner_rank,
+)
 
 __all__ = [
     "BatchedEngine",
@@ -95,8 +102,6 @@ _PAD_CELL = int(CellState.OBSTACLE)
 
 #: Padding-slot values of the property-matrix fields that are not 0/False.
 _FIELD_PAD = {
-    "future_rows": NO_FUTURE,
-    "future_cols": NO_FUTURE,
     "crossed_step": -1,
     "crossed_tour": np.nan,
 }
@@ -239,11 +244,12 @@ class BatchedEngine:
         heights_host = np.array([c.height for c in configs], dtype=np.int64)
         widths_host = np.array([c.width for c in configs], dtype=np.int64)
         self._heights_host = heights_host
-        self._heights = self.backend.from_host(heights_host)
         self._widths_u64 = self.backend.from_host(widths_host.astype(np.uint64))
-        self._cross_rows = self.backend.from_host(
-            np.array([c.cross_rows for c in configs], dtype=np.int64)
-        )
+        cross_host = np.array([c.cross_rows for c in configs], dtype=np.int64)
+        #: Per lane, the first row of the TOP group's crossing band and the
+        #: end of the BOTTOM group's.
+        self._cross_top = self.backend.from_host(heights_host - cross_host)
+        self._cross_bottom = self.backend.from_host(cross_host)
         self.h_max = int(heights_host.max())
         self.w_max = int(widths_host.max())
 
@@ -281,8 +287,8 @@ class BatchedEngine:
         ) & (xp.arange(size)[None, :] > 0)
 
         # The property-matrix fields, ``(B, n_max + 1)`` each; padding
-        # slots hold a fresh Population's values (no ID, no future, no
-        # tour, never crossed).
+        # slots hold a fresh Population's values (no ID, no tour, never
+        # crossed).
         for name in Population.FIELDS:
             setattr(self, name, self.backend.from_host(_stack_padded(
                 [getattr(p, name) for p in pops], (size,), _FIELD_PAD.get(name, 0)
@@ -327,20 +333,24 @@ class BatchedEngine:
         )
         # Select and winner draws are at most one per fused row.
         self.rng.reserve(rep_host.size)
-        # Neighbour offsets ``(2, 8, 2)`` by group slot.
-        offsets_host = np.stack([offsets_array(g) for g in (Group.TOP, Group.BOTTOM)])
-        #: Each fused row's neighbour offsets as padded linear offsets
-        #: ``dr * Wp + dc``, ``(N, 8)`` (int16 keeps the static table small;
-        #: the sums with int64 positions are int64).
-        lin16 = (offsets_host[:, :, 0] * self._wp + offsets_host[:, :, 1]).astype(
+        #: Padded linear offset ``dr * Wp + dc`` of each 16-way slot code
+        #: ``gslot * 8 + slot`` (int16 keeps the static tables small; the
+        #: sums with int64 positions are int64) ...
+        lin16 = (SLOT_OFFSETS16[:, 0] * self._wp + SLOT_OFFSETS16[:, 1]).astype(
             np.int16
         )
-        self._nbr_lin = self.backend.from_host(
-            np.repeat(lin16, [self._n_top, rep_host.size - self._n_top], axis=0)
-        )
-        #: Row / column offsets, flat by ``gslot * 8 + slot``.
-        self._off_rows16 = self.backend.from_host(offsets_host[:, :, 0].ravel())
-        self._off_cols16 = self.backend.from_host(offsets_host[:, :, 1].ravel())
+        self._code_lin = self.backend.from_host(lin16)
+        #: ... and as each fused row's ``(N, 8)`` neighbour offsets.
+        self._nbr_lin = self.backend.from_host(np.repeat(
+            lin16.reshape(2, 8), [self._n_top, rep_host.size - self._n_top], axis=0
+        ))
+        #: Gather direction of each slot code's target back to its mover.
+        self._code_dir = self.backend.from_host(SLOT_DIRECTION16)
+        #: Claim-mask buffer over the padded cells, zero between steps
+        #: (int32: the narrowest type every backend's scatter-add takes).
+        self._claim = xp.zeros(self.n_lanes * self._hp * self._wp, dtype=np.int32)
+        self._popcount = self.backend.from_host(POPCOUNT)
+        self._nth_bit = self.backend.from_host(NTH_BIT)
         #: Padded linear offset of each absolute gather direction: a
         #: winner's source cell is its destination plus this.
         directions = absolute_offsets_array()
@@ -355,8 +365,7 @@ class BatchedEngine:
             self._new_pheromone(rep_cfg.params) if self.model.uses_pheromone else None
         )
 
-        #: Gather-direction and tour-increment tables, resident on the device.
-        self._direction_table = self.backend.from_host(DIRECTION_TABLE)
+        #: Tour-increment table, resident on the device.
         self._step_costs = self.backend.from_host(np.asarray(ABS_STEP_COSTS))
 
         # Paper modification, per lane: see _deciding_rows.
@@ -409,10 +418,6 @@ class BatchedEngine:
             n_lanes=self.n_lanes, halo=1,
         )
 
-    def _padded_cell(self, lane, rows, cols):
-        """Flat index of cells ``(rows, cols)`` of ``lane`` in the padded grids."""
-        return (lane * self._hp + rows) * self._wp + cols + (self._wp + 1)
-
     def _build_dist_stack(self, scan_range: int) -> None:
         """Per-lane distance tables stacked to ``(2, B, Hmax, 8)``.
 
@@ -444,42 +449,38 @@ class BatchedEngine:
         lane swap or a distance-stack rebuild so a new bundle's scan never
         reads another bundle's terms.
         """
-        groups: List[Tuple] = []  # (params, model, host lane list)
-        order: Dict = {}
-        lane_gid = np.zeros(self.n_lanes, dtype=np.int64)
-        for lane, params in enumerate(self._lane_params):
-            gid = order.get(params)
-            if gid is None:
-                gid = order[params] = len(groups)
-                groups.append((params, self._models[params], []))
-            groups[gid][2].append(lane)
-            lane_gid[lane] = gid
-        #: ``(params, model, slot table as (rows, 8), device lane list)``.
+        gids: Dict = {}  # params -> group id, in first-lane order
+        lane_gid = np.array(
+            [gids.setdefault(p, len(gids)) for p in self._lane_params], dtype=np.int64
+        )
+        #: ``(params, model, slot table as (rows, 8))`` per group.
         self._param_groups = [
             (
                 params,
-                model,
-                model.slot_table(self._dist_stack).reshape(-1, 8),
-                self.backend.from_host(np.array(lanes, dtype=np.intp)),
+                self._models[params],
+                self._models[params].slot_table(self._dist_stack).reshape(-1, 8),
             )
-            for params, model, lanes in groups
+            for params in gids
         ]
         self._lane_pg = self.backend.from_host(lane_gid)
-        self._homogeneous = len(groups) == 1
+        self._homogeneous = len(gids) == 1
         if self._homogeneous:
             # All lanes share one bundle again (possibly after every lane
             # swapped to the same variant): restore the single-model fast
             # path exactly as the constructor set it up.
-            params, model, self._table, _ = self._param_groups[0]
+            params, model, self._table = self._param_groups[0]
             self.model = model
             if self.tau is not None:
                 self.tau.params = params
         if self.tau is not None:
-            self._deposit_q = self.backend.from_host(
-                np.array(
-                    [getattr(p, "deposit_q", 0.0) for p in self._lane_params],
-                    dtype=np.float64,
-                )
+            # Each lane's eq. 3 / eq. 5 constants, so lanes on different
+            # bundles evaporate, deposit and clamp with their own.
+            table = np.array([
+                (1.0 - p.rho, p.tau_min, p.deposit_q, p.tau_max)
+                for p in self._lane_params
+            ])
+            self._tau_keep, self._tau_min, self._deposit_q, self._tau_max = (
+                self.backend.from_host(np.ascontiguousarray(col)) for col in table.T
             )
 
     # ------------------------------------------------------------------
@@ -594,15 +595,15 @@ class BatchedEngine:
         row's padded cell and forward-empty flag; only the rows
         :meth:`_deciding_rows` picks go on to the eight-neighbour gather,
         and only those with an empty neighbour to eq. 1 / eq. 2. Returns
-        ``(values, rows, stuck)``: ``rows`` are the fused rows ``values``
-        belong to, ``stuck`` the deciding rows with no empty neighbour
-        (``None`` when there are none). ``values`` is ``None`` when
-        ``rows`` is empty, and all three are ``None`` when the batch has
-        no agents.
+        ``(values, rows, stuck, cell)``: ``rows`` are the fused rows
+        ``values`` belong to, ``stuck`` the deciding rows with no empty
+        neighbour (``None`` when there are none) and ``cell`` every fused
+        row's padded cell. ``values`` is ``None`` when ``rows`` is empty,
+        and all four are ``None`` when the batch has no agents.
         """
         slot = self._slot_all
         if slot.size == 0:
-            return None, None, None
+            return None, None, None, None
         rows = self.rows.reshape(-1).take(slot)
         # Each row's padded cell. Halo and padding cells read as
         # obstacles, so no neighbour needs a bounds test.
@@ -612,7 +613,7 @@ class BatchedEngine:
         mats = self._mats_p.reshape(-1)
         deciding = self._deciding_rows(mats.take(cell + self._nbr_lin[:, 0]) == 0)
         if deciding.size == 0:
-            return None, deciding, None
+            return None, deciding, None, cell
         nbr = cell.take(deciding)[:, None] + self._nbr_lin.take(deciding, axis=0)
         candidates = mats.take(nbr) == 0
         # A contiguous (n, 8) bool row is one 8-byte word: non-zero iff
@@ -622,7 +623,7 @@ class BatchedEngine:
         )
         if keep is not None:
             if deciding.size == 0:
-                return None, deciding, stuck
+                return None, deciding, stuck, cell
             nbr = nbr.take(keep, axis=0)
             candidates = candidates.take(keep, axis=0)
         table_rows = self._dist_base_all.take(deciding) + rows.take(deciding)
@@ -632,7 +633,7 @@ class BatchedEngine:
             tau = self.tau.padded.reshape(-1).take(nbr)
         rep = self._rep_all.take(deciding)
         values = self._scan_values(rep, table_rows, candidates, tau)
-        return values, deciding, stuck
+        return values, deciding, stuck, cell
 
     def _scan_values(self, rep, table_rows, candidates, tau) -> np.ndarray:
         """Eq. 1/2 scan values for rows of lanes ``rep``, per parameter group.
@@ -648,7 +649,7 @@ class BatchedEngine:
         xp = self.xp
         values = xp.empty(candidates.shape, dtype=np.float64)
         pg = self._lane_pg[rep]
-        for gid, (_params, model, table, _lanes) in enumerate(self._param_groups):
+        for gid, (_params, model, table) in enumerate(self._param_groups):
             sel = pg == gid
             if not bool(xp.any(sel)):
                 continue
@@ -662,18 +663,24 @@ class BatchedEngine:
     # ------------------------------------------------------------------
     # Stage 2: tour construction (per-agent decision, all lanes)
     # ------------------------------------------------------------------
-    def _stage_select(self, t: int, values, rows, stuck) -> np.ndarray:
+    def _stage_select(self, t: int, values, rows, stuck, cell):
+        """Each fused row's move, handed straight to the move stage.
+
+        Returns ``(decided, movers)``: the per-lane count of rows that
+        decided a move, and for those rows ``(lane, code, cell)`` — their
+        lane, their 16-way slot code ``gslot * 8 + slot`` and the padded
+        cell they stand on. ``movers`` is ``None`` when the batch has no
+        agents.
+        """
         # Fused tour construction over the whole batch. Every row starts
         # at slot 0 (forward); one model.select over the scan's rows
         # overwrites theirs (the ragged RNG subset keys row i with
         # replication rep[i], so each lane's rows see exactly the solo
-        # draws), and the stuck rows write -1 (no move) without it. Then
-        # one future-cell write and one per-lane bincount.
+        # draws), and the stuck rows write -1 (no move) without it.
         xp = self.xp
-        rep = self._rep_all
         slot = self._slot_all
         if slot.size == 0:
-            return xp.zeros(self.n_lanes, dtype=np.int64)
+            return xp.zeros(self.n_lanes, dtype=np.int64), None
         slots = xp.zeros(slot.size, dtype=np.int64)
         if rows.size and self._homogeneous:
             slots[rows] = self.model.select(
@@ -684,10 +691,8 @@ class BatchedEngine:
             # Per-group select over row subsets: the subset ragged RNG
             # still keys row i by rep[i], so every agent draws the
             # same variates as in the shared call (and the solo run).
-            pg = self._lane_pg[rep.take(rows)]
-            for gid, (_params, model, _table, _lanes) in enumerate(
-                self._param_groups
-            ):
+            pg = self._lane_pg[self._rep_all.take(rows)]
+            for gid, (_params, model, _table) in enumerate(self._param_groups):
                 sel = pg == gid
                 if not bool(xp.any(sel)):
                     continue
@@ -698,115 +703,100 @@ class BatchedEngine:
                 )
         if stuck is not None:
             slots[stuck] = -1
+        valid = slots >= 0
         if self._any_slow:
-            valid = (slots >= 0) & self._eligible(t).reshape(-1).take(slot)
-        else:
-            # Homogeneous velocities (the default): everyone is eligible,
-            # so the all-true mask and its gather are dead dispatches.
-            valid = slots >= 0
-        invalid = ~valid
-        slots[invalid] = 0
-        # BOTTOM rows read the second half of the (2 * 8) offset tables.
+            # Homogeneous velocities (the default) make everyone eligible,
+            # so the all-true mask and its gather are skipped.
+            valid &= self._eligible(t).reshape(-1).take(slot)
+        movers = xp.nonzero(valid)[0]
+        # BOTTOM rows read the second half of the 16-way slot tables.
         slots[self._n_top :] += 8
-        fr = self.rows.reshape(-1).take(slot) + self._off_rows16.take(slots)
-        fc = self.cols.reshape(-1).take(slot) + self._off_cols16.take(slots)
-        fr[invalid] = NO_FUTURE
-        fc[invalid] = NO_FUTURE
-        self.future_rows.reshape(-1)[slot] = fr
-        self.future_cols.reshape(-1)[slot] = fc
-        return xp.bincount(rep[valid], minlength=self.n_lanes)
-
-    # ------------------------------------------------------------------
-    # Stage 3: movement (agent-keyed conflict resolution, all lanes)
-    # ------------------------------------------------------------------
-    def _stage_move(self, t: int) -> np.ndarray:
-        xp = self.xp
-        moved = xp.zeros(self.n_lanes, dtype=np.int64)
-        self._evaporate()
-
-        # Deciding agents whose target cell is empty: the candidates the
-        # per-cell gather would find. Padding slots never decide.
-        future_rows = self.future_rows.reshape(-1)
-        slot = xp.nonzero(future_rows != NO_FUTURE)[0]
-        fut_r = future_rows.take(slot)
-        fut_c = self.future_cols.reshape(-1).take(slot)
-        lane = slot // (self.n_agents + 1)
-        cell = self._padded_cell(lane, fut_r, fut_c)
-        keep = self._mats_p.reshape(-1).take(cell) == 0
-        slot = slot[keep]
-        if slot.size == 0:
-            return moved
-        fut_r = fut_r[keep]
-        fut_c = fut_c[keep]
-        lane = lane[keep]
-        cell = cell[keep]
-        direction = self._direction_table.take(
-            (self.rows.reshape(-1).take(slot) - fut_r + 1) * 3
-            + (self.cols.reshape(-1).take(slot) - fut_c + 1)
+        code = slots.take(movers)
+        lane = self._rep_all.take(movers)
+        return (
+            xp.bincount(lane, minlength=self.n_lanes),
+            (lane, code, cell.take(movers)),
         )
-        order, start, count = group_by_cell(cell, direction, xp=xp)
-        # A cell with one candidate takes it: ``winner_rank(u, 1)`` is 0
-        # for every ``u``. Only contested cells draw, and draws are keyed
-        # by cell, so skipping the others changes no draw. The boolean
-        # masks are operator indexing, not counted dispatches.
-        pick = order[start]
-        contested = count > 1
-        c_start = start[contested]
-        if c_start.size:
+
+    # ------------------------------------------------------------------
+    # Stage 3: movement (claim-mask conflict resolution, all lanes)
+    # ------------------------------------------------------------------
+    def _stage_move(self, t: int, movers) -> Tuple[np.ndarray, np.ndarray]:
+        """Resolve and execute the moves select handed over.
+
+        Returns the per-lane ``(moved, new_crossings)`` counts. Each
+        mover's target is its cell plus its slot code's offset, empty at
+        the start of the step. :func:`~repro.engine.conflict.claim_heads`
+        gives every target cell's claim mask once, at its head candidate.
+        A cell with one candidate takes it (``winner_rank(u, 1)`` is 0 for
+        every ``u``), so only contested cells draw, keyed by cell, and
+        skipping the others changes no draw. The rank-``k`` winner is the
+        mask's ``k``-th set bit, the same candidate the paper's per-cell
+        gather picks in gather-direction order.
+        """
+        xp = self.xp
+        self._evaporate()
+        if movers is None or movers[0].size == 0:
+            zero = xp.zeros(self.n_lanes, dtype=np.int64)
+            return zero, zero
+        lane, code, cell = movers
+        target = cell + self._code_lin.take(code)
+        direction = self._code_dir.take(code)
+        mask, heads = claim_heads(target, direction, self._claim, self.backend)
+        lane = lane.take(heads)
+        dst = target.take(heads)
+        direction = direction.take(heads)
+        # Each cell's lane-local (row, col).
+        rows, cols = xp.divmod(
+            dst - lane * (self._hp * self._wp) - (self._wp + 1), self._wp
+        )
+        count = self._popcount.take(mask)
+        contested = xp.nonzero(count > 1)[0]
+        if contested.size:
             # Winner draws key each cell by its lane's *real* width,
             # matching ``Environment.cell_lane`` of a solo run.
-            head = pick[contested]
-            head_lane = lane[head]
-            cell_lanes = fut_r[head].astype(np.uint64) * self._widths_u64[
-                head_lane
-            ] + fut_c[head].astype(np.uint64)
-            u = self.rng.uniform_at(Stream.MOVE_WINNER, t, head_lane, cell_lanes)
-            pick[contested] = order[c_start + winner_rank(u, count[contested], xp=xp)]
-        self._commit_moves(
-            lane[pick], slot[pick], fut_r[pick], fut_c[pick], cell[pick],
-            direction[pick], moved,
-        )
-        return moved
+            c_lane = lane.take(contested)
+            cell_lanes = rows.take(contested).astype(np.uint64) * (
+                self._widths_u64.take(c_lane)
+            ) + cols.take(contested).astype(np.uint64)
+            u = self.rng.uniform_at(Stream.MOVE_WINNER, t, c_lane, cell_lanes)
+            rank = winner_rank(u, count.take(contested), xp=xp)
+            direction[contested] = self._nth_bit.take(
+                mask.take(contested) * 8 + rank
+            )
+        return self._commit_moves(t, lane, dst, rows, cols, direction)
 
     def _evaporate(self) -> None:
-        """Eq. 3 on every lane, with each parameter group's own rate."""
-        if self.tau is None:
-            return
-        if self._homogeneous:
-            self.tau.evaporate()
-            return
-        # Element-wise, so evaporating a fancy-indexed copy of a group's
-        # lane block and writing it back equals evaporating in place.
-        stack = self.tau.padded
-        for params, _model, _table, lanes in self._param_groups:
-            sub = stack[:, lanes]
-            evaporate_field(sub, params, xp=self.xp)
-            stack[:, lanes] = sub
+        """Eq. 3 on every lane, with each lane's own rate and floor."""
+        if self.tau is not None:
+            evaporate_field(
+                self.tau.padded, self._tau_keep[:, None, None],
+                self._tau_min[:, None, None], xp=self.xp,
+            )
 
-    def _commit_moves(self, lane, slot, dst_r, dst_c, dst, direction, moved) -> None:
+    def _commit_moves(self, t: int, lane, dst, dst_r, dst_c, direction):
         """Execute winning moves: grid, property matrix, tour, pheromone.
 
-        ``slot`` are the winners' flat agent indices, ``(dst_r, dst_c)``
-        their destinations, ``dst`` the same cells as padded flat indices
-        (:meth:`_padded_cell`) and ``direction`` their absolute gather
-        directions. Destinations were empty and sources occupied at the
-        start of the stage, and each lane's winners hold disjoint cells,
-        so plain index writes are safe. ``moved`` accumulates the
-        per-lane move counts.
+        ``dst`` are the winners' destinations as padded flat cells,
+        ``(dst_r, dst_c)`` the same cells in their lanes and ``direction``
+        their absolute gather directions; the winner stands at the
+        destination plus that direction. Destinations were empty
+        and sources occupied at the start of the stage, and each lane's
+        winners hold disjoint cells, so plain index writes are safe.
+        Returns the per-lane ``(moved, new_crossings)`` counts.
         """
-        rows = self.rows.reshape(-1)
-        cols = self.cols.reshape(-1)
-        # The source sits at the destination plus the gather direction.
         src = dst + self._dir_lin.take(direction)
         mats = self._mats_p.reshape(-1)
         index = self._index_p.reshape(-1)
-        ids = self.ids.reshape(-1).take(slot)
+        agent = index.take(src)
+        slot = lane * (self.n_agents + 1) + agent
+        ids = mats.take(src)
         mats[dst] = ids
-        index[dst] = slot - lane * (self.n_agents + 1)
+        index[dst] = agent
         mats[src] = 0
         index[src] = 0
-        rows[slot] = dst_r
-        cols[slot] = dst_c
+        self.rows.reshape(-1)[slot] = dst_r
+        self.cols.reshape(-1)[slot] = dst_c
         tour = self.tour.reshape(-1)
         new_tour = tour.take(slot) + self._step_costs.take(direction)
         tour[slot] = new_tour
@@ -819,53 +809,46 @@ class BatchedEngine:
             if self._homogeneous:
                 self.tau.deposit_stacked(cells, self.tau.params.deposit_q / new_tour)
             else:
-                # Per-lane deposit scale, one raw scatter (lanes own
-                # disjoint cells), then each parameter group's own tau_max
-                # clamp on its lane block — values only exceed tau_max
-                # through deposits, so clamping after the scatter matches
-                # the clamp-per-deposit of a solo run.
-                stack = self.tau.padded
-                self.backend.scatter_add(
-                    stack.reshape(-1), cells, self._deposit_q.take(lane) / new_tour
+                # Lanes on different bundles: each winner's own lane's
+                # deposit scale and clamp.
+                deposit_at(
+                    self.tau.padded.reshape(-1), cells,
+                    self._deposit_q.take(lane) / new_tour,
+                    self._tau_max.take(lane), backend=self.backend,
                 )
-                for params, _model, _table, lanes in self._param_groups:
-                    sub = stack[:, lanes]
-                    self.xp.minimum(sub, params.tau_max, out=sub)
-                    stack[:, lanes] = sub
-        self.backend.scatter_add(moved, lane, 1)
+        moved = self.xp.bincount(lane, minlength=self.n_lanes)
+        return moved, self._record_crossings(t, lane, slot, ids, dst_r, new_tour)
 
-    # ------------------------------------------------------------------
-    # Stage 4 + crossings bookkeeping
-    # ------------------------------------------------------------------
-    def _record_crossings(self, step: int) -> np.ndarray:
-        heights = self._heights[:, None]
-        band = self._cross_rows[:, None]
-        top = self.ids == int(Group.TOP)
-        bottom = self.ids == int(Group.BOTTOM)
-        newly = (
-            (top & (self.rows >= heights - band)) | (bottom & (self.rows < band))
-        ) & ~self.crossed
-        self.crossed |= newly
-        self.crossed_step[newly] = step
-        self.crossed_tour[newly] = self.tour[newly]
-        return self.xp.count_nonzero(newly, axis=1)
+    def _record_crossings(self, step: int, lane, slot, ids, rows, tour) -> np.ndarray:
+        """Latch the winners ``slot`` whose new ``rows`` are in their
+        crossing band; returns the per-lane count of new crossings.
 
-    def _stage_support(self, t: int) -> None:
-        self.future_rows.fill(NO_FUTURE)
-        self.future_cols.fill(NO_FUTURE)
+        Only a move can make an agent cross, because placement never
+        starts one inside its own crossing band: ``SimulationConfig``
+        keeps both bands within half the grid.
+        """
+        top = ids == int(Group.TOP)
+        newly = (top & (rows >= self._cross_top.take(lane))) | (
+            ~top & (rows < self._cross_bottom.take(lane))
+        )
+        crossed = self.crossed.reshape(-1)
+        newly &= ~crossed.take(slot)
+        hit = slot[newly]
+        crossed[hit] = True
+        self.crossed_step.reshape(-1)[hit] = step
+        self.crossed_tour.reshape(-1)[hit] = tour[newly]
+        return self.xp.bincount(lane[newly], minlength=self.n_lanes)
 
     # ------------------------------------------------------------------
     # Template step / run
     # ------------------------------------------------------------------
     def step(self) -> BatchedStepReport:
-        """Advance every lane one synchronous step (all four stages)."""
+        """Advance every lane one synchronous step (scan, select, move)."""
         t = self.t
         if self._pending_hooks:
             self._apply_due_hooks(t)
-        decided = self._stage_select(t, *self._stage_scan(t))
-        moved = self._stage_move(t)
-        new_crossings = self._record_crossings(t)
-        self._stage_support(t)
+        decided, movers = self._stage_select(t, *self._stage_scan(t))
+        moved, new_crossings = self._stage_move(t, movers)
         self.t += 1
         return BatchedStepReport(
             step=t, decided=decided, moved=moved, new_crossings=new_crossings
@@ -996,16 +979,12 @@ class BatchedEngine:
             env = self.lane_environment(b)
             env.validate()
             self.lane_population(b).validate_against(env)
-            # Padding slots must stay inert: sentinel IDs, no futures, no
-            # tour, no crossings.
+            # Padding slots must stay inert: sentinel IDs, no tour, no
+            # crossings.
             pad = ~self.active[b]
             pad[0] = False  # the sentinel row is legitimately inactive
             if bool(xp.any(self.ids[b, pad] != 0)):
                 raise AssertionError("padding agent slot acquired an ID")
-            if bool(xp.any(self.future_rows[b, pad] != NO_FUTURE)) or bool(
-                xp.any(self.future_cols[b, pad] != NO_FUTURE)
-            ):
-                raise AssertionError("padding agent slot decided a move")
             if bool(xp.any(self.tour[b, pad] != 0.0)):
                 raise AssertionError("padding agent slot accumulated tour length")
             if bool(xp.any(self.crossed[b, pad])):

@@ -9,10 +9,13 @@ coordinates point at it and picks one winner uniformly at random.
 with a single candidate has nothing to pick, so the sequential and
 whole-array engines draw only for contested cells (2+ candidates); draws
 are keyed by cell, so skipping a draw changes no other. The whole-array
-engines reach the same per-cell choice agent-keyed:
-:func:`group_by_cell` sorts the deciding agents by target cell, replacing
-the paper's per-cell gather. :func:`shift` is that gather's neighbour
-read over a whole grid, kept for the tests.
+engine reaches the same per-cell choice with no sort and no per-cell
+gather, through the *claim masks* of :func:`claim_heads`: a cell's
+candidates in gather-direction order are its mask's set bits in
+ascending order, so the rank-``k`` winner is the ``k``-th set bit
+(:data:`NTH_BIT`). :func:`shift` is the per-cell gather's neighbour read
+over a whole grid, kept for the tests. The tables are module constants,
+built once at import.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..grid.neighborhood import ABSOLUTE_OFFSETS
+from ..grid.neighborhood import ABSOLUTE_OFFSETS, offsets_array
+from ..types import Group
 
-__all__ = ["shift", "winner_rank", "group_by_cell", "DIRECTION_INDEX", "DIRECTION_TABLE"]
+__all__ = ["shift", "winner_rank", "claim_heads", "DIRECTION_INDEX", "DIRECTION_TABLE"]
 
 #: Map from (src - dst) offset to the absolute gather-direction index, i.e.
 #: the position of the *source* cell relative to the destination.
@@ -38,6 +42,27 @@ DIRECTION_TABLE = np.array(
     [DIRECTION_INDEX.get((dr, dc), 0) for dr in (-1, 0, 1) for dc in (-1, 0, 1)],
     dtype=np.int64,
 )
+
+#: Bit ``d`` of each 8-bit claim mask, ``(256, 8)``.
+_MASK_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+#: Number of set bits of each claim mask: its cell's candidate count.
+POPCOUNT = _MASK_BITS.sum(axis=1)
+
+#: ``NTH_BIT[m * 8 + k]`` is the ``k``-th set bit of claim mask ``m``
+#: (ascending) for ``k < POPCOUNT[m]``: the direction of its cell's
+#: rank-``k`` candidate. A stable sort puts the set bits first, in order.
+NTH_BIT = np.argsort(1 - _MASK_BITS, axis=1, kind="stable").ravel()
+
+#: Neighbour offsets ``(drow, dcol)`` by 16-way slot code
+#: ``group_slot * 8 + slot`` (TOP frame first, then BOTTOM).
+SLOT_OFFSETS16 = np.concatenate([offsets_array(g) for g in (Group.TOP, Group.BOTTOM)])
+
+#: Gather direction of each slot code's target cell back to its source:
+#: the mover stands at ``target - offset``.
+SLOT_DIRECTION16 = DIRECTION_TABLE[
+    (1 - SLOT_OFFSETS16[:, 0]) * 3 + (1 - SLOT_OFFSETS16[:, 1])
+]
 
 
 def shift(arr: np.ndarray, dr: int, dc: int, fill=0, xp=np) -> np.ndarray:
@@ -83,25 +108,22 @@ def winner_rank(u: np.ndarray, counts: np.ndarray, xp=np) -> np.ndarray:
     return hi
 
 
-def group_by_cell(cell: np.ndarray, direction: np.ndarray, xp=np):
-    """Group candidate moves by target cell, in gather-direction order.
+def claim_heads(target, direction, claim, backend):
+    """Each target cell's claim mask, once, at the cell's head candidate.
 
-    ``cell[i]`` is candidate ``i``'s target-cell key and ``direction[i]``
-    its gather direction (:data:`DIRECTION_INDEX` of source minus target).
-    Returns ``(order, start, count)``: ``order`` sorts the candidates by
-    cell, then by direction (the per-cell gather's candidate order);
-    ``start[j]`` is the position in ``order`` of distinct cell ``j``'s
-    first candidate and ``count[j]`` its number of candidates. Distinct
-    cells come out in ascending key order.
-
-    One agent stands at each source cell, so a cell's candidates have
-    distinct directions and the single sort key ``cell * 8 + direction``
-    is unique: any sort algorithm yields the same order.
+    Candidate ``i`` targets cell ``target[i]`` from gather
+    ``direction[i]``; ``claim`` is a zeroed integer buffer indexed by
+    cell, which is left zeroed. One agent stands on each source cell, so
+    a cell's candidates have distinct directions, and one scatter-add of
+    their claim bits ``1 << direction`` ORs them into the cell's mask.
+    Returns ``(mask, heads)``: ``heads`` are the candidates with no lower
+    claim bit in their cell — one per distinct cell, in candidate order —
+    and ``mask`` their cells' claim masks. The work is proportional to
+    the candidates, not the cells.
     """
-    order = xp.argsort(cell * 8 + direction.astype(cell.dtype, copy=False))
-    sorted_cell = cell[order]
-    head = xp.empty(sorted_cell.shape, dtype=bool)
-    head[:1] = True
-    xp.not_equal(sorted_cell[1:], sorted_cell[:-1], out=head[1:])
-    start = xp.nonzero(head)[0]
-    return order, start, xp.diff(start, append=sorted_cell.size)
+    bit = 1 << direction
+    backend.scatter_add(claim, target, bit.astype(claim.dtype))
+    mask = claim.take(target)
+    claim[target] = 0
+    heads = backend.xp.nonzero((mask & (bit - 1)) == 0)[0]
+    return mask.take(heads), heads

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..agents import Population
-from ..agents.population import NO_FUTURE
 from ..backend import resolve_backend
 from ..config import SimulationConfig
 from ..errors import EngineError
@@ -171,17 +170,15 @@ class SequentialEngine(SoloEngine):
     # Step
     # ------------------------------------------------------------------
     def step(self) -> StepReport:
-        """Run one synchronous simulation step (all four stages)."""
+        """Run one synchronous simulation step (scan, select, move)."""
         t = self.t
         if self._pending_hooks:
             self._apply_due_hooks(t)
-        decided = self._stage_select(t, *self._stage_scan(t))
-        moved = self._stage_move(t)
+        decided, pending = self._stage_select(t, *self._stage_scan(t))
+        moved = self._stage_move(t, pending)
         new_crossings = self.pop.record_crossings(
             self.config.height, self.config.cross_rows, t
         )
-        # Support kernel: clear the decided moves before the next scan.
-        self.pop.reset_futures()
         self.t += 1
         return StepReport(
             step=t,
@@ -243,7 +240,14 @@ class SequentialEngine(SoloEngine):
     # ------------------------------------------------------------------
     def _stage_select(
         self, t: int, scan: List[List[float]], front: List[bool]
-    ) -> int:
+    ) -> Tuple[int, Dict[int, List[Tuple[int, int]]]]:
+        """Decide every agent's move; returns ``(decided, pending)``.
+
+        ``pending`` maps each target cell ``row * width + col`` to its
+        candidates ``(gather direction, agent)`` in agent order: the
+        per-cell gather of the movement stage, handed over directly.
+        Every target was empty when scanned and nothing has moved since.
+        """
         pop = self.pop
         model = self.model
         variates = model.scalar_prepare(self.rng, t, pop.n_agents)
@@ -251,9 +255,9 @@ class SequentialEngine(SoloEngine):
         rows_l = pop.rows.tolist()
         cols_l = pop.cols.tolist()
         forward_priority = self.config.forward_priority
+        w = self.env.width
 
-        fut_r: List[int] = [NO_FUTURE] * (pop.n_agents + 1)
-        fut_c: List[int] = [NO_FUTURE] * (pop.n_agents + 1)
+        pending: Dict[int, List[Tuple[int, int]]] = {}
         eligible = self.eligible_mask(t).tolist()
         decided = 0
         for a in range(1, pop.n_agents + 1):
@@ -265,17 +269,15 @@ class SequentialEngine(SoloEngine):
                 slot = model.select_scalar(scan[a], a, variates)
             if slot >= 0:
                 dr, dc = self._off_list[Group(ids_l[a])][slot]
-                fut_r[a] = rows_l[a] + dr
-                fut_c[a] = cols_l[a] + dc
+                key = (rows_l[a] + dr) * w + cols_l[a] + dc
+                pending.setdefault(key, []).append((DIRECTION_INDEX[(-dr, -dc)], a))
                 decided += 1
-        pop.future_rows[:] = fut_r
-        pop.future_cols[:] = fut_c
-        return decided
+        return decided, pending
 
     # ------------------------------------------------------------------
     # Stage 3: movement
     # ------------------------------------------------------------------
-    def _stage_move(self, t: int) -> int:
+    def _stage_move(self, t: int, pending: Dict[int, List[Tuple[int, int]]]) -> int:
         env, pop = self.env, self.pop
         w = env.width
         mat, index = env.mat, env.index
@@ -283,27 +285,8 @@ class SequentialEngine(SoloEngine):
         if self.pher is not None:
             self.pher.evaporate()
 
-        # Gather phase: group candidate agents per destination cell. Every
-        # future cell was empty when scanned and nothing has moved since, so
-        # each key below is an empty cell; candidates are kept in absolute
-        # gather-direction order, matching the whole-array engines' sort.
-        fut_r = pop.future_rows.tolist()
-        fut_c = pop.future_cols.tolist()
         rows_l = pop.rows.tolist()
         cols_l = pop.cols.tolist()
-        pending: Dict[int, List[Tuple[int, int]]] = {}
-        for a in range(1, pop.n_agents + 1):
-            fr = fut_r[a]
-            if fr == NO_FUTURE:
-                continue
-            fc = fut_c[a]
-            d = DIRECTION_INDEX[(rows_l[a] - fr, cols_l[a] - fc)]
-            key = fr * w + fc
-            if key in pending:
-                pending[key].append((d, a))
-            else:
-                pending[key] = [(d, a)]
-
         if not pending:
             return 0
         # One batched draw for the contested cells (2+ candidates), keyed
@@ -322,7 +305,9 @@ class SequentialEngine(SoloEngine):
             pick = 0
             k = len(cands)
             if k > 1:
-                cands.sort()  # ascending direction index
+                # Ascending gather direction: the whole-array engine's
+                # claim-mask bit order.
+                cands.sort()
                 pick = int(next(uniforms) * k)
                 if pick >= k:  # u -> 1 rounding guard, same clamp as winner_rank
                     pick = k - 1

@@ -7,8 +7,8 @@ applied uniformly every step; deposition (eq. 5) adds ``q / L_k`` on the
 cell an agent moves into, where ``L_k`` is that agent's tour length so far.
 
 Both matrices live in one ``(2, H, W)`` device stack (slot 0 = TOP,
-slot 1 = BOTTOM) so whole-field maintenance — evaporation, clamping — is a
-single array launch over both groups, and the whole-array engines gather
+slot 1 = BOTTOM) so evaporation is a single array launch over both
+groups, and the whole-array engines gather
 and deposit for a mixed-group agent batch through flat indices into the
 stack in one op each. A batched engine keeps every lane's pair in one
 ``(2, B, H, W)`` stack. ``field(group)`` hands out live views into the
@@ -45,33 +45,38 @@ def group_slot(group: Group) -> int:
     return 0 if Group(group) is Group.TOP else 1
 
 
-def evaporate_field(field: np.ndarray, params: ACOParams, xp=np) -> None:
-    """Eq. 3 in place: ``tau <- max((1 - rho) * tau, tau_min)``.
+def evaporate_field(field: np.ndarray, keep, tau_min, xp=np) -> None:
+    """Eq. 3 in place: ``tau <- max(keep * tau, tau_min)``, ``keep = 1 - rho``.
 
     Element-wise, so it applies unchanged to a single ``(H, W)`` field, the
-    ``(2, H, W)`` group stack, or a batched ``(2, B, H, W)`` stack — the
-    single source of the decay-then-clamp semantics shared by
-    :class:`PheromoneField` and the batched engine.
+    ``(2, H, W)`` group stack, or a batched ``(2, B, H, W)`` stack, whose
+    lanes may pass their own ``keep`` and ``tau_min`` as ``(B, 1, 1)``
+    arrays — the single source of the decay-then-clamp semantics shared
+    by :class:`PheromoneField` and the batched engine.
     """
-    field *= 1.0 - params.rho
-    xp.maximum(field, params.tau_min, out=field)
+    field *= keep
+    xp.maximum(field, tau_min, out=field)
 
 
-def deposit_at(field: np.ndarray, index, amounts, params: ACOParams, backend=None) -> None:
-    """Eq. 5 in place: scatter-add ``amounts`` at ``index``, clamp at tau_max.
+def deposit_at(field: np.ndarray, index, amounts, tau_max, backend=None) -> None:
+    """Eq. 5 in place: scatter-add ``amounts`` at ``index``, clamp at ``tau_max``.
 
-    ``index`` is any fancy-index tuple into ``field`` (``(rows, cols)`` for
-    a solo field, ``(gslot, rows, cols)`` for the group stack). The scatter
-    routes through :meth:`~repro.backend.ArrayBackend.scatter_add` because
-    the unbuffered-add spelling differs per namespace (``np.add.at`` vs
-    ``cupyx.scatter_add``). The clamp runs once over the whole array after
-    the scatter; ``min(x, tau_max)`` is idempotent and cells only exceed
-    ``tau_max`` through deposits, so clamp-after-all equals the seed
-    engines' clamp-after-each bit for bit.
+    ``index`` is any fancy index into ``field`` (``(rows, cols)`` for a
+    solo field, flat cells for a stack); ``tau_max`` is one clamp or one
+    per entry of ``index``. The scatter routes through
+    :meth:`~repro.backend.ArrayBackend.scatter_add` because the
+    unbuffered-add spelling differs per namespace (``np.add.at`` vs
+    ``cupyx.scatter_add``). Only the touched cells are clamped after it,
+    as the sequential engine clamps each deposit's cell: ``min(x,
+    tau_max)`` is idempotent, so clamp-after-all equals clamp-after-each
+    bit for bit, duplicates included. A cell no deposit touches keeps its
+    value even above ``tau_max``, which happens only after a model swap
+    lowers ``tau_max`` (evaporation only lowers a cell, and
+    ``ACOParams.validate`` keeps ``tau0 <= tau_max``).
     """
     backend = resolve_backend(backend)
     backend.scatter_add(field, index, amounts)
-    backend.xp.minimum(field, params.tau_max, out=field)
+    field[index] = backend.xp.minimum(field[index], tau_max)
 
 
 class PheromoneField:
@@ -81,7 +86,10 @@ class PheromoneField:
     one field pair per replication lane of a batched engine. ``halo``
     rings every grid with that many cells in :attr:`padded`; ``stack`` is
     always the unpadded interior. Halo cells are never deposited on and
-    never read as candidates, so their values only ever evaporate.
+    never read as candidates, so they only evaporate, to ``tau_min`` (not
+    0 like the ``index`` halo). The whole contiguous ``padded`` array
+    evaporates on purpose: the strided interior view alone took 0.97 ms
+    against 0.44 ms at 480×480 with both groups.
     """
 
     def __init__(
@@ -139,7 +147,10 @@ class PheromoneField:
     # ------------------------------------------------------------------
     def evaporate(self) -> None:
         """Apply ``tau <- (1 - rho) * tau`` to both fields in one launch."""
-        evaporate_field(self.padded, self.params, xp=self.backend.xp)
+        evaporate_field(
+            self.padded, 1.0 - self.params.rho, self.params.tau_min,
+            xp=self.backend.xp,
+        )
 
     def deposit(self, group: Group, rows, cols, amounts) -> None:
         """Add ``amounts`` on cells ``(rows, cols)`` of ``group``'s field.
@@ -153,7 +164,7 @@ class PheromoneField:
             self.field(group),
             (xp.asarray(rows), xp.asarray(cols)),
             amounts,
-            self.params,
+            self.params.tau_max,
             backend=self.backend,
         )
 
@@ -166,7 +177,7 @@ class PheromoneField:
         groups in one call.
         """
         deposit_at(
-            self.padded.reshape(-1), cells, amounts, self.params,
+            self.padded.reshape(-1), cells, amounts, self.params.tau_max,
             backend=self.backend,
         )
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.agents import NO_FUTURE, Population
+from repro.agents import Population
 from repro.grid import place_groups
 from repro.rng import PhiloxKeyedRNG
 from repro.types import Group
@@ -21,10 +21,10 @@ def pop(placed_env):
 
 class TestConstruction:
     def test_sentinel_row(self, pop):
-        """Index 0 is the paper's sentinel row: no agent, no future."""
+        """Index 0 is the paper's sentinel row: no agent, no tour."""
         assert pop.ids[0] == 0
-        assert pop.future_rows[0] == NO_FUTURE
-        assert pop.future_cols[0] == NO_FUTURE
+        assert pop.tour[0] == 0.0
+        assert not pop.crossed[0]
 
     def test_size(self, pop):
         assert pop.n_agents == 30
@@ -53,11 +53,13 @@ class TestConstruction:
 
 class TestFutures:
     def test_reset_futures(self, pop):
-        pop.future_rows[3] = 7
-        pop.future_cols[3] = 2
+        """Decided moves pass from select to move and are never stored,
+        so the support kernel's reset is a no-op stub."""
+        assert "future_rows" not in Population.FIELDS
+        assert not hasattr(pop, "future_rows")
+        before = pop.copy()
         pop.reset_futures()
-        assert np.all(pop.future_rows == NO_FUTURE)
-        assert np.all(pop.future_cols == NO_FUTURE)
+        assert pop.equals(before)
 
 
 class TestCrossings:

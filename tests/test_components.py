@@ -8,6 +8,8 @@ scenario families end-to-end through configs, digests, sweeps and the
 analytics store.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import SweepPoint, SweepRunner, named_sweep_points
 from repro.io import config_digest, engine_state_digest
 from repro.models import build_model, params_from_dict, params_from_name
+from repro.types import Group
 
 
 class TestRegistry:
@@ -190,6 +193,36 @@ class TestHookSemantics:
                 got[lane].moved_per_step, res.moved_per_step
             )
             assert got[lane].throughput_total == res.throughput_total
+
+    def test_swap_to_lower_tau_max_clamps_touched_cells_only(self):
+        """After a swap to a bundle with its own ``q`` and a lower
+        ``tau_max``, deposits clamp at the new ``tau_max`` on the cells
+        they touch, and a cell already above it keeps its value until a
+        deposit lands there, as on the sequential engine. That holds on
+        the solo engine and on a lane next to one on another bundle."""
+        panic = replace(
+            panic_variant(params_from_name("aco")), deposit_q=4.0, tau_max=0.15
+        )
+        hooked_cfg = _cfg(steps=20).with_model("aco").replace(
+            hooks=(PanicHook(trigger_step=3, panic_params=panic),)
+        )
+        plain_cfg = _cfg(steps=20).with_model("aco")
+        seeds = (3, 4)
+        batched = BatchedEngine([hooked_cfg, plain_cfg], seeds)
+        batched.run(record_timeline=False)
+        solo = build_engine(hooked_cfg, engine="vectorized", seed=seeds[0])
+        solo.run(record_timeline=False)
+        for lane, cfg in enumerate((hooked_cfg, plain_cfg)):
+            seq = build_engine(cfg, engine="sequential", seed=seeds[lane])
+            seq.run(record_timeline=False)
+            for group in Group:
+                want = seq.pher.field(group)
+                assert np.array_equal(batched.lane_pheromone(lane, group), want)
+                if lane == 0:
+                    assert np.array_equal(solo.pher.field(group), want)
+        tau = batched.lane_pheromone(0, Group.TOP)
+        assert np.any(tau == panic.tau_max)  # deposits after the swap clamp
+        assert tau.max() > panic.tau_max  # an older cell is left as it was
 
     def test_batched_lane_model_swap_guard(self):
         from repro.errors import EngineError

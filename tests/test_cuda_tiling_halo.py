@@ -133,7 +133,7 @@ def _whole_array_scan(eng):
     """
     rows = eng.rows.reshape(-1).take(eng._slot_all)
     cols = eng.cols.reshape(-1).take(eng._slot_all)
-    nbr = eng._padded_cell(eng._rep_all, rows, cols)[:, None] + eng._nbr_lin
+    nbr = (rows * eng._wp + cols + eng._cell_base_all)[:, None] + eng._nbr_lin
     mats = eng._mats_p.reshape(-1).take(nbr)
     index = eng._index_p.reshape(-1).take(nbr)
     tau = eng.tau.padded.reshape(-1).take(nbr + eng._tau_base_all[:, None])

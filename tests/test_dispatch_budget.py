@@ -56,6 +56,23 @@ from 9 to 6. Jammed, it measures 6 / 3 (LEM), 5 / 3 (greedy) and 5 / 2
 only because the solo RNG reserves its scratch buffers at build, as the
 batched one does.
 
+Select now hands each mover's lane, slot code and cell straight to the
+move stage, which resolves conflicts with claim masks instead of a
+future-cell round trip and a sort: the ``nonzero`` re-find of the
+deciders, the ``argsort``, ``empty``, ``not_equal`` and ``diff`` of the
+per-cell grouping, a ``zeros``, the move-count ``scatter_add`` and the
+crossing test's ``count_nonzero`` over every agent are gone; a
+``scatter_add`` of claim bits into a buffer kept zeroed between steps,
+a ``nonzero`` of the cell heads (and of the contested cells), a
+``divmod`` of the heads' cells and ``bincount`` move and crossing
+counts came in. Free flow measures 10 ops / 9 allocs on the whole-array
+engines (12 / 10 before), so their ops budget is tightened from 15 to
+11 and their alloc budget from 12 to 11. Jammed they measure 30 / 18
+(LEM; 29.6 / 17.8 on ``vectorized``), 24 / 15 (greedy) and 28 / 12
+(ACO, whose pheromone clamp now returns the touched cells fresh
+instead of clamping the whole field in place); the jammed ops budget
+is tightened from 38 to 36 and the alloc budget stays at 22.
+
 ``PRE_FUSION`` (per-group TOP/BOTTOM passes, unfused RNG) and
 ``PRE_ARENA`` (before the ``out=``-capable ops) are free-flow-scenario
 measurements taken on older trees, when every step ran select, kept as
@@ -90,9 +107,9 @@ PRE_FUSION = {
 #: Measured free-flow ops/step plus ~20% headroom.
 BUDGETS = {
     "sequential": 6,
-    "vectorized": 15,
-    "batched4": 15,
-    "padded4": 15,
+    "vectorized": 11,
+    "batched4": 11,
+    "padded4": 11,
 }
 
 #: Steady-state allocs/step before the ``out=`` ops (pre-arena), free flow.
@@ -106,14 +123,14 @@ PRE_ARENA = {
 #: Measured free-flow allocs/step plus headroom for drift.
 ALLOC_BUDGETS = {
     "sequential": 8,
-    "vectorized": 12,
-    "batched4": 12,
-    "padded4": 12,
+    "vectorized": 11,
+    "batched4": 11,
+    "padded4": 11,
 }
 
 #: Jammed-scenario ops/step and allocs/step budgets of the whole-array
 #: engines, per model (every step runs select).
-JAMMED_BUDGETS = {"vectorized": 38, "batched4": 38}
+JAMMED_BUDGETS = {"vectorized": 36, "batched4": 36}
 JAMMED_ALLOC_BUDGETS = {"vectorized": 22, "batched4": 22}
 JAMMED_MODELS = ("lem", "aco")
 #: Jammed (ops, allocs) per step of the ``sequential`` engine, which

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro import SimulationConfig
-from repro.agents.population import NO_FUTURE
 from repro.engine import BatchedEngine, build_engine, run_batched
 from repro.errors import EngineError
 from repro.grid import build_distance_tables, offsets_array
@@ -301,6 +300,19 @@ class TestPaddedHeterogeneousLanes:
         """Masked padding slots never scan, decide, move, deposit or cross."""
         configs = _mixed_configs("aco")
         batched = BatchedEngine(configs, (0, 1, 2))
+        stage = batched._stage_move
+        handed = []
+
+        def spy(t, movers):
+            # Every move select hands over starts on a live agent of the
+            # mover's own lane.
+            lane, _code, cell = movers
+            agent = batched._index_p.reshape(-1)[cell]
+            handed.append(lane.size)
+            assert np.all(batched.active[lane, agent])
+            return stage(t, movers)
+
+        batched._stage_move = spy
         for _ in range(10):
             batched.step()
             for lane, cfg in enumerate(configs):
@@ -309,7 +321,6 @@ class TestPaddedHeterogeneousLanes:
                 assert not np.any(batched.ids[lane, pad])
                 assert not np.any(batched.crossed[lane, pad])
                 assert np.all(batched.tour[lane, pad] == 0.0)
-                assert np.all(batched.future_rows[lane, pad] == NO_FUTURE)
                 # Grid padding keeps its obstacle sentinel, so no agent
                 # index can ever appear outside the lane's real region.
                 assert not np.any(batched.index[lane, cfg.height :, :])
@@ -317,6 +328,7 @@ class TestPaddedHeterogeneousLanes:
                 assert int(batched.index[lane].max()) <= int(
                     batched.lane_agents[lane]
                 )
+        assert sum(handed) > 0
         batched.validate_state()
 
     @pytest.mark.parametrize(

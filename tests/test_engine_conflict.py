@@ -4,11 +4,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SimulationConfig, build_engine
-from repro.agents.population import NO_FUTURE
+from repro.backend import resolve_backend
 from repro.engine import DIRECTION_INDEX, BatchedEngine, shift, winner_rank
-from repro.engine.conflict import DIRECTION_TABLE, group_by_cell
+from repro.engine.conflict import (
+    DIRECTION_TABLE,
+    NTH_BIT,
+    POPCOUNT,
+    SLOT_DIRECTION16,
+    SLOT_OFFSETS16,
+    claim_heads,
+)
 from repro.grid import ABSOLUTE_OFFSETS
 from repro.rng import Stream
 from repro.types import Group
@@ -79,23 +88,87 @@ class TestDirectionIndex:
         for (dr, dc), d in DIRECTION_INDEX.items():
             assert DIRECTION_TABLE[(dr + 1) * 3 + (dc + 1)] == d
 
+    def test_slot_codes_point_back_to_the_mover(self):
+        """Slot code ``gslot * 8 + slot`` moves by ``SLOT_OFFSETS16`` and
+        its target gathers the mover from ``SLOT_DIRECTION16``."""
+        for code, (dr, dc) in enumerate(SLOT_OFFSETS16.tolist()):
+            assert ABSOLUTE_OFFSETS[SLOT_DIRECTION16[code]] == (-dr, -dc)
 
-class TestGroupByCell:
-    def test_runs_sorted_by_cell_then_direction(self):
-        cell = np.array([7, 3, 7, 9, 3, 7], dtype=np.int64)
-        direction = np.array([4, 6, 0, 2, 1, 7], dtype=np.int64)
-        order, start, count = group_by_cell(cell, direction)
-        assert order.tolist() == [4, 1, 2, 0, 5, 3]
-        assert start.tolist() == [0, 2, 5]
-        assert count.tolist() == [2, 3, 1]
 
-    def test_unsigned_cell_keys(self):
-        cell = np.array([5, 2, 5], dtype=np.uint64)
-        direction = np.array([3, 0, 1], dtype=np.int64)
-        order, start, count = group_by_cell(cell, direction)
-        assert order.tolist() == [1, 2, 0]
-        assert start.tolist() == [0, 1]
-        assert count.tolist() == [1, 2]
+@st.composite
+def _contested_cells(draw):
+    """Random target cells of 1-4 lanes, keyed ``lane * cells_per_lane +
+    cell`` like the engine's padded cells, each with 1-8 distinct gather
+    directions and a rank in ``[0, k)``; the candidates come shuffled.
+    Returns ``(n_cells, gather, ranks, order)``, where ``gather`` is the
+    brute-force per-cell gather: key -> ascending directions."""
+    n_lanes = draw(st.integers(1, 4))
+    cells_per_lane = draw(st.integers(1, 30))
+    keys = draw(st.lists(
+        st.integers(0, n_lanes * cells_per_lane - 1), min_size=1, max_size=40,
+        unique=True,
+    ))
+    gather = {
+        key: sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=8)))
+        for key in keys
+    }
+    ranks = {key: draw(st.integers(0, len(dirs) - 1)) for key, dirs in gather.items()}
+    order = draw(st.permutations(
+        [(key, d) for key, dirs in gather.items() for d in dirs]
+    ))
+    return n_lanes * cells_per_lane, gather, ranks, order
+
+
+class TestClaimMaskPick:
+    """The claim-mask pick equals the paper's per-cell gather: the
+    rank-``k`` winner of a cell is its ``k``-th candidate in ascending
+    gather direction, whatever order the candidates arrive in."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_contested_cells())
+    def test_pick_matches_per_cell_gather(self, case):
+        n_cells, gather, ranks, order = case
+        target = np.array([key for key, _ in order], dtype=np.int64)
+        direction = np.array([d for _, d in order], dtype=np.int64)
+        claim = np.zeros(n_cells, dtype=np.int32)
+        mask, heads = claim_heads(target, direction, claim, resolve_backend("numpy"))
+        assert not claim.any()
+        # One head per distinct cell, and it is that cell's
+        # lowest-direction candidate.
+        head_keys = target[heads].tolist()
+        assert sorted(head_keys) == sorted(gather)
+        assert direction[heads].tolist() == [gather[k][0] for k in head_keys]
+        assert POPCOUNT[mask].tolist() == [len(gather[k]) for k in head_keys]
+        rank = np.array([ranks[k] for k in head_keys], dtype=np.int64)
+        picked = NTH_BIT[mask * 8 + rank]
+        assert picked.tolist() == [gather[k][ranks[k]] for k in head_keys]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_contested_cells(), st.floats(0.0, 1.0, exclude_max=True))
+    def test_winner_rank_picks_a_candidate(self, case, u):
+        """``winner_rank`` of a cell's popcount always names a set bit."""
+        n_cells, gather, _ranks, order = case
+        target = np.array([key for key, _ in order], dtype=np.int64)
+        direction = np.array([d for _, d in order], dtype=np.int64)
+        claim = np.zeros(n_cells, dtype=np.int32)
+        mask, heads = claim_heads(target, direction, claim, resolve_backend("numpy"))
+        assert not claim.any()
+        count = POPCOUNT[mask]
+        rank = winner_rank(np.full(count.size, u), count)
+        picked = NTH_BIT[mask * 8 + rank]
+        for key, d, k in zip(target[heads].tolist(), picked.tolist(), rank.tolist()):
+            assert d == gather[key][k]
+
+
+def _handoff_targets(engine, movers, width):
+    """``(lane, row * width + col)`` of every move select handed over."""
+    if not isinstance(engine, BatchedEngine):
+        return [(0, key) for key, cands in movers.items() for _ in cands]
+    lane, code, cell = movers
+    target = cell + engine._code_lin[code]
+    rc = target - lane * (engine._hp * engine._wp) - (engine._wp + 1)
+    rows, cols = np.divmod(rc, engine._wp)
+    return list(zip(lane.tolist(), (rows * width + cols).tolist()))
 
 
 class TestContestedCells:
@@ -116,13 +189,10 @@ class TestContestedCells:
         stage = engine._stage_move
         width = engine.env.width
 
-        def counting(t):
-            pop = engine.pop
-            deciding = pop.future_rows != NO_FUTURE
-            cells = pop.future_rows[deciding] * width + pop.future_cols[deciding]
-            _, counts = np.unique(cells, return_counts=True)
-            hot.append(int((counts >= 3).sum()))
-            return stage(t)
+        def counting(t, movers):
+            targets = Counter(_handoff_targets(engine, movers, width))
+            hot.append(sum(k >= 3 for k in targets.values()))
+            return stage(t, movers)
 
         engine._stage_move = counting
         return hot
@@ -163,20 +233,11 @@ class TestContestedCells:
         name = "uniform_at" if batched else "uniform"
         draw = getattr(engine.rng, name)
 
-        def staged(t):
-            if batched:
-                rows, cols = engine.future_rows, engine.future_cols
-            else:
-                rows, cols = engine.pop.future_rows[None], engine.pop.future_cols[None]
-            targets = Counter(
-                (b, r * width + c)
-                for b in range(rows.shape[0])
-                for r, c in zip(rows[b].tolist(), cols[b].tolist())
-                if r != NO_FUTURE
-            )
+        def staged(t, movers):
+            targets = Counter(_handoff_targets(engine, movers, width))
             contested.append(sorted(p for p, k in targets.items() if k >= 2))
             drawn.append([])
-            return stage(t)
+            return stage(t, movers)
 
         def spy(stream, step, *args):
             if stream == Stream.MOVE_WINNER:

@@ -203,7 +203,7 @@ class TestSlotTables:
             ACOParams(beta=beta)
         )
         batch = BatchedEngine([cfg, cfg.replace(height=24)], seeds=(1, 2))
-        (_params, _model, table, _lanes), = batch._param_groups
+        (_params, _model, table), = batch._param_groups
         want = self._eta_beta(batch._dist_stack, beta).reshape(-1, 8)
         assert np.array_equal(table, want)
         seq = build_engine(cfg, "sequential")
@@ -215,7 +215,7 @@ class TestSlotTables:
     def test_other_tables_are_the_distance_stack(self, model):
         cfg = SimulationConfig(height=16, width=16, n_per_side=20).with_model(model)
         batch = BatchedEngine(cfg, seeds=(1, 2))
-        (_params, _model, table, _lanes), = batch._param_groups
+        (_params, _model, table), = batch._param_groups
         # The same memory: no copy for a model whose term is D.
         assert np.shares_memory(table, batch._dist_stack)
         assert np.array_equal(table, batch._dist_stack.reshape(-1, 8))
@@ -241,7 +241,7 @@ class TestSlotTables:
                 solo.validate_state()
                 assert _lane_digest(batch, lane) == engine_state_digest(solo), (t, lane)
             if t >= 10:
-                betas = {p.beta: table for p, _m, table, _l in batch._param_groups}
+                betas = {p.beta: table for p, _m, table in batch._param_groups}
                 assert sorted(betas) == [2.0, 3.0]
                 for beta, table in betas.items():
                     want = self._eta_beta(batch._dist_stack, beta).reshape(-1, 8)

@@ -4,13 +4,37 @@ import numpy as np
 import pytest
 
 from repro import SimulationConfig, build_engine
-from repro.agents.population import NO_FUTURE
+from repro.engine import BatchedEngine
+from repro.engine.conflict import SLOT_DIRECTION16, SLOT_OFFSETS16
+from repro.grid import ABSOLUTE_OFFSETS
 from repro.types import Group
 
 
 @pytest.fixture(params=["sequential", "vectorized"])
 def engine_name(request):
     return request.param
+
+
+def handed_moves(engine, movers):
+    """``(agent, source, target, gather direction)`` of every move select
+    hands to the move stage, read from either engine's hand-off."""
+    rows = engine.pop.rows.tolist()
+    cols = engine.pop.cols.tolist()
+    if not isinstance(engine, BatchedEngine):
+        width = engine.env.width
+        return [
+            (a, (rows[a], cols[a]), divmod(key, width), d)
+            for key, cands in movers.items()
+            for d, a in cands
+        ]
+    _lane, code, cell = movers
+    agents = engine._index_p.reshape(-1)[cell].tolist()
+    return [
+        (a, (rows[a], cols[a]), (rows[a] + dr, cols[a] + dc), d)
+        for a, (dr, dc), d in zip(
+            agents, SLOT_OFFSETS16[code].tolist(), SLOT_DIRECTION16[code].tolist()
+        )
+    ]
 
 
 def make_engine(engine_name, model="lem", **kw):
@@ -76,10 +100,28 @@ class TestTwoPhaseUpdate:
             assert np.all(empty_before[dst_r, dst_c])
 
     def test_futures_cleared_after_step(self, engine_name):
-        eng = make_engine(engine_name)
-        eng.step()
-        assert np.all(eng.pop.future_rows == NO_FUTURE)
-        assert np.all(eng.pop.future_cols == NO_FUTURE)
+        """Decided moves go from select straight to the move stage: one
+        per deciding agent, each into a neighbouring cell that is empty
+        at the start of the step. No FUTURE field outlives the step."""
+        eng = make_engine(engine_name, forward_priority=False)
+        stage = eng._stage_move
+        handed = []
+
+        def spy(t, movers):
+            handed.append(handed_moves(eng, movers))
+            empty = eng.env.mat == 0
+            for agent, (r, c), (tr, tc), d in handed[-1]:
+                assert empty[tr, tc]
+                assert ABSOLUTE_OFFSETS[d] == (r - tr, c - tc)
+            return stage(t, movers)
+
+        eng._stage_move = spy
+        for _ in range(5):
+            report = eng.step()
+            agents = [move[0] for move in handed[-1]]
+            assert len(agents) == len(set(agents)) == report.decided > 0
+        assert not hasattr(eng.pop, "future_rows")
+        assert not hasattr(eng.pop, "future_cols")
 
     def test_scan_cleared_after_step(self, engine_name):
         eng = make_engine(engine_name)

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import PlacementError
+from repro.agents import Population
+from repro.config import SimulationConfig, paper_config
+from repro.engine.base import place_config
+from repro.errors import ConfigurationError, PlacementError
+from repro.experiments import FIG6A_SCENARIOS
+from repro.experiments.scenarios import scenario_spec
 from repro.grid import band_cells, place_groups
 from repro.rng import PhiloxKeyedRNG
 from repro.types import Group
@@ -84,3 +91,40 @@ class TestPlaceGroups:
         freq = hits / 300.0
         assert abs(freq.mean() - 0.5) < 0.05
         assert freq.std() < 0.12
+
+
+class TestNoAgentStartsCrossed:
+    """Placement never starts an agent inside its own crossing band, so
+    only a move can make an agent cross and the whole-array engine tests
+    crossings on each step's winners alone."""
+
+    @pytest.mark.parametrize("scenario", FIG6A_SCENARIOS)
+    def test_fig6a_placement(self, scenario):
+        cfg = paper_config(scenario_spec(scenario).total_agents, seed=scenario)
+        pop = Population.from_environment(place_config(cfg, cfg.seed))
+        assert pop.record_crossings(cfg.height, cfg.cross_rows, step=0) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        height=st.integers(2, 60),
+        n_per_side=st.integers(1, 200),
+        init_rows=st.none() | st.integers(1, 40),
+        cross_band=st.none() | st.integers(1, 40),
+    )
+    def test_every_valid_config_keeps_bands_apart(
+        self, height, n_per_side, init_rows, cross_band
+    ):
+        """Config validation bounds both bands by half the grid, so each
+        group's placement rows lie outside its crossing rows."""
+        try:
+            cfg = SimulationConfig(
+                height=height, width=10, n_per_side=n_per_side,
+                init_rows=init_rows, cross_band=cross_band,
+            )
+        except ConfigurationError:
+            return
+        top_lo, top_hi = Group.TOP.start_row_range(height, cfg.band_rows)
+        bottom_lo, _ = Group.BOTTOM.start_row_range(height, cfg.band_rows)
+        assert top_hi - 1 < height - cfg.cross_rows
+        assert bottom_lo >= cfg.cross_rows
+

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import ACOParams, PheromoneField
+from repro.models.pheromone import deposit_at, evaporate_field
 from repro.types import Group
 
 
@@ -58,6 +59,30 @@ class TestDeposit:
         field.deposit(Group.BOTTOM, [3], [4], [0.25])
         other.deposit_scalar(Group.BOTTOM, 3, 4, 0.25)
         assert field.equals(other)
+
+    @pytest.mark.parametrize("per_cell_clamp", [False, True])
+    def test_touched_clamp_matches_whole_field_clamp(self, per_cell_clamp):
+        """Clamping only the deposited cells, duplicates included, gives
+        the whole-field clamp bit for bit on an evaporated field."""
+        params = ACOParams(rho=0.3, tau0=0.5, tau_min=0.01, tau_max=2.0)
+        rng = np.random.default_rng(5)
+        base = np.full(400, params.tau0)
+        for _ in range(3):
+            evaporate_field(base, 1.0 - params.rho, params.tau_min)
+            base[rng.integers(0, 400, 50)] += rng.uniform(0.0, 1.5, 50)
+            np.minimum(base, params.tau_max, out=base)
+        cells = np.concatenate([rng.integers(0, 400, 300), [7, 7, 7, 9, 9]])
+        amounts = rng.uniform(0.0, 1.2, cells.size)
+        whole = base.copy()
+        np.add.at(whole, cells, amounts)
+        np.minimum(whole, params.tau_max, out=whole)
+        touched = base.copy()
+        tau_max = (
+            np.full(cells.size, params.tau_max) if per_cell_clamp else params.tau_max
+        )
+        deposit_at(touched, cells, amounts, tau_max)
+        assert np.array_equal(touched, whole)
+        assert (whole == params.tau_max).sum() > 3  # the clamp bites
 
 
 class TestCopyEquality:
