@@ -3,6 +3,10 @@
 Implements the paper's Fig 6b validation analysis (binomial GLM of crossing
 probability against agent count and a CPU/GPU platform indicator, with a
 t-test on the platform coefficient) from first principles.
+
+scipy (the ``stats`` extra) supplies the distribution functions and is
+imported inside the functions that evaluate one, never at module level,
+so importing this package (and ``repro``) needs numpy alone.
 """
 
 from .glm import BinomialGLM, GLMResult, add_intercept

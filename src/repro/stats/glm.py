@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _sps
 
 from ..errors import StatsError
 from .links import Link, LogitLink, get_link
@@ -187,6 +186,8 @@ class BinomialGLM:
             cov = cov * phi
         stderr = np.sqrt(np.diag(cov))
         tvals = beta / stderr
+        from scipy import stats as _sps
+
         pvals_t = 2.0 * _sps.t.sf(np.abs(tvals), df)
         pvals_z = 2.0 * _sps.norm.sf(np.abs(tvals))
         deviance = self._deviance(y, m, mu)
@@ -216,6 +217,8 @@ class BinomialGLM:
         """g(mu) via bisection-free closed forms for the known links."""
         if isinstance(self.link, LogitLink):
             return np.log(mu / (1.0 - mu))
+        from scipy import stats as _sps
+
         return _sps.norm.ppf(mu)
 
     @staticmethod

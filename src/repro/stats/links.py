@@ -10,7 +10,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy import stats as _sps
 
 __all__ = ["Link", "LogitLink", "ProbitLink", "get_link"]
 
@@ -62,9 +61,13 @@ class ProbitLink(Link):
     name = "probit"
 
     def inverse(self, eta: np.ndarray) -> np.ndarray:
+        from scipy import stats as _sps
+
         return _sps.norm.cdf(np.asarray(eta, dtype=np.float64))
 
     def inverse_deriv(self, eta: np.ndarray) -> np.ndarray:
+        from scipy import stats as _sps
+
         return _sps.norm.pdf(np.asarray(eta, dtype=np.float64))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 from ..errors import StatsError
 
@@ -45,6 +44,8 @@ def welch_ttest(a, b) -> TTestResult:
         return TTestResult(statistic=0.0, pvalue=1.0, df=float(a.size + b.size - 2))
     t = (a.mean() - b.mean()) / denom
     df = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+    from scipy import stats as _sps
+
     p = 2.0 * _sps.t.sf(abs(t), df)
     return TTestResult(statistic=float(t), pvalue=float(p), df=float(df))
 
@@ -63,6 +64,8 @@ def paired_ttest(a, b) -> TTestResult:
         return TTestResult(statistic=0.0, pvalue=1.0, df=float(d.size - 1))
     t = d.mean() / (sd / np.sqrt(d.size))
     df = d.size - 1
+    from scipy import stats as _sps
+
     p = 2.0 * _sps.t.sf(abs(t), df)
     return TTestResult(statistic=float(t), pvalue=float(p), df=float(df))
 
@@ -84,5 +87,7 @@ def wald_test(coef: np.ndarray, cov: np.ndarray, indices) -> TTestResult:
         stat = float(sub @ np.linalg.solve(sub_cov, sub))
     except np.linalg.LinAlgError as exc:
         raise StatsError(f"singular covariance in wald_test: {exc}") from exc
+    from scipy import stats as _sps
+
     p = float(_sps.chi2.sf(stat, idx.size))
     return TTestResult(statistic=stat, pvalue=p, df=float(idx.size))
