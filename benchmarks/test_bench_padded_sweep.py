@@ -37,8 +37,8 @@ def test_bench_padded_sweep_matches_solo_loop(benchmark, model):
     # The padded plan must actually fuse lanes (same-shape batching cannot
     # fuse this grid at all) ...
     padded_units = padded_runner.plan(points)
-    assert all(len(u.seeds) == 1 for u in solo_runner.plan(points))
-    assert any(u.points is not None for u in padded_units)
+    assert all(u.n_lanes == 1 for u in solo_runner.plan(points))
+    assert any(u.mixed for u in padded_units)
     assert len(padded_units) < len(points)
 
     # ... and the records stay bit-identical to the solo runs.

@@ -445,7 +445,6 @@ def _cmd_sweep(args) -> int:
     # --pad-waste overrides; None lets the runner derive the ceiling from
     # the cost model's dispatch-overhead estimate.
     pad_waste = args.pad_waste
-    executor = None
     tracer = sweep_span = None
     if args.trace:
         from .obs import Tracer
@@ -505,25 +504,10 @@ def _cmd_sweep(args) -> int:
                 backend=args.backend,
                 tracer=tracer,
             )
-            if args.processes > 1:
-                # One persistent pool shared across every chunk of the
-                # grid (workers stay warm between launches); created
-                # after the runner so a bad backend fails fast first.
-                from .exec import ExecutorPool, warm_backend
-
-                executor = ExecutorPool(
-                    args.processes,
-                    initializer=warm_backend,
-                    initargs=(args.backend,),
-                )
-                runner.executor = executor
         report = runner.run_report(points)
     except ReproError as exc:
         print(f"error: {exc}")
         return 2
-    finally:
-        if executor is not None:
-            executor.close()
 
     if sweep_span is not None:
         sweep_span.attrs["runs"] = report.n_points
@@ -1197,6 +1181,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_analytics(args)
 
     if args.command == "figures":
+        # The Fig-6b tests and GLM need scipy; check before any figure is
+        # written, not after the first ones.
+        try:
+            import scipy  # noqa: F401
+        except ImportError:
+            print("error: repro figures needs scipy; install the repro[stats] extra")
+            return 2
         seeds = tuple(range(args.seeds))
         report = run_all(
             args.outdir,

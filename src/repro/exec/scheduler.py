@@ -1,9 +1,10 @@
 """Micro-batching scheduler: pack queued jobs into batched launches.
 
-Whatever jobs are queued when a service tick fires are handed to
-:func:`repro.planner.plan_lanes` — the same packer the sweep runner uses
-offline — and executed with the fewest engine launches the compatibility
-rules allow:
+The one dispatch path for batches of runs. Whatever jobs are queued when
+a service tick fires, or the whole grid of a
+:class:`~repro.experiments.sweep.SweepRunner`, are handed to
+:func:`repro.planner.plan_lanes` and executed with the fewest engine
+launches the compatibility rules allow:
 
 * jobs whose configs differ only in their seed stack into same-shape
   :func:`~repro.engine.run_batched` lanes;
@@ -40,7 +41,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.base import RunResult
 from ..errors import ReproError
-from ..exec import ExecutorPool, LaunchWork, execute_launch, launch_cost
 from ..obs import TraceSpec, mint_span_id, span_dict
 from ..planner import (
     LaneRequest,
@@ -48,6 +48,8 @@ from ..planner import (
     plan_lanes,
     validate_plan_parameters,
 )
+from .pool import ExecutorPool
+from .work import LaunchWork, execute_launch, launch_cost
 
 __all__ = ["BatchScheduler", "SchedulerStats", "ExecutionOutcome"]
 
@@ -122,14 +124,14 @@ class BatchScheduler:
     Parameters
     ----------
     max_lanes, pad_lanes, max_pad_waste, record_timeline:
-        Packing knobs, shared with the sweep runner via the planner.
+        Packing knobs (see :func:`repro.planner.plan_lanes`).
     executor:
         Optional :class:`repro.exec.ExecutorPool`. When set, each pass
         submits all its launches to the pool concurrently and yields
         batches as they complete; when ``None``, launches run serially
         on the calling thread. Results are bit-identical either way.
-        The scheduler does not own the pool — the service (or other
-        caller) that created it closes it.
+        The scheduler does not own the pool — the service or sweep
+        runner that created it closes it.
     metrics_for:
         Optional callable mapping one launch's lane jobs to a
         :class:`~repro.analytics.MetricStreamSpec` (or ``None``). When

@@ -1,9 +1,9 @@
 """The unit of pool work: one engine launch, described declaratively.
 
-Both dispatch layers — the sweep runner's offline grids and the service
-scheduler's online micro-batches — reduce their planned
-:class:`~repro.planner.PlannedBatch` groups to the same executable
-payload: a tuple of per-lane :class:`~repro.config.SimulationConfig`
+:class:`~repro.exec.scheduler.BatchScheduler` — the dispatch path of
+the sweep runner's offline grids and the service's online micro-batches
+— reduces each planned :class:`~repro.planner.PlannedBatch` to one
+executable payload: a tuple of per-lane :class:`~repro.config.SimulationConfig`
 (seeds included) plus how to launch them. :class:`LaunchWork` is that
 payload, :func:`execute_launch` runs it (in-process or inside an
 :class:`~repro.exec.pool.ExecutorPool` worker), and

@@ -1,15 +1,12 @@
 """Shared lane planner: pack independent runs into batched launches.
 
-Two callers need the same packing decisions:
-
-* :class:`repro.experiments.sweep.SweepRunner` plans a *known* grid of
-  points ahead of time;
-* :class:`repro.service.scheduler.BatchScheduler` packs whatever requests
-  happen to be queued when a service tick fires (online micro-batching).
-
-Both reduce to one problem — given a list of runs, decide which share a
-:class:`~repro.engine.batched.BatchedEngine` launch — so the grouping
-rules live here once:
+:class:`repro.exec.scheduler.BatchScheduler` is the one caller: it packs
+whatever requests are queued when a service tick fires (online
+micro-batching) and the known grid of a
+:class:`repro.experiments.sweep.SweepRunner` alike. The problem is the
+same either way — given a list of runs, decide which share a
+:class:`~repro.engine.batched.BatchedEngine` launch — and the grouping
+rules are:
 
 * runs sharing a **batch key** differ only in their seed and can stack
   into same-shape lanes (chunked at ``max_lanes``; a seed repeated within
@@ -23,10 +20,9 @@ rules live here once:
   the waste ceiling (explicit, or derived from the cost model's
   dispatch-overhead estimate via :func:`derived_pad_waste`).
 
-The planner is deliberately index-based: callers describe each run as a
-:class:`LaneRequest` and get back :class:`PlannedBatch` groups of request
-indices, so sweep points and service jobs map through the same code
-without the planner knowing either type.
+The planner is deliberately index-based: the caller describes each run
+as a :class:`LaneRequest` and gets back :class:`PlannedBatch` groups of
+request indices, so the planner knows nothing of jobs or sweep points.
 """
 
 from __future__ import annotations
@@ -106,10 +102,7 @@ class LaneRequest:
     waste bound, so callers planning without ``pad_lanes`` may omit both.
     ``priority`` (higher first) makes padded packing anchor urgent lanes
     before fill lanes: a high-priority run is never the one squeezed out
-    of a batch by the waste bound. ``scenario`` is an optional named-
-    scenario label carried along for observability (progress lines, plan
-    dumps); the planner itself keys only on ``batch_key``/``pad_key``,
-    which already embed it.
+    of a batch by the waste bound.
     """
 
     index: int
@@ -120,7 +113,6 @@ class LaneRequest:
     agents: int = 0
     config: object = None
     priority: int = 0
-    scenario: Optional[str] = None
 
 
 @dataclass(frozen=True)

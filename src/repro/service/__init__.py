@@ -3,8 +3,9 @@
 The serving layer turns the one-shot simulator into a long-running
 system: requests stream in (in-process or over HTTP), a micro-batching
 scheduler packs whatever is queued into the fewest batched engine
-launches the compatibility rules allow (the same lane planner the sweep
-runner uses offline, now packing *online*), and a content-addressed
+launches the compatibility rules allow (the
+:class:`~repro.exec.scheduler.BatchScheduler` the sweep runner also
+dispatches through, here packing *online*), and a content-addressed
 cache answers repeats without re-simulating. State is durable: a JSONL
 job log replays on restart, so a killed server resumes its queue.
 
@@ -22,6 +23,7 @@ Quickstart::
 Or over HTTP: ``repro serve`` / ``repro submit`` / ``repro status``.
 """
 
+from ..exec.scheduler import BatchScheduler, ExecutionOutcome, SchedulerStats
 from .cache import ResultCache
 from .client import (
     get_analytics_runs,
@@ -37,7 +39,6 @@ from .client import (
 )
 from .http import DEFAULT_PORT, ROUTES, ServiceServer
 from .jobs import Job, JobState, job_from_dict, job_to_dict
-from .scheduler import BatchScheduler, ExecutionOutcome, SchedulerStats
 from .service import ServiceStats, SimulationService
 from .store import JobStore
 

@@ -34,11 +34,11 @@ from ..analytics import MetricStreamSpec, RunStore
 from ..config import SimulationConfig
 from ..errors import ServiceError
 from ..exec import ExecutorPool
+from ..exec.scheduler import BatchScheduler, SchedulerStats
 from ..io import run_result_to_dict
 from ..obs import MetricsRegistry, SpanRecorder, span_dict
 from .cache import ResultCache
 from .jobs import Job, JobState, job_to_dict
-from .scheduler import BatchScheduler, SchedulerStats
 from .store import JobStore
 
 __all__ = ["SimulationService", "ServiceStats"]
@@ -89,7 +89,7 @@ class SimulationService:
         an existing log is replayed so a restarted service resumes its
         queue (jobs a dead process left running are requeued).
     max_lanes, pad_lanes, max_pad_waste, record_timeline:
-        Forwarded to :class:`~repro.service.scheduler.BatchScheduler`.
+        Forwarded to :class:`~repro.exec.scheduler.BatchScheduler`.
         Padded packing defaults *on* for serving: independent requests
         rarely share a population, so padding is what makes continuous
         batching pay.

@@ -91,6 +91,22 @@ class TestScipyBlocked:
         assert proc.returncode == 0, proc.stderr
         assert "mean throughput" in proc.stdout
 
+    def test_figures_exit_2_before_writing(self, tmp_path):
+        outdir = tmp_path / "figures"
+        proc = _python(BLOCK_SCIPY + textwrap.dedent(
+            f"""
+            import runpy
+            sys.argv = ["repro", "figures", "--scale", "tiny", "--seeds", "1",
+                        "--outdir", {str(outdir)!r}]
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+            """
+        ))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.startswith("error: ")
+        assert "repro[stats]" in proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert not outdir.exists()
+
     def test_statistics_name_the_missing_scipy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy", None)
         x = np.linspace(-1.0, 1.0, 20)
@@ -99,3 +115,18 @@ class TestScipyBlocked:
             BinomialGLM().fit(add_intercept(x), successes, np.full(20, 10.0))
         with pytest.raises(ModuleNotFoundError, match="scipy"):
             welch_ttest([1.0, 2.0, 3.0], [2.0, 3.0, 5.0])
+
+
+class TestSweepLeavesTheServiceUnloaded:
+    """The sweep dispatches through ``repro.exec``; ``import repro`` (and
+    with it every pool worker) must not pull in the job service, whose
+    modules would add to every process's resident set."""
+
+    def test_experiments_import_without_the_service(self):
+        proc = _python(
+            "import sys\n"
+            "import repro, repro.experiments\n"
+            "print('repro.service' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

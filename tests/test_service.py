@@ -436,7 +436,7 @@ class TestMultiWorkerService:
             svc.close()
 
     def test_worker_crash_fails_only_its_job(self, tmp_path, monkeypatch):
-        import repro.service.scheduler as scheduler_mod
+        import repro.exec.scheduler as scheduler_mod
 
         monkeypatch.setattr(
             scheduler_mod, "execute_launch", _crashing_execute_launch

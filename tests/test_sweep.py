@@ -5,6 +5,8 @@ path, and the report/CLI surface."""
 import multiprocessing
 import os
 import typing
+from concurrent.futures import Future
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,6 +15,8 @@ from repro.config import SimulationConfig
 from repro.engine import run_simulation
 from repro.engine.batched import BatchedTimedResult
 from repro.errors import ExperimentError
+from repro.exec import launch_cost
+from repro.exec.scheduler import BatchScheduler
 from repro.experiments import (
     AGENT_INCREMENT,
     SweepPoint,
@@ -23,6 +27,27 @@ from repro.experiments import (
     sweep_grid,
 )
 from repro.io import read_json_record, read_text_table
+
+
+@pytest.fixture
+def launched(monkeypatch):
+    """Every LaunchWork the scheduler runs inline, in run order."""
+    import repro.exec.scheduler as scheduler_mod
+
+    works = []
+    real = scheduler_mod.execute_launch
+
+    def record(work):
+        works.append(work)
+        return real(work)
+
+    monkeypatch.setattr(scheduler_mod, "execute_launch", record)
+    return works
+
+
+def _seeds(points, batch):
+    """The seeds of a planned batch's lanes, in lane order."""
+    return tuple(points[i].seed for i in batch.indices)
 
 
 class TestGridExpansion:
@@ -54,18 +79,19 @@ class TestPlanning:
         points = sweep_grid((1,), (0, 1, 2), models=("lem",), scale="tiny")
         units = runner.plan(points)
         assert len(units) == 1
-        assert units[0].batched and units[0].seeds == (0, 1, 2)
+        assert units[0].batched and _seeds(points, units[0]) == (0, 1, 2)
 
     def test_lane_cap_chunks_seeds(self):
         runner = SweepRunner(max_lanes=2)
-        units = runner.plan(sweep_grid((1,), (0, 1, 2, 3, 4), scale="tiny"))
-        assert [u.seeds for u in units] == [(0, 1), (2, 3), (4,)]
+        points = sweep_grid((1,), (0, 1, 2, 3, 4), scale="tiny")
+        units = runner.plan(points)
+        assert [_seeds(points, u) for u in units] == [(0, 1), (2, 3), (4,)]
         assert [u.batched for u in units] == [True, True, False]
 
     def test_max_lanes_one_disables_batching(self):
         runner = SweepRunner(max_lanes=1)
         units = runner.plan(sweep_grid((1,), (0, 1, 2), scale="tiny"))
-        assert all(not u.batched and len(u.seeds) == 1 for u in units)
+        assert all(not u.batched and u.n_lanes == 1 for u in units)
 
     def test_sequential_engine_never_batches(self):
         runner = SweepRunner(max_lanes=8)
@@ -86,7 +112,7 @@ class TestPlanning:
         seeds = (0, 1, 0, 2, 1)
         points = [SweepPoint(1, scale="tiny", seed=s) for s in seeds]
         units = runner.plan(points)
-        assert [(u.seeds, u.batched) for u in units] == [
+        assert [(_seeds(points, u), u.batched) for u in units] == [
             ((0, 1, 2), True),
             ((0,), False),
             ((1,), False),
@@ -101,9 +127,9 @@ class TestPlanning:
         units = runner.plan(points)
         covered = sorted(i for u in units for i in u.indices)
         assert covered == list(range(len(points)))
-        for unit in units:
-            for idx, seed in zip(unit.indices, unit.seeds):
-                assert points[idx].seed == seed
+        # Batches follow request order: lanes of scenario 1, then 2.
+        assert [_seeds(points, u) for u in units] == [(0, 1), (0, 1)]
+        assert [u.indices for u in units] == [(0, 1), (2, 3)]
 
     def test_invalid_parameters(self):
         with pytest.raises(ExperimentError):
@@ -150,9 +176,9 @@ class TestPaddedPacking:
         units = runner.plan(points)
         assert len(units) == 1
         unit = units[0]
-        assert unit.batched and unit.points is not None
+        assert unit.batched and unit.mixed
         # Packed largest-population-first.
-        assert [p.scenario_index for p in unit.points] == [4, 3, 2]
+        assert [points[i].scenario_index for i in unit.indices] == [4, 3, 2]
         assert sorted(unit.indices) == [0, 1, 2]
 
     def test_waste_bound_splits_batches(self):
@@ -161,13 +187,13 @@ class TestPaddedPacking:
         runner = SweepRunner(max_lanes=8, pad_lanes=True, max_pad_waste=0.3)
         points = sweep_grid((1, 2, 3, 4), (0,), models=("lem",), scale="tiny")
         units = runner.plan(points)
-        assert [tuple(p.scenario_index for p in (u.points or (u.point,)))
+        assert [tuple(points[i].scenario_index for i in u.indices)
                 for u in units] == [(4, 3, 2), (1,)]
         assert not units[1].batched
         # A zero waste bound only fuses identically-sized lanes.
         strict = SweepRunner(max_lanes=8, pad_lanes=True, max_pad_waste=0.0)
         assert all(
-            u.points is None for u in strict.plan(points)
+            not u.mixed for u in strict.plan(points)
         )
 
     def test_same_key_chunks_still_batch_under_pad_mode(self):
@@ -175,7 +201,7 @@ class TestPaddedPacking:
         points = sweep_grid((1,), (0, 1, 2), models=("lem",), scale="tiny")
         units = runner.plan(points)
         assert len(units) == 1
-        assert units[0].batched and units[0].points is None
+        assert units[0].batched and not units[0].mixed
 
     def test_padded_records_match_solo_runs(self):
         points = sweep_grid((1, 2, 3, 4), (0, 1), models=("lem", "aco"),
@@ -357,12 +383,12 @@ class TestDerivedPadWaste:
         runner = SweepRunner(max_lanes=8, pad_lanes=True)
         points = sweep_grid((1, 2, 3, 4), (0,), models=("lem",), scale="tiny")
         units = runner.plan(points)
-        assert len(units) == 1 and units[0].points is not None
+        assert len(units) == 1 and units[0].mixed
 
     def test_explicit_bound_still_wins(self):
         runner = SweepRunner(max_lanes=8, pad_lanes=True, max_pad_waste=0.0)
         points = sweep_grid((1, 2), (0,), models=("lem",), scale="tiny")
-        assert all(u.points is None for u in runner.plan(points))
+        assert all(not u.mixed for u in runner.plan(points))
 
     def test_cli_pad_waste_override(self, capsys):
         assert main(["sweep", "--scenarios", "1-3", "--seeds", "1",
@@ -375,42 +401,70 @@ class TestDerivedPadWaste:
             SweepRunner(max_pad_waste=1.0)
 
 
+class _RecordingExecutor:
+    """Stands in for an ExecutorPool: runs each launch at submit time and
+    records the order launches were submitted in."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, work, cost, priority, owner):
+        self.submitted.append(work)
+        future = Future()
+        future.set_result(fn(work))
+        return future
+
+    def peak_busy_for(self, owner):
+        return 1
+
+
+@dataclass(frozen=True)
+class _PriorityJob:
+    config: SimulationConfig
+    engine: str = "vectorized"
+    priority: int = 0
+
+
 class TestPaddingAwarePoolScheduling:
     """Pool dispatch orders units by real agent-steps (LPT), not lane count."""
 
-    def _unit_cost(self, unit):
-        from repro.exec import launch_cost
-        from repro.experiments.sweep import _unit_lanes, _unit_work
-
-        _, configs = _unit_lanes(unit)
-        return launch_cost(_unit_work(unit, configs))
-
-    def test_unit_cost_counts_real_agents_not_lanes(self):
+    def test_unit_cost_counts_real_agents_not_lanes(self, launched):
         runner = SweepRunner(max_lanes=8, pad_lanes=True)
         points = sweep_grid((1, 2, 3, 4), (0,), models=("lem",), scale="tiny")
         units = runner.plan(points)
-        for unit in units:
-            lane_points = unit.points or tuple(
-                unit.point for _ in unit.seeds
-            )
+        runner.run(points)
+        assert len(launched) == len(units)
+        for unit, work in zip(units, launched):
+            lane_points = [points[i] for i in unit.indices]
             expected = sum(
                 p.config().total_agents * p.config().steps for p in lane_points
             )
-            assert self._unit_cost(unit) == expected
+            assert launch_cost(work) == expected
 
     def test_heaviest_unit_dispatches_first(self):
-        # Many seeds of the smallest scenario vs one seed of the largest:
-        # lane count would rank the small batch first, real agent count
-        # must rank the big scenario first.
-        points = sweep_grid((8,), (0,), models=("lem",), scale="tiny")
-        points += sweep_grid((1,), (0, 1, 2, 3), models=("lem",), scale="tiny")
-        runner = SweepRunner(max_lanes=4)
-        units = runner.plan(points)
-        costs = [self._unit_cost(u) for u in units]
-        lanes = [len(u.seeds) for u in units]
-        order = sorted(range(len(units)), key=lambda i: (-costs[i], i))
-        assert lanes[order[0]] == 1  # the single-seed big-scenario unit
-        assert costs[order[0]] == max(costs)
+        # Submission order is priority first, then real agent-steps, then
+        # plan order. Four seeds of the 6-agent scenario 1 form the
+        # widest launch, but one seed of the 50-agent scenario 8 is
+        # heavier; a light priority-1 run goes ahead of both; and two
+        # equal-cost solo runs keep their plan order.
+        small = SweepPoint(1, scale="tiny", steps=5).config()
+        big = SweepPoint(8, scale="tiny", steps=5).config()
+        jobs = [_PriorityJob(small.replace(seed=s)) for s in range(4)]
+        jobs.append(_PriorityJob(big))
+        jobs.append(_PriorityJob(small.replace(seed=9), engine="sequential"))
+        jobs.append(_PriorityJob(small.replace(seed=8), engine="sequential"))
+        jobs.append(_PriorityJob(small.replace(steps=3), priority=1))
+        executor = _RecordingExecutor()
+        scheduler = BatchScheduler(max_lanes=4, pad_lanes=False, executor=executor)
+        outcomes, stats = scheduler.execute(jobs)
+
+        assert stats.engine_launches == 5
+        assert all(o.error is None for o in outcomes)
+        index = {job.config: i for i, job in enumerate(jobs)}
+        submitted = [
+            tuple(index[c] for c in work.configs) for work in executor.submitted
+        ]
+        assert submitted == [(7,), (4,), (0, 1, 2, 3), (5,), (6,)]
 
     def test_pool_path_matches_inline_records(self):
         points = sweep_grid((1, 2, 3, 4), (0, 1), models=("lem",), scale="tiny")
@@ -423,14 +477,12 @@ class TestPaddingAwarePoolScheduling:
 class TestSweepBackendSelection:
     """SweepRunner(backend=...) threads the array backend to every lane."""
 
-    def test_backend_applied_to_unit_configs(self):
-        from repro.experiments.sweep import _unit_lanes
-
+    def test_backend_applied_to_unit_configs(self, launched):
         runner = SweepRunner(max_lanes=4, backend="numpy")
         points = sweep_grid((1,), (0, 1), models=("lem",), scale="tiny")
-        units = runner.plan(points)
-        assert all(u.backend == "numpy" for u in units)
-        _, configs = _unit_lanes(units[0])
+        runner.run(points)
+        assert len(launched) == 1
+        configs = launched[0].configs
         assert all(cfg.backend == "numpy" for cfg in configs)
 
     @pytest.fixture
@@ -465,3 +517,36 @@ class TestSweepBackendSelection:
         capsys.readouterr()
         assert main(["sweep", "--smoke", "--backend", "cupy"]) == 2
         assert "cupy" in capsys.readouterr().out
+
+
+class TestFailedLaunch:
+    """A launch that raises fails the sweep with the point it carried."""
+
+    @pytest.fixture
+    def scenario_2_fails(self, monkeypatch):
+        import repro.exec.scheduler as scheduler_mod
+
+        doomed = SweepPoint(2, scale="tiny").config().total_agents
+        real = scheduler_mod.execute_launch
+
+        def launch(work):
+            if any(c.total_agents == doomed for c in work.configs):
+                raise RuntimeError("engine blew up")
+            return real(work)
+
+        monkeypatch.setattr(scheduler_mod, "execute_launch", launch)
+
+    def test_run_raises_naming_the_point(self, scenario_2_fails):
+        points = sweep_grid((1, 2), (0,), models=("lem",), scale="tiny")
+        with pytest.raises(ExperimentError) as info:
+            SweepRunner(max_lanes=2).run(points)
+        message = str(info.value)
+        assert "scenario_index=2" in message
+        assert "engine blew up" in message
+
+    def test_cli_exits_2(self, scenario_2_fails, capsys):
+        assert main(["sweep", "--scenarios", "1-2", "--seeds", "1",
+                     "--models", "lem", "--scale", "tiny"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert "scenario_index=2" in out and "engine blew up" in out

@@ -39,7 +39,7 @@ from repro.service import (
     submit_jobs,
     wait_for_jobs,
 )
-import repro.service.scheduler as scheduler_mod
+import repro.exec.scheduler as scheduler_mod
 
 
 def _cfg(seed=0, n_per_side=16, steps=30, **kw):
@@ -563,3 +563,52 @@ class TestCliTrace:
         assert code == 0
         out = capsys.readouterr().out
         assert "engine.run" in out and "warm_backend" in out
+
+    def test_sweep_trace_tree(self, monkeypatch, capsys):
+        """``repro sweep --trace``: one plan span, one launch span per launch."""
+        import repro.obs
+        from repro.experiments import SweepRunner, sweep_grid
+
+        tracers = []
+
+        class RecordingTracer(Tracer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tracers.append(self)
+
+        monkeypatch.setattr(repro.obs, "Tracer", RecordingTracer)
+        points = sweep_grid((1, 2), (0, 1), models=("lem",), scale="tiny")
+        launches = len(SweepRunner(max_lanes=2).plan(points))
+        assert launches == 2
+        assert cli_main([
+            "sweep", "--scenarios", "1-2", "--seeds", "2", "--models", "lem",
+            "--scale", "tiny", "--lanes", "2", "--trace",
+        ]) == 0
+        assert "launch" in capsys.readouterr().out
+
+        (tracer,) = tracers
+        spans = tracer.wire()
+
+        def children(span_id):
+            return [s for s in spans if s["parent_id"] == span_id]
+
+        def descendant_names(span_id):
+            names = set()
+            for child in children(span_id):
+                names |= {child["name"]} | descendant_names(child["span_id"])
+            return names
+
+        roots = [s for s in spans if s["parent_id"] is None]
+        assert [r["name"] for r in roots] == ["sweep"]
+        assert roots[0]["attrs"]["runs"] == len(points)
+        top = children(roots[0]["span_id"])
+        plans = [s for s in top if s["name"] == "plan"]
+        assert len(plans) == 1
+        assert plans[0]["attrs"]["launches"] == launches
+        launch_spans = [s for s in top if s["name"] == "launch"]
+        assert len(launch_spans) == launches
+        assert len(top) == 1 + launches
+        for launch in launch_spans:
+            assert descendant_names(launch["span_id"]) >= {
+                "dispatch", "warm_backend", "engine.run", "to_host",
+            }
