@@ -69,6 +69,7 @@ import numpy as np
 
 from ..agents.population import Population
 from ..backend import resolve_backend
+from ..backend.heap import pin_heap_thresholds
 from ..backend.profiling import ProfilingBackend
 from ..config import SimulationConfig
 from ..errors import EngineError
@@ -189,6 +190,7 @@ class BatchedEngine:
         config: Union[SimulationConfig, Sequence[SimulationConfig]],
         seeds: Sequence[int],
     ) -> None:
+        pin_heap_thresholds()
         seeds = tuple(int(s) for s in seeds)
         if not seeds:
             raise EngineError("BatchedEngine needs at least one seed")

@@ -24,7 +24,8 @@ This module replaces both with a single long-lived executor that
   submission order (the sweep) or as they complete (the service tick).
 
 Workers are started lazily on the first submission, so constructing a
-pool (or a ``workers=N`` service that never sees a burst) costs nothing.
+pool (or a ``workers=N`` service that never sees a burst) costs nothing;
+:meth:`ExecutorPool.start` starts them up front.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ def _worker_main(task_q, result_q, initializer, initargs) -> None:
                 )
             )
         result_q.put(blob)
+
+
+def _noop() -> None:
+    """The task :meth:`ExecutorPool.start` sends each worker."""
 
 
 @dataclass
@@ -209,6 +214,18 @@ class ExecutorPool:
         process.start()
         self._workers[worker_id] = _Worker(worker_id, process, task_q)
         self._idle.append(worker_id)
+
+    def start(self, timeout: float = 60.0) -> None:
+        """Spawn the workers now and wait until each has run its initializer.
+
+        Workers otherwise spawn on the first :meth:`submit`, so a caller
+        that times its first launches would book process start-up to
+        them. One no-op task per worker returns only once that worker is
+        up; a worker that dies starting raises here as a submission would.
+        """
+        futures = [self.submit(_noop) for _ in range(self.workers)]
+        for future in futures:
+            future.result(timeout=timeout)
 
     def __enter__(self) -> "ExecutorPool":
         return self

@@ -240,8 +240,9 @@ class SweepRunner:
         out with a :class:`~repro.obs.TraceSpec`; the scheduler's
         ``plan`` span and one ``launch`` span per launch, holding the
         worker-recorded phase spans, are adopted into the trace (the
-        machinery behind ``repro sweep --trace``). Trajectories are
-        unchanged.
+        machinery behind ``repro sweep --trace``); a transient pool's
+        worker start-up is its own ``pool.start`` span, ahead of the
+        plan. Trajectories are unchanged.
     record_timeline:
         Forwarded to the engines; sweeps usually only need totals.
     pad_lanes:
@@ -325,13 +326,27 @@ class SweepRunner:
         records: List[Optional[RunRecord]] = [None] * len(points)
         pool = self.executor
         transient: Optional[ExecutorPool] = None
-        if pool is None and self.processes > 1:
+        # The scheduler runs a lone launch inline, so a one-launch grid
+        # starts no workers.
+        if pool is None and self.processes > 1 and len(self._scheduler().plan(jobs)) > 1:
             # Workers pre-resolve the backend so the first launch is not
-            # the one paying its construction; they spawn on first submit.
+            # the one paying its construction.
             transient = pool = ExecutorPool(
                 self.processes, initializer=warm_backend, initargs=(self.backend,)
             )
         try:
+            if transient is not None:
+                # Start the workers before the first batch is lowered, so
+                # a launch's dispatch span times its queueing, not spawns.
+                started, t0 = time.time(), time.perf_counter()
+                transient.start()
+                if self.tracer is not None:
+                    self.tracer.add(
+                        "pool.start",
+                        start_unix=started,
+                        duration_s=time.perf_counter() - t0,
+                        workers=self.processes,
+                    )
             launches = self._scheduler(pool).execute_iter(jobs, SchedulerStats())
             for n, (batch, outcomes) in enumerate(launches):
                 for i, outcome in zip(batch.indices, outcomes):

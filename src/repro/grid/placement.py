@@ -40,29 +40,37 @@ def _choose_cells(
     n: int,
     blocked=None,
 ) -> np.ndarray:
-    """Pick ``n`` distinct free band cells, returned in row-major order.
+    """Pick ``n`` distinct free band cells as ascending row-major flat ids.
 
-    Each band cell draws one keyed uniform; the ``n`` smallest draws win.
-    This is order-independent (no sequential shuffle state) and unbiased.
-    ``blocked`` is an optional (H, W) bool mask of unavailable cells
-    (obstacles).
+    Each band cell draws one keyed uniform (its lane is its flat id); the
+    ``n`` smallest draws win, ties at the threshold going to the cells
+    first in row-major order. This is order-independent (no sequential
+    shuffle state) and unbiased. ``blocked`` is an optional (H, W) bool
+    mask of unavailable cells (obstacles).
+
+    The winners are found by threshold, in linear time: ``np.partition``
+    gives the ``n``-th smallest draw, every draw below it wins, and so do
+    the first draws equal to it in band order until ``n`` are chosen —
+    the set a stable sort's first ``n`` would give.
     """
-    cells = band_cells(height, width, group, band)
+    lo, hi = Group(group).start_row_range(height, band)
+    cells = np.arange(lo * width, hi * width, dtype=np.int64)
     if blocked is not None:
-        free = ~np.asarray(blocked, dtype=bool)[cells[:, 0], cells[:, 1]]
+        free = ~np.asarray(blocked, dtype=bool).reshape(-1)[lo * width : hi * width]
         cells = cells[free]
-    if n > len(cells):
+    if n > cells.size:
         raise PlacementError(
             f"cannot place {n} agents of group {group} in a band of "
-            f"{len(cells)} free cells"
+            f"{cells.size} free cells"
         )
-    lanes = cells[:, 0].astype(np.uint64) * np.uint64(width) + cells[:, 1].astype(
-        np.uint64
-    )
-    u = rng.uniform(Stream.PLACEMENT, step=int(group), lane=lanes)
-    order = np.argsort(u, kind="stable")[:n]
-    chosen = cells[np.sort(order)]
-    return chosen
+    if n == 0:
+        return cells[:0]
+    u = rng.uniform(Stream.PLACEMENT, step=int(group), lane=cells)
+    threshold = np.partition(u, n - 1)[n - 1]
+    keep = u < threshold
+    ties = np.flatnonzero(u == threshold)
+    keep[ties[: n - np.count_nonzero(keep)]] = True
+    return cells[keep]
 
 
 def place_groups(
@@ -82,17 +90,15 @@ def place_groups(
     env = Environment(height, width)
     if obstacles is not None:
         env.add_obstacles(obstacles)
+    mat = env.mat.reshape(-1)
+    index = env.index.reshape(-1)
     next_index = 1
     for group in (Group.TOP, Group.BOTTOM):
         chosen = _choose_cells(
             rng, height, width, group, band, n_per_side, blocked=obstacles
         )
-        rows = chosen[:, 0]
-        cols = chosen[:, 1]
-        env.mat[rows, cols] = int(group)
-        env.index[rows, cols] = np.arange(
-            next_index, next_index + n_per_side, dtype=np.int32
-        )
+        mat[chosen] = int(group)
+        index[chosen] = np.arange(next_index, next_index + n_per_side, dtype=np.int32)
         next_index += n_per_side
     env.validate()
     return env

@@ -55,6 +55,11 @@ def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _touch_pid_file(directory):
+    """Initializer that leaves one file per started worker."""
+    open(os.path.join(directory, str(os.getpid())), "w").close()
+
+
 def _cfg(seed=0, n_per_side=16, steps=40, **kw):
     kw.setdefault("height", 24)
     kw.setdefault("width", 24)
@@ -85,6 +90,24 @@ class TestPoolBasics:
             assert not p.started
             p.submit(_double, 1).result(timeout=60)
             assert p.started
+        finally:
+            p.close()
+
+    def test_start_waits_for_every_initializer(self, tmp_path):
+        p = ExecutorPool(2, initializer=_touch_pid_file, initargs=(str(tmp_path),))
+        try:
+            p.start()
+            assert p.started
+            assert len(os.listdir(tmp_path)) == 2
+            assert p.submit(_double, 4).result(timeout=60) == 8
+        finally:
+            p.close()
+
+    def test_start_raises_when_workers_die_starting(self):
+        p = ExecutorPool(1, initializer=_raise_value_error, initargs=("dead",))
+        try:
+            with pytest.raises(WorkerCrashError):
+                p.start(timeout=120)
         finally:
             p.close()
 

@@ -8,12 +8,40 @@ from hypothesis import strategies as st
 from repro.agents import Population
 from repro.config import SimulationConfig, paper_config
 from repro.engine.base import place_config
+from repro.engine.simulation import build_engine
 from repro.errors import ConfigurationError, PlacementError
 from repro.experiments import FIG6A_SCENARIOS
 from repro.experiments.scenarios import scenario_spec
 from repro.grid import band_cells, place_groups
-from repro.rng import PhiloxKeyedRNG
+from repro.grid.placement import _choose_cells
+from repro.io import engine_state_digest
+from repro.rng import PhiloxKeyedRNG, Stream
 from repro.types import Group
+
+
+def _stable_argsort_choice(rng, height, width, group, band, n, blocked=None):
+    """Reference selection: a stable argsort of the band's draws, first
+    ``n``, as flat row-major cell ids in ascending order."""
+    cells = band_cells(height, width, group, band)
+    if blocked is not None:
+        cells = cells[~blocked[cells[:, 0], cells[:, 1]]]
+    flat = cells[:, 0] * width + cells[:, 1]
+    u = rng.uniform(Stream.PLACEMENT, step=int(group), lane=flat)
+    return flat[np.sort(np.argsort(u, kind="stable")[:n])]
+
+
+class _TiedRNG:
+    """Stub RNG whose placement uniforms take only ``levels`` values, so
+    the threshold draw ties with many others."""
+
+    def __init__(self, levels: int, salt: int) -> None:
+        self.levels = levels
+        self.salt = salt
+
+    def uniform(self, stream, step, lane):
+        lane = np.asarray(lane, dtype=np.uint64)
+        mixed = (lane + np.uint64(self.salt)) * np.uint64(2654435761)
+        return ((mixed >> np.uint64(7)) % np.uint64(self.levels) + 0.5) / self.levels
 
 
 class TestBandCells:
@@ -128,3 +156,67 @@ class TestNoAgentStartsCrossed:
         assert top_hi - 1 < height - cfg.cross_rows
         assert bottom_lo >= cfg.cross_rows
 
+
+class TestThresholdSelection:
+    """``_choose_cells`` picks the same cells as a stable argsort."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        height=st.integers(2, 24),
+        width=st.integers(1, 24),
+        band_frac=st.floats(0.0, 1.0),
+        n_frac=st.floats(0.0, 1.0),
+        blocked_p=st.sampled_from([0.0, 0.2, 0.6]),
+        levels=st.none() | st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_stable_argsort(
+        self, height, width, band_frac, n_frac, blocked_p, levels, seed
+    ):
+        band = 1 + int(band_frac * (height - 1))
+        gen = np.random.default_rng(seed)
+        blocked = gen.random((height, width)) < blocked_p if blocked_p else None
+        rng = PhiloxKeyedRNG(seed) if levels is None else _TiedRNG(levels, seed)
+        for group in (Group.TOP, Group.BOTTOM):
+            lo, hi = group.start_row_range(height, band)
+            free = (hi - lo) * width
+            if blocked is not None:
+                free -= int(blocked[lo:hi].sum())
+            n = int(round(n_frac * free))
+            got = _choose_cells(rng, height, width, group, band, n, blocked)
+            want = _stable_argsort_choice(rng, height, width, group, band, n, blocked)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_every_n_under_heavy_ties(self, levels):
+        rng = _TiedRNG(levels, salt=5)
+        blocked = np.zeros((9, 7), dtype=bool)
+        blocked[1, 2] = blocked[2, 5] = True
+        for n in range(0, 3 * 7 - 2 + 1):
+            got = _choose_cells(rng, 9, 7, Group.TOP, 3, n, blocked)
+            want = _stable_argsort_choice(rng, 9, 7, Group.TOP, 3, n, blocked)
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_agents_chooses_nothing(self, rng):
+        got = _choose_cells(rng, 10, 6, Group.BOTTOM, 2, 0)
+        assert got.shape == (0,)
+
+
+class TestPaperScalePlacementDigests:
+    """Engine state right after construction on the paper's 480x480 grid.
+
+    Digests were captured with the stable-argsort placement. Seed 38 (LEM)
+    and seeds 11 and 24 (ACO) each draw two equal uniforms in a band.
+    """
+
+    PINNED = {
+        (2560, "lem", 1): "214b104db697b136",
+        (2560, "lem", 38): "d1dc9a80ef6cf1d4",
+        (51200, "aco", 11): "73d4408cf6bc0c90",
+        (51200, "aco", 24): "61991651c09a2acd",
+    }
+
+    @pytest.mark.parametrize(("agents", "model", "seed"), sorted(PINNED))
+    def test_constructed_state_digest(self, agents, model, seed):
+        engine = build_engine(paper_config(agents, model, seed=seed))
+        assert engine_state_digest(engine) == self.PINNED[(agents, model, seed)]
