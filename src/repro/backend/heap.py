@@ -11,8 +11,15 @@ where the engine's own arrays happen to sit in the heap. Fixing both
 thresholds at the ceiling the dynamic rule can reach (32 MiB mmap,
 64 MiB trim) makes reuse of the scratch the rule instead of luck.
 
-The setting is process-wide and made once, by the first engine built.
-It is a no-op off glibc.
+The setting is process-wide and made once, by the first engine built,
+so every process that builds one inherits it for the rest of its life:
+``repro run``, ``repro serve``, pool workers, and any program that
+builds an engine through the library. In such a process, blocks up to
+32 MiB come from the heap, and each malloc arena may keep up to 64 MiB
+free at its top instead of returning it. glibc's own rule reaches the
+same values once any 32 MiB block has been freed, so this fixes the
+state a long-running process can drift into anyway. It is a no-op off
+glibc.
 """
 
 from __future__ import annotations

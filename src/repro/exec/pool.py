@@ -215,7 +215,7 @@ class ExecutorPool:
         self._workers[worker_id] = _Worker(worker_id, process, task_q)
         self._idle.append(worker_id)
 
-    def start(self, timeout: float = 60.0) -> None:
+    def start(self) -> None:
         """Spawn the workers now and wait until each has run its initializer.
 
         Workers otherwise spawn on the first :meth:`submit`, so a caller
@@ -225,7 +225,7 @@ class ExecutorPool:
         """
         futures = [self.submit(_noop) for _ in range(self.workers)]
         for future in futures:
-            future.result(timeout=timeout)
+            future.result()
 
     def __enter__(self) -> "ExecutorPool":
         return self

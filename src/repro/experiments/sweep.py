@@ -326,9 +326,7 @@ class SweepRunner:
         records: List[Optional[RunRecord]] = [None] * len(points)
         pool = self.executor
         transient: Optional[ExecutorPool] = None
-        # The scheduler runs a lone launch inline, so a one-launch grid
-        # starts no workers.
-        if pool is None and self.processes > 1 and len(self._scheduler().plan(jobs)) > 1:
+        if pool is None and self.processes > 1:
             # Workers pre-resolve the backend so the first launch is not
             # the one paying its construction.
             transient = pool = ExecutorPool(

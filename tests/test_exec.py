@@ -107,7 +107,7 @@ class TestPoolBasics:
         p = ExecutorPool(1, initializer=_raise_value_error, initargs=("dead",))
         try:
             with pytest.raises(WorkerCrashError):
-                p.start(timeout=120)
+                p.start()
         finally:
             p.close()
 

@@ -564,35 +564,27 @@ class TestCliTrace:
         out = capsys.readouterr().out
         assert "engine.run" in out and "warm_backend" in out
 
-    def test_pooled_sweep_traces_worker_start_apart(self):
+    @pytest.mark.parametrize("models", [("lem", "aco"), ("lem",)])
+    def test_pooled_sweep_traces_worker_start_apart(self, models):
         """A transient pool's start-up is its own span, ahead of the plan,
-        so no launch's ``dispatch`` span holds a worker spawn."""
+        so no launch's ``dispatch`` span holds a worker spawn. A one-launch
+        grid (run inline) still starts the pool."""
         from repro.experiments import SweepRunner, sweep_grid
 
-        points = sweep_grid((1,), (0, 1), models=("lem", "aco"), scale="tiny")
+        points = sweep_grid((1,), (0, 1), models=models, scale="tiny")
         tracer = Tracer()
+        runner = SweepRunner(max_lanes=2, processes=2, tracer=tracer)
+        launches = len(runner.plan(points))
+        assert launches == len(models)
         with tracer.span("sweep"):
-            SweepRunner(max_lanes=2, processes=2, tracer=tracer).run(points)
+            runner.run(points)
         spans = tracer.wire()
         (root,) = [s for s in spans if s["parent_id"] is None]
         top = [s for s in spans if s["parent_id"] == root["span_id"]]
         names = [s["name"] for s in top]
-        assert names[:2] == ["pool.start", "plan"]
-        assert names[2:] == ["launch"] * (len(top) - 2)
+        assert names == ["pool.start", "plan"] + ["launch"] * launches
         assert top[0]["attrs"]["workers"] == 2
         assert top[0]["duration_s"] > 0
-
-    def test_one_launch_sweep_starts_no_pool(self):
-        """The scheduler runs a lone launch inline, so no workers start."""
-        from repro.experiments import SweepRunner, sweep_grid
-
-        points = sweep_grid((1,), (0, 1), models=("lem",), scale="tiny")
-        tracer = Tracer()
-        runner = SweepRunner(max_lanes=2, processes=2, tracer=tracer)
-        assert len(runner.plan(points)) == 1
-        with tracer.span("sweep"):
-            runner.run(points)
-        assert "pool.start" not in {s["name"] for s in tracer.wire()}
 
     def test_sweep_trace_tree(self, monkeypatch, capsys):
         """``repro sweep --trace``: one plan span, one launch span per launch."""
