@@ -5,12 +5,11 @@ Public surface:
 * :func:`resolve_backend` — name -> :class:`ArrayBackend` (the entry
   point every engine/model/RNG constructor funnels through),
 * :func:`available_backends` / :func:`registered_backends` — discovery,
-* :func:`register_backend` — extension hook (used by the mocked-CuPy
-  tests and open to third-party array namespaces),
+* :func:`register_backend` — extension hook for other array namespaces,
 * :class:`ArrayBackend` / :class:`BackendCapabilities` — the protocol,
-* :class:`NumpyBackend` (always available) and :class:`CupyBackend`
-  (import-guarded; resolving it without CuPy installed raises
-  :class:`~repro.errors.BackendUnavailableError`).
+* :class:`NumpyBackend` — the one built-in backend,
+* :class:`ProfilingBackend` — the dispatch-counting wrapper that
+  ``"profile"`` / ``"profile:<name>"`` resolve to.
 """
 
 from .core import (
@@ -22,7 +21,6 @@ from .core import (
     registered_backends,
     resolve_backend,
 )
-from .cupy_backend import CupyBackend, make_cupy_backend
 from .numpy_backend import NumpyBackend
 from .profiling import (
     NON_ALLOC_OPS,
@@ -34,17 +32,14 @@ from .profiling import (
 )
 
 # replace=True keeps the package body idempotent (importlib.reload, or the
-# package reached under two sys.path spellings, re-runs these lines).
+# package reached under two sys.path spellings, re-runs this line).
 register_backend("numpy", NumpyBackend, replace=True)
-register_backend("cupy", make_cupy_backend, replace=True)
 
 __all__ = [
     "ArrayBackend",
     "BackendCapabilities",
     "NON_ALLOC_OPS",
     "NumpyBackend",
-    "CupyBackend",
-    "make_cupy_backend",
     "DispatchCounts",
     "DispatchProfile",
     "PROFILE_PREFIX",

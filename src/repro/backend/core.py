@@ -4,31 +4,28 @@ Every compute module in :mod:`repro` routes its array math through an
 :class:`ArrayBackend` instead of the module-level ``numpy`` namespace. A
 backend bundles three things:
 
-* ``xp`` — the array namespace (``numpy`` or ``cupy``): ``asarray``,
-  ``zeros``, ``full``, ``arange``, ``where``, ``nonzero``, ``argsort``,
-  ``cumsum``, ``concatenate`` and friends. The whole-array kernels call
-  only functions that exist with identical semantics in both namespaces,
-  so the *same* engine code runs unchanged on either device;
+* ``xp`` — the array namespace: ``asarray``, ``zeros``, ``full``,
+  ``arange``, ``where``, ``nonzero``, ``argsort``, ``cumsum``,
+  ``concatenate`` and friends;
 * device transfer — :meth:`ArrayBackend.from_host` moves a host array
   onto the backend's device and :meth:`ArrayBackend.to_host` brings
   results back (both are identity for NumPy, so the CPU path stays
   zero-copy). Engines call these only at setup and recording boundaries;
-* the few operations whose spelling differs per namespace, e.g.
-  :meth:`ArrayBackend.scatter_add` (``np.add.at`` vs
-  ``cupyx.scatter_add``).
+* the few operations a namespace may spell differently, e.g.
+  :meth:`ArrayBackend.scatter_add` (``np.add.at`` on NumPy).
 
-Backends are looked up by name through :func:`resolve_backend`; the NumPy
-backend is always available, the CuPy backend registers itself lazily and
-raises :class:`~repro.errors.BackendUnavailableError` with an actionable
-message when ``cupy`` is not installed.
+The protocol is what :class:`~repro.backend.profiling.ProfilingBackend`
+counts: every ``xp`` call is one dispatch, every transfer one transfer,
+which is how ``tests/test_dispatch_budget.py`` prices a step. Backends
+are looked up by name through :func:`resolve_backend`; NumPy is the one
+built-in backend, and :func:`register_backend` is the public hook for
+any other array namespace. Unknown names raise
+:class:`~repro.errors.BackendUnavailableError`.
 
 Bit-identity note: with ``backend="numpy"`` every ``xp.*`` call *is* the
 corresponding ``numpy`` call, so the dispatch layer cannot perturb a
 single bit of the seed engines' trajectories — the property
-``tests/test_backend_parity.py`` pins against golden digests. The keyed
-Philox RNG is pure integer/bit arithmetic, so its words are identical on
-every backend; only transcendental-free float paths (which the decision
-kernels already guarantee) are exactly portable across devices.
+``tests/test_backend_parity.py`` pins against golden digests.
 """
 
 from __future__ import annotations
@@ -55,27 +52,14 @@ __all__ = [
 class BackendCapabilities:
     """Static capability record of an array backend."""
 
-    #: Registry name ("numpy", "cupy", ...).
+    #: Registry name ("numpy", "profile:numpy", ...).
     name: str
-    #: Import name of the array namespace module.
-    module: str
-    #: Device class the arrays live on: "cpu" or "cuda".
+    #: Device class the arrays live on: "cpu" or an accelerator ("cuda").
     device: str
-    #: Whether ``xp.add.at`` exists natively (NumPy) or scatter-add needs a
-    #: dedicated op (CuPy's ``cupyx.scatter_add``).
-    native_scatter_add: bool = True
-    #: float64 whole-array math is first-class (true for both NumPy and
-    #: CUDA CuPy). Engines refuse backends without it: the eq.1/eq.2
-    #: decision arithmetic needs exact double precision for bit-identity.
+    #: float64 whole-array math is first-class. Engines refuse backends
+    #: without it: the eq.1/eq.2 decision arithmetic needs exact double
+    #: precision for bit-identity.
     supports_float64: bool = True
-    #: Page-locked host staging buffers are available for device->host
-    #: copies (CuPy's ``cupyx.empty_pinned``); pinned staging lets the DMA
-    #: engine copy without a bounce buffer.
-    pinned_memory: bool = False
-    #: Device->host copies can be enqueued on a side stream and overlapped
-    #: (``arr.get(stream=...)``); implies :meth:`ArrayBackend.to_host_many`
-    #: batches its copies behind one fence instead of N.
-    supports_streams: bool = False
 
     @property
     def is_gpu(self) -> bool:
@@ -91,11 +75,9 @@ class ArrayBackend:
     semantics, so a pure-host backend only needs to assign ``xp``.
     """
 
-    #: The array namespace; every kernel reaches numpy/cupy through this.
+    #: The array namespace; every kernel reaches its array math through this.
     xp: ModuleType = np
-    capabilities: BackendCapabilities = BackendCapabilities(
-        name="base", module="numpy", device="cpu"
-    )
+    capabilities: BackendCapabilities = BackendCapabilities(name="base", device="cpu")
 
     @property
     def name(self) -> str:
@@ -112,17 +94,6 @@ class ArrayBackend:
     def to_host(self, arr) -> np.ndarray:
         """Bring a device array back to a host ``numpy.ndarray``."""
         return np.asarray(arr)
-
-    def to_host_many(self, arrays) -> List[np.ndarray]:
-        """Bring several device arrays back in one recording-boundary call.
-
-        The base implementation is a plain loop over :meth:`to_host`;
-        backends with ``capabilities.supports_streams`` override it to
-        enqueue all copies on one side stream into pinned staging buffers
-        and pay a single fence instead of one synchronizing copy per
-        array (the batched-timeline transfer in ``BatchedEngine.run``).
-        """
-        return [self.to_host(arr) for arr in arrays]
 
     # ------------------------------------------------------------------
     # Namespace-divergent operations
@@ -144,7 +115,7 @@ class ArrayBackend:
 # ----------------------------------------------------------------------
 
 #: Backend name -> zero-arg factory. Factories may raise
-#: BackendUnavailableError (e.g. CuPy without a GPU stack installed).
+#: BackendUnavailableError (e.g. a library the backend needs is missing).
 _FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {}
 
 #: Resolved-instance cache; only successful factory calls are cached.
@@ -160,8 +131,7 @@ def register_backend(
     """Register a backend factory under ``name``.
 
     ``replace=True`` swaps an existing registration (and drops its cached
-    instance) — the hook the mocked-CuPy tests use to inject a GPU-less
-    stand-in module.
+    instance).
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"backend name must be a non-empty string, got {name!r}")
@@ -197,8 +167,8 @@ def resolve_backend(
     """Resolve a backend name (or pass an instance through).
 
     ``None`` resolves the default NumPy backend. Unknown names and
-    registered-but-unavailable backends (CuPy without ``cupy`` installed)
-    raise :class:`~repro.errors.BackendUnavailableError`.
+    registered backends whose factory cannot build them raise
+    :class:`~repro.errors.BackendUnavailableError`.
     """
     if isinstance(spec, ArrayBackend):
         return spec

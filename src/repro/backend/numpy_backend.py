@@ -1,8 +1,10 @@
 """The host NumPy backend — the always-available CPU reference.
 
-``xp`` *is* the ``numpy`` module, so routing array math through this
-backend compiles down to exactly the calls the seed engines made: the
-NumPy dispatch path is bit-identical to pre-backend code by construction.
+``xp`` *is* the ``numpy`` module and the transfer hooks are the
+:class:`~repro.backend.core.ArrayBackend` defaults (``np.asarray``, so
+zero-copy), so routing array math through this backend compiles down to
+exactly the calls the seed engines made: the NumPy dispatch path is
+bit-identical to pre-backend code by construction.
 """
 
 from __future__ import annotations
@@ -18,22 +20,4 @@ class NumpyBackend(ArrayBackend):
     """Whole-array execution on host NumPy."""
 
     xp = np
-    capabilities = BackendCapabilities(
-        name="numpy",
-        module="numpy",
-        device="cpu",
-        native_scatter_add=True,
-        supports_float64=True,
-    )
-
-    def from_host(self, arr):
-        """Identity (zero-copy): host arrays already live here."""
-        return np.asarray(arr)
-
-    def to_host(self, arr) -> np.ndarray:
-        """Identity (zero-copy)."""
-        return np.asarray(arr)
-
-    def scatter_add(self, arr, index, values) -> None:
-        """``np.add.at`` — the unbuffered duplicate-safe scatter."""
-        np.add.at(arr, index, values)
+    capabilities = BackendCapabilities(name="numpy", device="cpu")

@@ -7,8 +7,8 @@ the dispatch level — reorganising *how many* kernels run per step
 matters more than the model math. On our array engines the analogue of
 a kernel launch is one call through the backend's ``xp`` namespace
 (``xp.where``, ``xp.nonzero``, a ufunc, ...): on NumPy each call pays
-interpreter + dispatch overhead, on CuPy each is at least one real
-kernel launch. :class:`ProfilingBackend` wraps any
+interpreter + dispatch overhead, and on a device namespace each would be
+at least one real kernel launch. :class:`ProfilingBackend` wraps any
 :class:`~repro.backend.ArrayBackend` and counts those dispatches, plus
 the host↔device transfers and synchronisation fences the engines issue,
 so "fewer launches per step" becomes a number the test suite can assert
@@ -30,17 +30,17 @@ What is (and is not) counted
   working;
 * :meth:`~ArrayBackend.scatter_add` and namespace-divergent ops count
   as one dispatch each (plus their own tag);
-* :meth:`~ArrayBackend.from_host` / :meth:`~ArrayBackend.to_host` /
-  :meth:`to_host_many` count as host↔device transfers, not ops;
+* :meth:`~ArrayBackend.from_host` / :meth:`~ArrayBackend.to_host`
+  count as host↔device transfers, not ops;
 * array *method* calls (``arr.fill``, ``arr.sum()``) and fancy-indexed
   assignments do not route through the namespace and are therefore not
   counted — the profile is a lower bound, but a stable one: the hot
-  paths reach numpy/cupy through ``xp`` by construction (PR 3), so the
+  paths reach the namespace through ``xp`` by construction, so the
   counted number tracks the real dispatch count closely enough to
   regression-guard it.
 
-Allocation accounting (PR 10)
------------------------------
+Allocation accounting
+---------------------
 
 Alongside raw dispatches, the tally classifies each counted call as an
 **allocation** unless it demonstrably reuses memory: a call that passes
@@ -49,10 +49,9 @@ a non-``None`` ``out=`` writes into an existing buffer, and the names in
 matching dtype — ``broadcast_to``, a view, and the in-place
 ``scatter_add``) never produce a fresh hot-path buffer. Everything else
 (``where``, ``nonzero``, ``empty``, ``full_like``, ...) allocates a new
-array per call, which on small grids is a large slice of per-step cost
-and on GPU backends is allocator traffic on the critical path. The
-``allocs`` counter makes "the step loop does not allocate" a measured,
-budget-guarded quantity exactly like ``ops`` (see
+array per call, which on small grids is a large slice of per-step cost.
+The ``allocs`` counter makes "the step loop does not allocate" a
+measured, budget-guarded quantity exactly like ``ops`` (see
 ``tests/test_dispatch_budget.py``).
 
 Counting happens on the caller's thread with plain ``int`` increments;
@@ -94,7 +93,7 @@ class DispatchCounts:
     ops: int = 0
     #: Host -> device transfers (``from_host``).
     h2d_transfers: int = 0
-    #: Device -> host transfers (``to_host`` / ``to_host_many`` items).
+    #: Device -> host transfers (``to_host``).
     d2h_transfers: int = 0
     #: ``scatter_add`` calls (also included in ``ops``).
     scatter_adds: int = 0
@@ -315,7 +314,7 @@ class ProfilingBackend(ArrayBackend):
     Delegates every operation to ``inner`` — arrays live on the inner
     backend's device, trajectories are bit-identical — while tallying
     namespace dispatches and transfers. Resolve it by name
-    (``"profile"`` / ``"profile:cupy"``) or construct directly around a
+    (``"profile"`` / ``"profile:<name>"``) or construct directly around a
     backend instance.
     """
 
@@ -328,12 +327,8 @@ class ProfilingBackend(ArrayBackend):
         caps = inner.capabilities
         self.capabilities = BackendCapabilities(
             name=f"{PROFILE_PREFIX}:{caps.name}",
-            module=caps.module,
             device=caps.device,
-            native_scatter_add=caps.native_scatter_add,
             supports_float64=caps.supports_float64,
-            pinned_memory=caps.pinned_memory,
-            supports_streams=caps.supports_streams,
         )
 
     # ------------------------------------------------------------------
@@ -363,11 +358,6 @@ class ProfilingBackend(ArrayBackend):
         self._tally.d2h += 1
         return self.inner.to_host(arr)
 
-    def to_host_many(self, arrays):
-        arrays = list(arrays)
-        self._tally.d2h += len(arrays)
-        return self.inner.to_host_many(arrays)
-
     def scatter_add(self, arr, index, values) -> None:
         self._tally.scatter_adds += 1
         self._tally.count("scatter_add", alloc=False)
@@ -381,9 +371,9 @@ class ProfilingBackend(ArrayBackend):
 def make_profiling_backend(inner_name: Optional[str] = None) -> ProfilingBackend:
     """Registry-style factory: wrap the named (or default) inner backend.
 
-    Unavailable inner backends (e.g. ``"profile:cupy"`` without CuPy)
-    raise :class:`~repro.errors.BackendUnavailableError` exactly like the
-    bare name would.
+    Unknown or unavailable inner backends raise
+    :class:`~repro.errors.BackendUnavailableError` exactly like the bare
+    name would.
     """
     from .core import resolve_backend
 

@@ -34,6 +34,12 @@ from .metrics import efficiency_report, lane_order_parameter
 
 __all__ = ["main", "build_parser"]
 
+#: ``--backend`` help shared by ``run``, ``sweep`` and ``submit``.
+_BACKEND_HELP = (
+    "array backend: numpy (default), profile or profile:<name> "
+    "(dispatch-counting), or a name added with register_backend"
+)
+
 
 def _cache_size(value: str):
     """argparse type for ``--cache-size``: entries or suffixed bytes.
@@ -92,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--backend",
         default="numpy",
-        help="array backend: numpy (default) or cupy (GPU; needs repro[gpu])",
+        help=_BACKEND_HELP,
     )
     run_p.add_argument("--height", type=int, default=64)
     run_p.add_argument("--width", type=int, default=64)
@@ -173,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp_p.add_argument(
         "--backend",
         default="numpy",
-        help="array backend: numpy (default) or cupy (GPU; needs repro[gpu])",
+        help=_BACKEND_HELP,
     )
     swp_p.add_argument("--processes", type=int, default=1,
                        help="worker processes for heterogeneous points")
@@ -267,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sbm_p.add_argument(
         "--backend",
         default="numpy",
-        help="array backend: numpy (default) or cupy (GPU; needs repro[gpu])",
+        help=_BACKEND_HELP,
     )
     sbm_p.add_argument("--height", type=int, default=64)
     sbm_p.add_argument("--width", type=int, default=64)

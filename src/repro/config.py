@@ -65,11 +65,12 @@ class SimulationConfig:
         only every ``slow_period``-th step. The default 0 reproduces the
         paper's constant-velocity crowds.
     backend:
-        Array-backend name the engines execute on ("numpy" by default,
-        "cupy" for the optional GPU path). The name is resolved through
-        :func:`repro.backend.resolve_backend` when an engine is built, so
-        a config naming an uninstalled backend stays constructible — only
-        running it raises :class:`~repro.errors.BackendUnavailableError`.
+        Array-backend name the engines execute on ("numpy" by default, or
+        any name added with :func:`repro.backend.register_backend`). The
+        name is resolved through :func:`repro.backend.resolve_backend`
+        when an engine is built, so a config naming an unregistered backend
+        stays constructible — only running it raises
+        :class:`~repro.errors.BackendUnavailableError`.
         Trajectories are bit-identical across backends (keyed integer
         Philox randomness + transcendental-free decision arithmetic).
     """
@@ -88,7 +89,7 @@ class SimulationConfig:
     slow_period: int = 2
     #: Optional static obstacle layout (walls, bottlenecks, pillars).
     obstacles: Optional[ObstacleSpec] = None
-    #: Array backend the engines run on ("numpy" | "cupy" | registered name).
+    #: Array backend the engines run on ("numpy" | "profile" | registered name).
     backend: str = "numpy"
     #: Optional named-scenario label ("family:arg", see
     #: :mod:`repro.components.scenarios`). Part of the wire format and the

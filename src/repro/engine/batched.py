@@ -894,14 +894,9 @@ class BatchedEngine:
             if callback is not None:
                 callback(self, report)
         if moved_buf is not None:
-            # One batched transfer at the recording boundary; on backends
-            # with stream support (CuPy) both copies overlap on a side
-            # stream into pinned staging buffers behind a single fence.
-            moved_host, cross_host = self.backend.to_host_many(
-                (moved_buf, cross_buf)
-            )
-            moved_mat = moved_host.T  # (B, steps)
-            cross_mat = cross_host.T
+            # Both timelines cross to the host once, at the recording boundary.
+            moved_mat = self.backend.to_host(moved_buf).T  # (B, steps)
+            cross_mat = self.backend.to_host(cross_buf).T
         else:
             moved_mat = np.zeros((self.n_lanes, 0), dtype=np.int64)
             cross_mat = np.zeros((self.n_lanes, 0), dtype=np.int64)

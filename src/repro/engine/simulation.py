@@ -59,7 +59,7 @@ def build_engine(
     """Instantiate an engine by name for ``config``.
 
     ``backend`` overrides ``config.backend`` (an array-backend name such
-    as "numpy" or "cupy"); the engine resolves it through
+    as "numpy" or "profile"); the engine resolves it through
     :func:`repro.backend.resolve_backend`, so an unavailable backend
     raises :class:`~repro.errors.BackendUnavailableError` here.
     """

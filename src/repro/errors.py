@@ -41,9 +41,9 @@ class EngineError(ReproError, RuntimeError):
 class BackendUnavailableError(ReproError, RuntimeError):
     """A requested array backend is unknown or cannot be imported here.
 
-    Raised by :func:`repro.backend.resolve_backend` — e.g. asking for the
-    CuPy backend on a machine without ``cupy`` installed. The CLI maps it
-    (like every :class:`ReproError`) to a clean exit code 2.
+    Raised by :func:`repro.backend.resolve_backend` — e.g. a name no
+    :func:`~repro.backend.register_backend` call registered. The CLI maps
+    it (like every :class:`ReproError`) to a clean exit code 2.
     """
 
 

@@ -258,7 +258,7 @@ class SweepRunner:
         loose for tiny dispatch-bound scenarios, tight at paper scale.
     backend:
         Array-backend name applied to every executed config ("numpy",
-        "cupy", ...). ``None`` leaves each point's config untouched. The
+        "profile", ...). ``None`` leaves each point's config untouched. The
         runner resolves the name up front, so an unavailable backend
         fails fast with :class:`~repro.errors.BackendUnavailableError`
         instead of inside a pool worker.

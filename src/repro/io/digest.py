@@ -59,8 +59,8 @@ def engine_state_digest(engine, length: int = 16) -> str:
 
     Hashes the agent property matrix (ids, rows, cols, tour, crossed,
     crossed_step) and the environment grid, after a host round-trip
-    through the engine's backend — so NumPy and CuPy runs of the same
-    trajectory produce the same fingerprint. ``length`` truncates the hex
+    through the engine's backend — so runs of the same trajectory on any
+    backend produce the same fingerprint. ``length`` truncates the hex
     digest (the parity suite's goldens keep 16 chars).
     """
     h = hashlib.sha256()

@@ -68,8 +68,8 @@ def render_engine(engine: SoloEngine, max_cells: int = 4000) -> str:
     """Render an engine's environment, choosing full or density view.
 
     Rendering is a host-side recording boundary: the grid is brought back
-    through the engine's backend first, so device-resident (CuPy) engines
-    render without an implicit-conversion error.
+    through the engine's backend first, so an engine whose arrays live on
+    a device renders without an implicit-conversion error.
     """
     mat = engine.backend.to_host(engine.env.mat)
     if mat.size <= max_cells:

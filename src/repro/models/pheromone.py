@@ -64,10 +64,9 @@ def deposit_at(field: np.ndarray, index, amounts, tau_max, backend=None) -> None
     ``index`` is any fancy index into ``field`` (``(rows, cols)`` for a
     solo field, flat cells for a stack); ``tau_max`` is one clamp or one
     per entry of ``index``. The scatter routes through
-    :meth:`~repro.backend.ArrayBackend.scatter_add` because the
-    unbuffered-add spelling differs per namespace (``np.add.at`` vs
-    ``cupyx.scatter_add``). Only the touched cells are clamped after it,
-    as the sequential engine clamps each deposit's cell: ``min(x,
+    :meth:`~repro.backend.ArrayBackend.scatter_add` (``np.add.at`` on
+    NumPy), the counted unbuffered add. Only the touched cells are clamped
+    after it, as the sequential engine clamps each deposit's cell: ``min(x,
     tau_max)`` is idempotent, so clamp-after-all equals clamp-after-each
     bit for bit, duplicates included. A cell no deposit touches keeps its
     value even above ``tau_max``, which happens only after a model swap

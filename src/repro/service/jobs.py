@@ -21,9 +21,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..backend import resolve_backend
 from ..config import SimulationConfig
 from ..engine.simulation import available_engines
-from ..errors import ServiceError
+from ..errors import BackendUnavailableError, ServiceError
 from ..io import config_digest
 from ..obs import mint_trace_id
 
@@ -94,14 +95,19 @@ class Job:
     ) -> "Job":
         """Build a queued job, deriving the content digest.
 
-        An unknown ``engine`` raises :class:`ServiceError` here, at
-        submission, instead of failing the job at launch.
+        An unknown ``engine`` or array backend raises :class:`ServiceError`
+        here, at submission, instead of failing the job at launch (or, on a
+        cached digest, answering it from a result no backend ran).
         """
         engines = available_engines()
         if engine not in engines:
             raise ServiceError(
                 f"unknown engine {engine!r}; available: {sorted(engines)}"
             )
+        try:
+            resolve_backend(config.backend)
+        except BackendUnavailableError as exc:
+            raise ServiceError(str(exc)) from None
         return cls(
             job_id=job_id,
             config=config,

@@ -7,7 +7,7 @@ import pytest
 
 import repro.backend.core as backend_core
 from repro import SimulationConfig
-from repro.backend import CupyBackend, register_backend
+from repro.backend import ArrayBackend, BackendCapabilities, register_backend
 from repro.rng import PhiloxKeyedRNG
 
 
@@ -35,29 +35,20 @@ def tiny_config() -> SimulationConfig:
     return SimulationConfig(height=16, width=16, n_per_side=12, steps=20, seed=3)
 
 
-class _FakeCupy:
-    """Mock ``cupy`` module: NumPy namespace + the transfer surface."""
+class _FakeDeviceBackend(ArrayBackend):
+    """NumPy arrays under a device capability record ("cuda")."""
 
-    asnumpy = staticmethod(np.asarray)
-    asarray = staticmethod(np.asarray)
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-class _FakeCupyx:
-    """Mock ``cupyx`` module: the unbuffered scatter-add."""
-
-    scatter_add = staticmethod(np.add.at)
+    xp = np
+    capabilities = BackendCapabilities(name="fake-device", device="cuda")
 
 
 @pytest.fixture
-def mock_cupy_backend():
-    """Register a mocked CuPy backend as "cupy"; restore the registry after."""
+def fake_device_backend():
+    """Register the fake device backend; restore the registry after."""
     factories = dict(backend_core._FACTORIES)
     instances = dict(backend_core._INSTANCES)
-    backend = CupyBackend(cupy_module=_FakeCupy(), cupyx_module=_FakeCupyx())
-    register_backend("cupy", lambda: backend, replace=True)
+    backend = _FakeDeviceBackend()
+    register_backend(backend.name, lambda: backend)
     yield backend
     backend_core._FACTORIES.clear()
     backend_core._FACTORIES.update(factories)

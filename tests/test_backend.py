@@ -1,7 +1,9 @@
-"""Backend layer: registry, NumPy backend, CuPy guard, import hygiene."""
+"""Backend layer: registry, NumPy backend, import hygiene, float64 guard."""
 
-import ast
-import pathlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +12,15 @@ import repro.backend.core as backend_core
 from repro.backend import (
     ArrayBackend,
     BackendCapabilities,
-    CupyBackend,
     NumpyBackend,
     available_backends,
     register_backend,
     registered_backends,
     resolve_backend,
 )
-from repro.backend import cupy_backend as cupy_backend_module
 from repro.errors import BackendUnavailableError, ReproError
 
-SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -36,9 +36,8 @@ def scratch_registry():
 
 
 class TestRegistry:
-    def test_numpy_and_cupy_are_registered(self):
-        assert "numpy" in registered_backends()
-        assert "cupy" in registered_backends()
+    def test_numpy_is_the_only_builtin_backend(self):
+        assert registered_backends() == ["numpy"]
 
     def test_numpy_is_available(self):
         assert "numpy" in available_backends()
@@ -83,11 +82,7 @@ class TestNumpyBackend:
     def test_capability_record(self):
         caps = resolve_backend("numpy").capabilities
         assert caps == BackendCapabilities(
-            name="numpy",
-            module="numpy",
-            device="cpu",
-            native_scatter_add=True,
-            supports_float64=True,
+            name="numpy", device="cpu", supports_float64=True
         )
         assert not caps.is_gpu
 
@@ -107,71 +102,27 @@ class TestNumpyBackend:
         resolve_backend("numpy").synchronize()
 
 
-class TestCupyGuard:
-    def test_resolve_cupy_without_cupy_raises_unavailable(self, monkeypatch):
-        def boom():
-            raise ImportError("No module named 'cupy'")
-
-        monkeypatch.setattr(cupy_backend_module, "_import_cupy", boom)
-        backend_core._INSTANCES.pop("cupy", None)
-        with pytest.raises(BackendUnavailableError, match="repro\\[gpu\\]"):
-            resolve_backend("cupy")
-
-    def test_direct_construction_without_cupyx_rejected(self):
-        with pytest.raises(BackendUnavailableError):
-            CupyBackend(cupy_module=np, cupyx_module=None)
-
-
-def _cupy_imports(tree: ast.AST):
-    """Yield every cupy/cupyx import node anywhere in ``tree``.
-
-    ``ast.walk`` covers all scopes — module level, try/if blocks *and*
-    function bodies — so the invariant enforced is the strong one:
-    ``repro/backend/cupy_backend.py`` is the only module that imports
-    cupy at all.
-    """
-
-    def is_cupy(name: str) -> bool:
-        return name in ("cupy", "cupyx") or name.startswith(("cupy.", "cupyx."))
-
-    for node in ast.walk(tree):
-        names = []
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif (
-            isinstance(node, ast.ImportFrom)
-            and node.module
-            and node.level == 0  # absolute imports only
-        ):
-            names = [node.module]
-        if any(is_cupy(n) for n in names):
-            yield node
-
-
 class TestImportHygiene:
-    def test_cupy_imported_only_in_the_guarded_backend_module(self):
-        """cupy_backend.py is the sole module importing cupy, in any scope.
-
-        A cupy import anywhere else — module level, a try block, or a
-        function body — either breaks ``import repro`` on GPU-less
-        machines or plants a latent runtime failure; this AST walk (plus
-        the column-0 grep in CI) keeps the guard honest.
-        """
-        offenders = []
-        for path in sorted(SRC_ROOT.rglob("*.py")):
-            if path.relative_to(SRC_ROOT).as_posix() == "backend/cupy_backend.py":
-                continue
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in _cupy_imports(tree):
-                offenders.append(f"{path.relative_to(SRC_ROOT)}:{node.lineno}")
-        assert offenders == [], f"cupy imports outside the backend: {offenders}"
-
-    def test_guard_catches_try_wrapped_and_function_scoped_imports(self):
-        """The walker sees imports in try blocks and function bodies."""
-        sneaky_try = "try:\n    import cupy\nexcept ImportError:\n    cupy = None\n"
-        sneaky_def = "def f():\n    import cupyx\n"
-        assert list(_cupy_imports(ast.parse(sneaky_try)))
-        assert list(_cupy_imports(ast.parse(sneaky_def)))
+    def test_import_repro_loads_only_the_four_backend_modules(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, repro\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.backend.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([
+            "repro.backend.core",
+            "repro.backend.heap",
+            "repro.backend.numpy_backend",
+            "repro.backend.profiling",
+        ])
 
     def test_base_backend_protocol_surface(self):
         backend = ArrayBackend()
@@ -181,6 +132,16 @@ class TestImportHygiene:
         assert out[1] == 4.0
 
 
+class TestHostOnlyEngines:
+    def test_sequential_engine_refuses_device_backends(self, fake_device_backend):
+        from repro import SimulationConfig, build_engine
+        from repro.errors import EngineError
+
+        cfg = SimulationConfig(height=16, width=16, n_per_side=8, steps=2)
+        with pytest.raises(EngineError, match="host-only"):
+            build_engine(cfg, engine="sequential", backend=fake_device_backend.name)
+
+
 class TestFloat64Enforcement:
     def test_engines_reject_reduced_precision_backends(self, scratch_registry):
         from repro import SimulationConfig, build_engine
@@ -188,7 +149,7 @@ class TestFloat64Enforcement:
 
         class HalfBackend(NumpyBackend):
             capabilities = BackendCapabilities(
-                name="half", module="numpy", device="cpu", supports_float64=False
+                name="half", device="cpu", supports_float64=False
             )
 
         register_backend("half", HalfBackend)
@@ -206,7 +167,7 @@ class TestFloat64Enforcement:
 
         class HalfBackend(NumpyBackend):
             capabilities = BackendCapabilities(
-                name="half", module="numpy", device="cpu", supports_float64=False
+                name="half", device="cpu", supports_float64=False
             )
 
         register_backend("half", HalfBackend)

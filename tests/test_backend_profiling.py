@@ -62,11 +62,6 @@ class TestCountingSemantics:
         assert snap.ops == 0
         np.testing.assert_array_equal(host, np.arange(4))
 
-    def test_to_host_many_counts_one_per_array(self, prof):
-        outs = prof.to_host_many([np.arange(2), np.arange(3), np.arange(4)])
-        assert prof.snapshot().d2h_transfers == 3
-        assert [len(o) for o in outs] == [2, 3, 4]
-
     def test_scatter_add_counts_op_and_tag(self, prof):
         out = np.zeros(3)
         prof.scatter_add(out, np.array([0, 0]), 2.0)
@@ -119,7 +114,8 @@ class TestRegistryResolution:
         backend = resolve_backend(PROFILE_PREFIX)
         assert isinstance(backend, ProfilingBackend)
         assert backend.capabilities.name == "profile:numpy"
-        assert backend.capabilities.module == "numpy"
+        assert backend.capabilities.device == "cpu"
+        assert backend.inner.xp is np
 
     def test_profile_colon_inner_resolves(self):
         backend = resolve_backend("profile:numpy")
@@ -143,6 +139,18 @@ class TestProfiledRunIdentity:
         np.testing.assert_array_equal(
             profiled.result.crossings_per_step, plain.result.crossings_per_step
         )
+
+    def test_recorded_batched_run_brings_two_timelines_back(self, tiny_config):
+        from repro.engine import BatchedEngine
+
+        engine = BatchedEngine(tiny_config.replace(backend="profile"), seeds=(0, 1, 2))
+        engine.backend.reset()
+        engine.run(steps=5, record_timeline=True)
+        # moved and crossings: one device->host copy each, after the loop.
+        assert engine.backend.snapshot().d2h_transfers == 2
+        engine.backend.reset()
+        engine.run(steps=5, record_timeline=False)
+        assert engine.backend.snapshot().d2h_transfers == 0
 
     def test_profile_attached_with_setup_split(self, tiny_config):
         out = run_simulation(tiny_config, engine="vectorized", profile=True)

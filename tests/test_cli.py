@@ -93,6 +93,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "error:" in out and "registered" in out
 
+    @pytest.mark.parametrize(
+        "argv", [["run", "--backend", "cupy"], ["sweep", "--smoke", "--backend", "cupy"]]
+    )
+    def test_unregistered_backend_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "error:" in out and "unknown array backend 'cupy'" in out
+        assert "registered backends: ['numpy']" in out
+
     def test_run_profile_dispatch(self, capsys):
         code = main(
             ["run", "--height", "16", "--width", "16", "--agents", "10",

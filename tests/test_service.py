@@ -162,9 +162,9 @@ class TestConfigDigest:
     def test_digest_ignores_the_backend_field(self):
         # The backend selects an executor, not a simulation; trajectories
         # are bit-identical across backends, so the cache key must let a
-        # cupy request reuse a numpy result.
+        # profiled request reuse a numpy result.
         cfg = _cfg()
-        assert config_digest(cfg) == config_digest(cfg.replace(backend="cupy"))
+        assert config_digest(cfg) == config_digest(cfg.replace(backend="profile"))
 
 
 class TestBatchedServing:
@@ -240,14 +240,14 @@ class TestCacheSemantics:
         assert job.result == svc.job(first.job_id).result
 
     def test_coalescing_is_engine_aware_for_failures(
-        self, tmp_path, mock_cupy_backend
+        self, tmp_path, fake_device_backend
     ):
         # Same config digest, different engines, one tick: the sequential
         # job's engine-specific failure (it is host-only and the config
         # asks for a device backend) must not leak onto the vectorized
         # job, which runs fine there.
         svc = SimulationService(str(tmp_path))
-        cfg = _cfg(seed=13, backend="cupy")
+        cfg = _cfg(seed=13, backend=fake_device_backend.name)
         bad = svc.submit(cfg, engine="sequential")
         good = svc.submit(cfg, engine="vectorized")
         svc.run_until_idle()
@@ -313,11 +313,11 @@ class TestRestartResume:
 
 
 class TestFailurePaths:
-    def test_engine_failure_marks_job_failed(self, tmp_path, mock_cupy_backend):
+    def test_engine_failure_marks_job_failed(self, tmp_path, fake_device_backend):
         svc = SimulationService(str(tmp_path))
         # The sequential engine is host-only; on a device backend it is a
         # clean per-job failure, not a service crash.
-        bad = svc.submit(_cfg(backend="cupy"), engine="sequential")
+        bad = svc.submit(_cfg(backend=fake_device_backend.name), engine="sequential")
         good = svc.submit(_cfg(seed=1))
         svc.run_until_idle()
         assert svc.job(bad.job_id).state is JobState.FAILED
@@ -334,6 +334,26 @@ class TestFailurePaths:
         # Nothing of either request was queued or persisted.
         assert svc.store.queued() == []
         assert SimulationService(str(tmp_path)).store.queued() == []
+
+    def test_unknown_backend_rejected_at_submission(self, tmp_path):
+        svc = SimulationService(str(tmp_path))
+        cfg = _cfg(seed=2)
+        svc.submit(cfg)
+        svc.run_until_idle()
+        # Even with the digest cached, an unknown backend is refused up
+        # front instead of answered from the cache.
+        with pytest.raises(ServiceError, match="unknown array backend 'bogus'"):
+            svc.submit(cfg.replace(backend="bogus"))
+        with pytest.raises(ServiceError, match="bogus"):
+            svc.submit_many(
+                [(_cfg(seed=1), "vectorized"), (_cfg(backend="bogus"), "vectorized")]
+            )
+        assert svc.store.queued() == []
+        assert SimulationService(str(tmp_path)).store.queued() == []
+        # Profiling names resolve through the same registry and pass.
+        for name in ("profile", "profile:numpy"):
+            svc.submit(cfg.replace(backend=name))
+        assert len(svc.store.queued()) == 2
 
     def test_unknown_job_id_raises(self, tmp_path):
         svc = SimulationService(str(tmp_path))

@@ -101,6 +101,14 @@ class TestEndpoints:
             assert engine in str(excinfo.value)
         assert list_jobs(port=server.port) == []
 
+    def test_unknown_backend_is_400(self, server):
+        spec = _spec(seed=4)
+        spec["config"]["backend"] = "bogus"
+        with pytest.raises(ServiceError, match="400") as excinfo:
+            submit_jobs([spec], port=server.port)
+        assert "bogus" in str(excinfo.value)
+        assert list_jobs(port=server.port) == []
+
     def test_scenario_travels_the_job_wire(self, server):
         from repro.components.scenarios import build_scenario
 

@@ -485,38 +485,19 @@ class TestSweepBackendSelection:
         configs = launched[0].configs
         assert all(cfg.backend == "numpy" for cfg in configs)
 
-    @pytest.fixture
-    def cupy_unavailable(self, monkeypatch):
-        """Force the cupy factory down its ImportError path.
-
-        Keeps these tests meaningful even on machines where CuPy *is*
-        installed (e.g. with the repro[gpu] extra).
-        """
-        import repro.backend.core as backend_core
-        import repro.backend.cupy_backend as cupy_backend_module
-
-        def boom():
-            raise ImportError("No module named 'cupy'")
-
-        monkeypatch.setattr(cupy_backend_module, "_import_cupy", boom)
-        cached = backend_core._INSTANCES.pop("cupy", None)
-        yield
-        if cached is not None:
-            backend_core._INSTANCES["cupy"] = cached
-
-    def test_unavailable_backend_fails_fast(self, cupy_unavailable):
+    def test_unavailable_backend_fails_fast(self):
         from repro.errors import BackendUnavailableError
 
         with pytest.raises(BackendUnavailableError):
-            SweepRunner(backend="cupy")
+            SweepRunner(backend="tpu")
 
-    def test_cli_backend_flag_exit_codes(self, capsys, cupy_unavailable):
+    def test_cli_backend_flag_exit_codes(self, capsys):
         assert main(["sweep", "--scenarios", "1", "--seeds", "1",
                      "--models", "lem", "--scale", "tiny",
                      "--backend", "numpy"]) == 0
         capsys.readouterr()
-        assert main(["sweep", "--smoke", "--backend", "cupy"]) == 2
-        assert "cupy" in capsys.readouterr().out
+        assert main(["sweep", "--smoke", "--backend", "tpu"]) == 2
+        assert "tpu" in capsys.readouterr().out
 
 
 class TestFailedLaunch:
